@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -427,13 +426,7 @@ def run_sweep(config: RunConfig) -> tuple[int, dict, str]:
     if config.sweep is None:
         raise StructuralModelError("sweep command requires a 'sweep' config block")
     grid = [float(g) for g in config.sweep["grid"]]
-    threads = int(os.environ.get("RESONANCE_THREADS", "0") or 0)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda v: _sweep_point(config, v), grid))
-    else:
-        results = [_sweep_point(config, v) for v in grid]
-    rows = [r for point in results for r in point]
+    rows = [r for value in grid for r in _sweep_point(config, value)]
     header = ["parameter", "eig_index", "re_lambda", "im_lambda", "tag",
               "r_min", "iterations", "status"]
     lines = [",".join(header)]

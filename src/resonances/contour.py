@@ -12,7 +12,6 @@ with panels split at the parametrization corners.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -22,10 +21,11 @@ import numpy as np
 from .errors import (
     GeometryError,
     InadmissibleCertificateError,
+    PairingError,
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import Interval, SpectralModel, spectral_norm
+from .model import Interval, SpectralModel
 
 DEFAULT_ORDER = (6, 16)
 DEFAULT_QUAD_TOL = 1e-10
@@ -36,23 +36,6 @@ _TAIL_BUDGET = 1e-3  # fraction of quad_tol allowed in a truncated ray tail
 def _gauss_legendre(points: int):
     x, w = np.polynomial.legendre.leggauss(points)
     return x, w
-
-
-def keyed_cache(cache: dict, tag: str, obj, build):
-    """Memoize ``build()`` under ``tag``, keyed by the identity of ``obj``.
-
-    Entries hold weak references, so identity is re-validated on lookup and
-    a recycled id can never resurrect a stale value.
-    """
-    entries = cache.setdefault(tag, [])
-    for ref, value in entries:
-        if ref() is obj:
-            return value
-    value = build()
-    entries.append((weakref.ref(obj), value))
-    if len(entries) > 8:
-        entries[:] = [(r, v) for r, v in entries if r() is not None][-8:]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +187,14 @@ class Piece:
 
 @dataclass(frozen=True, eq=False)
 class Contour:
-    """Quadrature-ready deformation contour for a whole model."""
+    """Quadrature-ready deformation contour for one model.
+
+    Besides the curve nodes and weights it carries the integration data of
+    every self-energy sum: the discrete remainder points first (weight 1,
+    value the weight matrix), then the quadrature nodes (their weights, the
+    coupling density at the node). ``sources`` holds the model's coupling
+    and remainder objects the data was computed from.
+    """
 
     multi_index: tuple[int, ...]
     pieces: tuple[Piece, ...]
@@ -215,7 +205,10 @@ class Contour:
     weights: np.ndarray
     diameter: float
     intervals: tuple[tuple[float, float, float], ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    quad_points: np.ndarray = field(repr=False)
+    quad_weights: np.ndarray = field(repr=False)
+    quad_values: np.ndarray = field(repr=False)
+    sources: tuple = field(repr=False)
 
     @property
     def tail_variation_bound(self) -> float:
@@ -413,14 +406,15 @@ def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,
     nodes.setflags(write=False)
     weights.setflags(write=False)
 
-    pts = list(nodes)
-    pts.extend(complex(p.nu) for p in model.discrete)
-    for iv in model.intervals:
-        if math.isfinite(iv.lo):
-            pts.append(complex(iv.lo))
-        if math.isfinite(iv.hi):
-            pts.append(complex(iv.hi))
-    arr = np.array(pts)
+    quad_points = np.concatenate([[complex(p.nu) for p in model.discrete], nodes])
+    quad_weights = np.concatenate([np.ones(len(model.discrete), dtype=complex), weights])
+    quad_values = np.stack([p.weight for p in model.discrete]
+                           + [model.coupling(mu) for mu in nodes])
+    for data in (quad_points, quad_weights, quad_values):
+        data.setflags(write=False)
+
+    ends = [x for iv in model.intervals for x in (iv.lo, iv.hi) if math.isfinite(x)]
+    arr = np.concatenate([quad_points, ends])
     diameter = float(math.hypot(np.ptp(arr.real), np.ptp(arr.imag)))
     if diameter == 0.0:
         diameter = 1.0
@@ -435,7 +429,25 @@ def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,
         weights=weights,
         diameter=diameter,
         intervals=tuple((iv.lo, iv.hi, iv.strip) for iv in model.intervals),
+        quad_points=quad_points,
+        quad_weights=quad_weights,
+        quad_values=quad_values,
+        sources=(model.coupling, *model.discrete),
     )
+
+
+def _quadrature(model: SpectralModel, contour: Contour):
+    """(points, weights, values) of the contour's integration data.
+
+    Raises ``PairingError`` unless the contour was built from this model's
+    coupling and remainder objects (checked by identity, so models that
+    differ only in the internal matrix share a contour).
+    """
+    own = (model.coupling, *model.discrete)
+    if len(own) != len(contour.sources) or any(a is not b for a, b in zip(own, contour.sources)):
+        raise PairingError(
+            "contour was built for a different coupling or discrete remainder")
+    return contour.quad_points, contour.quad_weights, contour.quad_values
 
 
 def mirrored(model: SpectralModel, contour: Contour) -> Contour:
@@ -462,13 +474,6 @@ def is_mirror_pair(a: Contour, b: Contour) -> bool:
 # Variation, separation distance, certificate
 # ---------------------------------------------------------------------------
 
-def _node_density_norms(model: SpectralModel, contour: Contour) -> np.ndarray:
-    def build():
-        return np.array([spectral_norm(model.coupling(mu)) for mu in contour.nodes])
-
-    return keyed_cache(contour._cache, "density_norms", model, build)
-
-
 def variation(model: SpectralModel, contour: Contour) -> float:
     """Total coupling budget along the discrete remainder and the contour.
 
@@ -476,10 +481,9 @@ def variation(model: SpectralModel, contour: Contour) -> float:
     of the density norm against arc length; the truncation tail bound of any
     unbounded piece is added conservatively.
     """
-    discrete_part = sum(spectral_norm(p.weight) for p in model.discrete)
-    norms = _node_density_norms(model, contour)
-    curve_part = float(np.sum(np.abs(contour.weights) * norms))
-    return discrete_part + curve_part + contour.tail_variation_bound
+    _, weights, values = _quadrature(model, contour)
+    norms = np.linalg.norm(values, 2, axis=(1, 2))
+    return float(np.sum(np.abs(weights) * norms)) + contour.tail_variation_bound
 
 
 def separation_distance(model: SpectralModel, contour: Contour) -> float:
@@ -510,7 +514,6 @@ class SolvabilityCertificate:
     admissible: bool
     r_min: float | None
     r_max: float | None
-    sampling_slack: float = 0.0
 
     def contraction_factor(self) -> float:
         """Contraction constant of the fixed-point map on the smallest ball."""
@@ -528,20 +531,17 @@ def solvability_certificate(model: SpectralModel, contour: Contour) -> Solvabili
     separation distance; the two ball radii are the roots of the associated
     quadratic. Inadmissibility is data, not an error.
     """
-    def build():
-        d0 = separation_distance(model, contour)
-        v0 = variation(model, contour)
-        omega = d0 * d0 - 4.0 * v0
-        admissible = omega > 0.0 and d0 > 0.0
-        if admissible:
-            r_min = 0.5 * d0 - math.sqrt(0.25 * d0 * d0 - v0)
-            r_max = d0 - math.sqrt(v0)
-        else:
-            r_min = None
-            r_max = None
-        return SolvabilityCertificate(d0, v0, omega, admissible, r_min, r_max)
-
-    return keyed_cache(contour._cache, "certificate", model, build)
+    d0 = separation_distance(model, contour)
+    v0 = variation(model, contour)
+    omega = d0 * d0 - 4.0 * v0
+    admissible = omega > 0.0 and d0 > 0.0
+    if admissible:
+        r_min = 0.5 * d0 - math.sqrt(0.25 * d0 * d0 - v0)
+        r_max = d0 - math.sqrt(v0)
+    else:
+        r_min = None
+        r_max = None
+    return SolvabilityCertificate(d0, v0, omega, admissible, r_min, r_max)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,11 @@ class GuardBandError(ResonanceError):
 
 
 class PairingError(ResonanceError):
-    """Two contours or solutions that must be mirror partners are not."""
+    """Data that must belong together does not.
+
+    Raised for contours or solutions that must be mirror partners, and for
+    a contour used with a model other than the one it was built from.
+    """
 
 
 class InadmissibleCertificateError(ResonanceError):

@@ -14,12 +14,39 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NonconvergenceError, UnsupportedModelError
 from .model import SpectralModel, spectral_norm
 
-_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # smallest rtol brentq accepts
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi], where f must change sign, to the last float.
+
+    While the ends lie on one side of zero more than a factor two apart the
+    bracket is split at their geometric mean, so a bracket spanning hundreds
+    of orders of magnitude closes in a few dozen steps; otherwise at the
+    midpoint. Stops when no float lies strictly between the ends.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if (f_lo < 0.0 and f_hi < 0.0) or (f_lo > 0.0 and f_hi > 0.0):
+        raise NonconvergenceError(f"no sign change of the root function on [{lo}, {hi}]",
+                                  (lo, hi))
+    while True:
+        if (0.0 < lo and 2.0 * lo < hi) or (hi < 0.0 and lo < 2.0 * hi):
+            mid = math.copysign(math.sqrt(abs(lo)) * math.sqrt(abs(hi)), hi)
+        else:
+            mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 @dataclass(frozen=True)
@@ -74,12 +101,13 @@ class ResonanceRoot:
     trajectory: tuple[complex, ...]
 
 
-def symmetric_angle_root(beta_tilde_sq: float, nu: int, tol: float = 1e-14) -> float | None:
+def symmetric_angle_root(beta_tilde_sq: float, nu: int) -> float | None:
     """Root of tan(phi) = bt2*(phi - pi/2 + pi*nu) on [0, pi/2), if any.
 
     For the symmetric model (a = 2R, lambda1 = R) each root corresponds to a
     resonance R*(1 + i*tan(phi)) on the upper half of sheet nu. A sign scan
-    plus bisection; returns None when no sign change exists (all nu <= 0).
+    plus bisection to the last float; returns None when no sign change
+    exists (all nu <= 0).
     """
     def g(phi: float) -> float:
         return math.tan(phi) - beta_tilde_sq * (phi - math.pi / 2.0 + math.pi * nu)
@@ -99,7 +127,7 @@ def symmetric_angle_root(beta_tilde_sq: float, nu: int, tol: float = 1e-14) -> f
                 break
         else:
             return None
-    return float(brentq(g, lo, hi, xtol=tol, rtol=_BRENT_RTOL, maxiter=300))
+    return _bisect(g, lo, hi)
 
 
 def resonance_root(params: FriedrichsParams, tol: float = 1e-12,
@@ -188,7 +216,7 @@ def bound_states(params: FriedrichsParams, ftol: float = 1e-12) -> BoundStates:
     hi = -a * math.exp(-min(lam / b2, 600.0)) * 1e-6
     if f(hi) > 0.0:
         hi = -1e-300
-    z0 = float(brentq(f, lo, hi, xtol=1e-300, rtol=_BRENT_RTOL, maxiter=600))
+    z0 = _bisect(f, lo, hi)
     for _ in range(4):
         if abs(f(z0)) <= ftol:
             break
@@ -204,7 +232,7 @@ def bound_states(params: FriedrichsParams, ftol: float = 1e-12) -> BoundStates:
         t_hi *= 2.0
         if t_hi > 1e30:
             raise NonconvergenceError("could not bracket the upper bound state", (t_hi,))
-    t = float(brentq(g, t_lo, t_hi, xtol=1e-300, rtol=_BRENT_RTOL, maxiter=600))
+    t = _bisect(g, t_lo, t_hi)
     for _ in range(8):
         if abs(g(t)) <= ftol:
             break

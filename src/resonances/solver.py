@@ -17,6 +17,7 @@ import numpy as np
 from .contour import (
     Contour,
     SolvabilityCertificate,
+    _quadrature,
     is_mirror_pair,
     solvability_certificate,
 )
@@ -26,10 +27,9 @@ from .errors import (
     InadmissibleCertificateError,
     NonconvergenceError,
     PairingError,
-    ResolventSingularityError,
 )
 from .model import SpectralModel, spectral_norm
-from .transfer import _kprime_stack
+from .transfer import _resolvents, _weighted_sum
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -41,38 +41,18 @@ def self_energy_of_operator(model: SpectralModel, contour: Contour,
     """Self-energy applied to an operator argument.
 
     Sums the coupling data against the resolvent of ``y`` at every discrete
-    point and quadrature node, in fixed node order. On an eigenvector of
-    ``y`` this action reduces to the scalar self-energy at the eigenvalue.
-    With ``debug=True`` the norm estimate against the variation times the
+    point and quadrature node. On an eigenvector of ``y`` this action
+    reduces to the scalar self-energy at the eigenvalue. With
+    ``debug=True`` the norm estimate against the variation times the
     largest resolvent norm is asserted.
     """
-    y = np.asarray(y, dtype=complex)
-    n = model.dim
-    eye = np.eye(n)
-    out = np.zeros((n, n), dtype=complex)
-    max_resolvent = 0.0
-    for p in model.discrete:
-        shifted = y - p.nu * eye
-        try:
-            inv = np.linalg.inv(shifted)
-        except np.linalg.LinAlgError as exc:
-            raise ResolventSingularityError(p.nu) from exc
-        out += p.weight @ inv
-        if debug:
-            max_resolvent = max(max_resolvent, spectral_norm(inv))
-    stack = _kprime_stack(model, contour)
-    for q, mu in enumerate(contour.nodes):
-        shifted = y - mu * eye
-        try:
-            inv = np.linalg.inv(shifted)
-        except np.linalg.LinAlgError as exc:
-            raise ResolventSingularityError(mu) from exc
-        out += contour.weights[q] * (stack[q] @ inv)
-        if debug:
-            max_resolvent = max(max_resolvent, spectral_norm(inv))
+    points, weights, values = _quadrature(model, contour)
+    inv = _resolvents(np.asarray(y, dtype=complex), points)
+    out = _weighted_sum(weights, values, inv)
     if debug:
         from .contour import variation
 
+        max_resolvent = float(np.max(np.linalg.norm(inv, 2, axis=(1, 2))))
         bound = variation(model, contour) * max_resolvent
         if spectral_norm(out) > bound * (1.0 + 1e-9) + 1e-300:
             raise IdentityFailureError(
@@ -83,24 +63,9 @@ def self_energy_of_operator(model: SpectralModel, contour: Contour,
 def adjoint_self_energy_of_operator(model: SpectralModel, contour: Contour,
                                     y: np.ndarray) -> np.ndarray:
     """Left-resolvent variant: integrates resolvent times coupling data."""
-    y = np.asarray(y, dtype=complex)
-    n = model.dim
-    eye = np.eye(n)
-    out = np.zeros((n, n), dtype=complex)
-    for p in model.discrete:
-        try:
-            inv = np.linalg.inv(y - p.nu * eye)
-        except np.linalg.LinAlgError as exc:
-            raise ResolventSingularityError(p.nu) from exc
-        out += inv @ p.weight
-    stack = _kprime_stack(model, contour)
-    for q, mu in enumerate(contour.nodes):
-        try:
-            inv = np.linalg.inv(y - mu * eye)
-        except np.linalg.LinAlgError as exc:
-            raise ResolventSingularityError(mu) from exc
-        out += contour.weights[q] * (inv @ stack[q])
-    return out
+    points, weights, values = _quadrature(model, contour)
+    inv = _resolvents(np.asarray(y, dtype=complex), points)
+    return _weighted_sum(weights, inv, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +85,7 @@ class Solution:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _iterate(model: SpectralModel, contour: Contour, cert, q: float,
+def _iterate(model: SpectralModel, contour: Contour, q: float,
              tol: float, max_iter: int, r_escape: float | None,
              stop_abs: float | None = None, x0: np.ndarray | None = None):
     n = model.dim
@@ -171,7 +136,7 @@ def solve_fixed_point(model: SpectralModel, contour: Contour,
         raise InadmissibleCertificateError(cert)
     q = cert.contraction_factor()
     x, iterations, last_step, steps = _iterate(
-        model, contour, cert, q, tol, max_iter, cert.r_max)
+        model, contour, q, tol, max_iter, cert.r_max)
     bound = 0.0 if q == 0.0 else q / (1.0 - q) * last_step
     x_norm = spectral_norm(x)
     if x_norm > cert.r_min + bound + 1e-12 * (1.0 + cert.r_min):
@@ -254,7 +219,7 @@ def contour_independence(model: SpectralModel, sol: Solution, other: Contour,
         return spectral_norm(resolved.correction - sol.correction)
     r0_estimate = sol.certificate.r_min + sol.a_posteriori_bound
     if cert.d0 > r0_estimate:
-        x, _, _, _ = _iterate(model, other, cert, 0.0, tol, max_iter,
+        x, _, _, _ = _iterate(model, other, 0.0, tol, max_iter,
                               None, stop_abs=tol, x0=sol.correction)
         return spectral_norm(x - sol.correction)
     raise InadmissibleCertificateError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Contour, is_mirror_pair, keyed_cache, solvability_certificate
+from .contour import Contour, _quadrature, is_mirror_pair, solvability_certificate
 from .errors import (
     ClusteringError,
     GeometryError,
@@ -28,7 +28,8 @@ from .errors import (
 from .model import SpectralModel, spectral_norm
 from .solver import Solution
 from .transfer import (
-    _kprime_stack,
+    _resolvents,
+    _weighted_sum,
     guard_epsilon,
     transfer,
     transfer_many,
@@ -182,10 +183,7 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
     eye = np.eye(n)
 
     def resolvent(zs):
-        out = np.empty((zs.size, n, n), dtype=complex)
-        for i, z in enumerate(zs):
-            out[i] = np.linalg.inv(h1 - z * eye)
-        return out
+        return _resolvents(h1, zs)
 
     projections = []
     nilpotents = []
@@ -267,23 +265,6 @@ class Factorization:
     residual: float
 
 
-def _resolvent_stack(model: SpectralModel, contour: Contour, h: np.ndarray,
-                     cache: dict | None = None) -> tuple:
-    """Inverses of (h - mu) at every node and discrete point, cached."""
-    def build():
-        n = model.dim
-        eye = np.eye(n)
-        node_inv = np.empty((contour.nodes.size, n, n), dtype=complex)
-        for q, mu in enumerate(contour.nodes):
-            node_inv[q] = np.linalg.inv(h - mu * eye)
-        disc_inv = tuple(np.linalg.inv(h - p.nu * eye) for p in model.discrete)
-        return node_inv, disc_inv
-
-    if cache is None:
-        return build()
-    return keyed_cache(cache, "resolvent_stack", contour, build)
-
-
 def factorize(model: SpectralModel, contour: Contour, sol: Solution,
               z: complex, guard: float | None = None) -> Factorization:
     """Left factor of the transfer function at z and the factorization defect.
@@ -295,13 +276,9 @@ def factorize(model: SpectralModel, contour: Contour, sol: Solution,
     """
     z = complex(z)
     h = sol.effective
-    stack = _kprime_stack(model, contour)
-    node_inv, disc_inv = _resolvent_stack(model, contour, h, sol._cache)
-    coeff = contour.weights / (contour.nodes - z)
-    w1 = np.eye(model.dim).astype(complex)
-    w1 -= np.einsum("q,qij,qjk->ik", coeff, stack, node_inv)
-    for p, inv in zip(model.discrete, disc_inv):
-        w1 -= (p.weight @ inv) / (p.nu - z)
+    points, weights, values = _quadrature(model, contour)
+    w1 = np.eye(model.dim, dtype=complex)
+    w1 -= _weighted_sum(weights / (points - z), values, _resolvents(h, points))
     m1 = transfer(model, contour, z, guard).matrix
     residual = spectral_norm(m1 - w1 @ (h - z * np.eye(model.dim)))
     return Factorization(w1, residual)
@@ -344,19 +321,10 @@ def overlap_operator(model: SpectralModel, contour: Contour, sol_l: Solution,
         raise PairingError("solutions do not live on mirror contours")
     if tuple(contour.multi_index) != tuple(sol_l.multi_index):
         raise PairingError("contour multi-index does not match the solution")
-    h = sol_l.effective
-    h_adj = sol_minus_l.effective.conj().T
-    stack = _kprime_stack(model, contour)
-    right_inv, right_disc = _resolvent_stack(model, contour, h, sol_l._cache)
-    n = model.dim
-    eye = np.eye(n)
-    left_inv = np.empty_like(right_inv)
-    for q, mu in enumerate(contour.nodes):
-        left_inv[q] = np.linalg.inv(h_adj - mu * eye)
-    out = np.einsum("q,qij,qjk,qkl->il", contour.weights, left_inv, stack, right_inv)
-    for p, rinv in zip(model.discrete, right_disc):
-        linv = np.linalg.inv(h_adj - p.nu * eye)
-        out += linv @ p.weight @ rinv
+    points, weights, values = _quadrature(model, contour)
+    left_inv = _resolvents(sol_minus_l.effective.conj().T, points)
+    right_inv = _resolvents(sol_l.effective, points)
+    out = _weighted_sum(weights, left_inv @ values, right_inv)
     cert = solvability_certificate(model, contour)
     bound = cert.v0 / (cert.d0 / 2.0) ** 2 if cert.d0 > 0 else math.inf
     norm = spectral_norm(out)
@@ -421,15 +389,13 @@ def _check_circle_geometry(model: SpectralModel, contour: Contour,
 def _minv_batch(model: SpectralModel, contour: Contour, scale: float):
     def f(zs):
         mats = transfer_many(model, contour, zs)
-        out = np.empty_like(mats)
-        for i in range(mats.shape[0]):
-            inv = np.linalg.inv(mats[i])
-            if 1.0 / max(spectral_norm(inv), 1e-300) < 1e-10 * scale:
-                raise GeometryError(
-                    f"transfer function nearly singular on the circle at "
-                    f"z={zs[i]:.6g}")
-            out[i] = inv
-        return out
+        smallest = np.linalg.svd(mats, compute_uv=False)[:, -1]
+        near = np.flatnonzero(smallest < 1e-10 * scale)
+        if near.size:
+            raise GeometryError(
+                f"transfer function nearly singular on the circle at "
+                f"z={zs[near[0]]:.6g}")
+        return np.linalg.inv(mats)
     return f
 
 
@@ -550,7 +516,7 @@ def residue_at(model: SpectralModel, contour: Contour, sol_l: Solution,
 
 def spectral_decomposition_of(sol: Solution,
                               cluster_tol: float | None = None) -> SpectralDecomposition:
-    """Decomposition of the effective operator, cached on the solution."""
+    """Decomposition of the effective operator, memoized on the solution."""
     key = ("decomposition", cluster_tol)
     if key not in sol._cache:
         sol._cache[key] = eigen_decompose(sol.effective, cluster_tol)
@@ -566,12 +532,10 @@ def self_energy_derivative(model: SpectralModel, contour: Contour,
     """k-th derivative of the self-energy at lam via the power-law sums."""
     lam = complex(lam)
     sign = (-1.0) ** k * math.factorial(k)
-    stack = _kprime_stack(model, contour)
-    coeff = contour.weights / (lam - contour.nodes) ** (k + 1)
-    out = sign * np.einsum("q,qij->ij", coeff, stack)
-    for p in model.discrete:
-        out += sign * p.weight / (lam - p.nu) ** (k + 1)
-    return out
+    points, weights, values = _quadrature(model, contour)
+    coeff = sign * weights / (lam - points) ** (k + 1)
+    n = model.dim
+    return (coeff @ values.reshape(-1, n * n)).reshape(n, n)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Contour, is_mirror_pair, keyed_cache
-from .errors import GuardBandError, PairingError
+from .contour import Contour, _quadrature, is_mirror_pair
+from .errors import GuardBandError, PairingError, ResolventSingularityError
 from .model import SpectralModel, spectral_norm
 
 GUARD_FRACTION = 1e-8
@@ -28,17 +28,25 @@ def guard_epsilon(contour: Contour, guard: float | None = None) -> float:
     return GUARD_FRACTION * contour.diameter if guard is None else guard
 
 
-def _kprime_stack(model: SpectralModel, contour: Contour) -> np.ndarray:
-    """Coupling density evaluated at every quadrature node, cached."""
-    def build():
-        n = model.dim
-        stack = np.empty((contour.nodes.size, n, n), dtype=complex)
-        for q, mu in enumerate(contour.nodes):
-            stack[q] = model.coupling(mu)
-        stack.setflags(write=False)
-        return stack
+def _resolvents(h: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Stacked inverses of (h - mu) at every point, shape (P, n, n).
 
-    return keyed_cache(contour._cache, "kprime_stack", model, build)
+    A singular shift raises ``ResolventSingularityError`` naming the point
+    whose determinant vanishes (the smallest one, should none be exactly 0).
+    """
+    shifted = h[None, :, :] - points[:, None, None] * np.eye(h.shape[0])
+    try:
+        return np.linalg.inv(shifted)
+    except np.linalg.LinAlgError as exc:
+        worst = int(np.argmin(np.linalg.slogdet(shifted)[1]))
+        raise ResolventSingularityError(points[worst]) from exc
+
+
+def _weighted_sum(coeff: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over q of coeff[q] * a[q] @ b[q], as one matmul on the flattened stacks."""
+    p, n, k = a.shape
+    left = (coeff[:, None, None] * a).transpose(1, 0, 2).reshape(n, p * k)
+    return left @ b.reshape(p * k, -1)
 
 
 def integration_distance(model: SpectralModel, contour: Contour, z: complex) -> float:
@@ -69,28 +77,19 @@ def _check_guard(model, contour, z, guard):
 def self_energy(model: SpectralModel, contour: Contour, z: complex,
                 guard: float | None = None) -> np.ndarray:
     """Continued self-energy at z: the resolvent-weighted coupling integral."""
-    z = complex(z)
-    _check_guard(model, contour, z, guard)
-    stack = _kprime_stack(model, contour)
-    coeff = contour.weights / (z - contour.nodes)
-    out = np.einsum("q,qij->ij", coeff, stack)
-    for p in model.discrete:
-        out += p.weight / (z - p.nu)
-    return out
+    return self_energy_many(model, contour, [z], guard)[0]
 
 
 def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray,
                      guard: float | None = None) -> np.ndarray:
     """Vectorized self-energy over a batch of points, shape (P, n, n)."""
     zs = np.asarray(zs, dtype=complex).reshape(-1)
+    points, weights, values = _quadrature(model, contour)
     for z in zs:
         _check_guard(model, contour, z, guard)
-    stack = _kprime_stack(model, contour)
-    coeff = contour.weights[None, :] / (zs[:, None] - contour.nodes[None, :])
-    out = np.einsum("pq,qij->pij", coeff, stack)
-    for p in model.discrete:
-        out += p.weight[None, :, :] / (zs[:, None, None] - p.nu)
-    return out
+    coeff = weights[None, :] / (zs[:, None] - points[None, :])
+    n = model.dim
+    return (coeff @ values.reshape(-1, n * n)).reshape(-1, n, n)
 
 
 @dataclass(frozen=True)

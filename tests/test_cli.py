@@ -117,19 +117,6 @@ def test_sweep_trajectory(tmp_path, std_model):
     assert grid[-1] > thr > grid[-2]
 
 
-def test_sweep_threads_deterministic(tmp_path, std_model, monkeypatch):
-    grid = [0.05, 0.1, 0.15, 0.2]
-    cfg = write_config(tmp_path, "sweep2", "sweep", std_model, SEMI,
-                       sweep={"parameter": "beta", "grid": grid})
-    csv1 = tmp_path / "serial.csv"
-    csv2 = tmp_path / "parallel.csv"
-    monkeypatch.setenv("RESONANCE_THREADS", "0")
-    main(["sweep", "--config", cfg, "--csv", str(csv1), "--quiet"])
-    monkeypatch.setenv("RESONANCE_THREADS", "3")
-    main(["sweep", "--config", cfg, "--csv", str(csv2), "--quiet"])
-    assert csv1.read_bytes() == csv2.read_bytes()
-
-
 def test_oracle_conjugate_pair(tmp_path, std_model):
     cfg = write_config(tmp_path, "oracle", "oracle", std_model, SEMI,
                        oracle={"nu": [1, -1]})
@@ -190,6 +177,25 @@ def test_byte_identical_artifacts(tmp_path, std_model):
         main(["verify", "--config", cfgv, "--out", str(o), "--quiet"])
         outs.append(o.read_bytes())
     assert outs[0] == outs[1]
+    cfgs = write_config(tmp_path, "dets", "sweep", std_model, SEMI,
+                        sweep={"parameter": "beta", "grid": [0.05, 0.1, 0.15, 0.2, 0.3]})
+    csvs = []
+    for i in (1, 2):
+        c = tmp_path / f"dets{i}.csv"
+        main(["sweep", "--config", cfgs, "--csv", str(c), "--quiet"])
+        csvs.append(c.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert csvs[0].count(b",ok\n") == 4 and csvs[0].endswith(b",inadmissible\n")
+
+
+def test_cli_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    code = "import sys, resonances.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point_runs(tmp_path, std_model):

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from resonances import (
+    CouplingFunction,
     Flat,
     InadmissibleCertificateError,
+    Interval,
     NonconvergenceError,
     PairingError,
     Rectangle,
     ResolventSingularityError,
     Semicircle,
+    SpectralModel,
     adjoint_equation_residual,
+    adjoint_self_energy_of_operator,
     build_contour,
     contour_independence,
     friedrichs_model,
@@ -110,17 +114,17 @@ def test_nonconvergence_reports_history(friedrichs_std):
     assert len(err.value.history) == 2
 
 
-def test_contraction_violation_guard(friedrichs_std):
+def test_contraction_violation_guard(friedrichs_std, monkeypatch):
     # white-box: plant a fake certificate with an impossibly small factor
-    import weakref
-
+    import resonances.solver
     from resonances import ContractionViolationError
     from resonances.contour import SolvabilityCertificate
 
     c = build_contour(friedrichs_std, Semicircle(), [1])
     fake = SolvabilityCertificate(1.0, 1e-8, 1.0, True,
                                   1e-8, 1.0 - 1e-4)
-    c._cache["certificate"] = [(weakref.ref(friedrichs_std), fake)]
+    monkeypatch.setattr(resonances.solver, "solvability_certificate",
+                        lambda model, contour: fake)
     with pytest.raises(ContractionViolationError):
         solve_fixed_point(friedrichs_std, c)
 
@@ -142,8 +146,6 @@ def test_operator_self_energy_eigenvector_property(poly4_model):
 def test_operator_self_energy_diagonal_columns(friedrichs_std, n3_bound_model):
     c = build_contour(n3_bound_model, Semicircle(), [1])
     a1 = np.diag(np.linalg.eigvalsh(n3_bound_model.a1)).astype(complex)
-    from resonances import SpectralModel
-
     diag_model = SpectralModel(a1, n3_bound_model.intervals, (),
                                n3_bound_model.coupling)
     out = self_energy_of_operator(diag_model, c, a1)
@@ -159,10 +161,31 @@ def test_operator_self_energy_zero_coupling(zero_model):
 
 
 def test_resolvent_singularity_error(friedrichs_std):
+    # the error names the singular point: a quadrature node, a discrete point
     c = build_contour(friedrichs_std, Semicircle(), [1])
-    y = np.array([[c.nodes[3]]])
-    with pytest.raises(ResolventSingularityError):
-        self_energy_of_operator(friedrichs_std, c, y)
+    disc = SpectralModel(np.diag([0.5, 2.0]), [Interval(0.0, 1.0, 0.6)],
+                         [(3.0, np.diag([0.01, 0.02]))],
+                         CouplingFunction.constant_vector([0.05, 0.1]))
+    cases = ((friedrichs_std, c, np.array([[c.nodes[3]]]), c.nodes[3]),
+             (disc, build_contour(disc, Semicircle(), [1]),
+              np.diag([0.4 + 0.1j, 3.0]), 3.0))
+    for model, contour, y, mu in cases:
+        for apply in (self_energy_of_operator, adjoint_self_energy_of_operator):
+            with pytest.raises(ResolventSingularityError) as err:
+                apply(model, contour, y)
+            assert err.value.mu == mu
+
+
+def test_contour_rejects_other_coupling(poly4_model):
+    c = build_contour(poly4_model, Semicircle(), [1])
+    other = SpectralModel(poly4_model.a1, poly4_model.intervals, (),
+                          CouplingFunction.polynomial(poly4_model.coupling.coeffs))
+    with pytest.raises(PairingError):
+        self_energy_of_operator(other, c, other.a1)
+    with pytest.raises(PairingError):
+        solvability_certificate(other, c)
+    with pytest.raises(PairingError):
+        self_energy(other, c, 2.0 + 1.0j)
 
 
 def test_contour_independence_admissible_shapes():

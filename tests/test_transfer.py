@@ -120,9 +120,7 @@ def test_guard_band_near_discrete_point():
 
 
 def self_energy_without_discrete(model, contour, z):
-    from resonances.transfer import _kprime_stack
-
-    stack = _kprime_stack(model, contour)
+    stack = np.stack([model.coupling(mu) for mu in contour.nodes])
     coeff = contour.weights / (z - contour.nodes)
     return np.einsum("q,qij->ij", coeff, stack)[0, 0]
 
