@@ -72,7 +72,6 @@ from .solver import (
     refine_fixed_point,
     self_energy_of_operator,
     solve_fixed_point,
-    solve_mirror_pair,
 )
 from .spectral import (
     Circle,

@@ -181,6 +181,13 @@ def _certificate_dict(cert: ct.SolvabilityCertificate) -> dict:
     }
 
 
+def _inadmissible(exc: InadmissibleCertificateError) -> tuple[int, dict]:
+    return EXIT_INADMISSIBLE, {
+        "status": "inadmissible",
+        "certificate": _certificate_dict(exc.certificate),
+    }
+
+
 def _tag_eigenvalues(model: SpectralModel, sol, dec) -> list:
     scale = max(spectral_norm(sol.effective), 1.0)
     real_band = max(10.0 * sol.a_posteriori_bound, 1e-9 * scale)
@@ -219,24 +226,20 @@ def run_solve(config: RunConfig) -> tuple[int, dict]:
             "violations": [str(v) for v in report.violations],
         }
     contour = _build_contour(config)
-    cert = ct.solvability_certificate(model, contour)
-    if not cert.admissible:
-        return EXIT_INADMISSIBLE, {
-            "status": "inadmissible",
-            "certificate": _certificate_dict(cert),
-        }
     try:
         sol = solve_fixed_point(model, contour, config.solve_tol, config.max_iter)
+    except InadmissibleCertificateError as exc:
+        return _inadmissible(exc)
     except NonconvergenceError as exc:
         return EXIT_NONCONVERGENCE, {
             "status": "nonconvergence",
-            "certificate": _certificate_dict(cert),
+            "certificate": _certificate_dict(ct.solvability_certificate(model, contour)),
             "step_norms": [float(v) for v in exc.history],
         }
     dec = sp.spectral_decomposition_of(sol)
     artifact = {
         "status": "ok",
-        "certificate": _certificate_dict(cert),
+        "certificate": _certificate_dict(sol.certificate),
         "solution": {
             "multi_index": list(sol.multi_index),
             "n": model.dim,
@@ -299,8 +302,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
         return np.array(pts)
 
     zs = sample_points(20)
-    add("factorization",
-        max(sp.factorize(model, base, sol, z).residual for z in zs), alg_tol)
+    add("factorization", np.max(sp.factorize(model, base, sol, zs).residual), alg_tol)
 
     omega2 = sp.overlap_operator(model, fine, sol2, sol2_m)
     metric2_inv = np.linalg.inv(omega2.metric())
@@ -361,10 +363,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     try:
         rows = _verify_rows(config)
     except InadmissibleCertificateError as exc:
-        return EXIT_INADMISSIBLE, {
-            "status": "inadmissible",
-            "certificate": _certificate_dict(exc.certificate),
-        }
+        return _inadmissible(exc)
     except NonconvergenceError as exc:
         return EXIT_NONCONVERGENCE, {
             "status": "nonconvergence",
@@ -396,11 +395,10 @@ def _sweep_model(config: RunConfig, value: float) -> SpectralModel:
 def _sweep_point(config: RunConfig, value: float) -> list[dict]:
     model = _sweep_model(config, value)
     contour = _build_contour(config, model)
-    cert = ct.solvability_certificate(model, contour)
-    if not cert.admissible:
-        return [{"parameter": value, "status": "inadmissible"}]
     try:
         sol = solve_fixed_point(model, contour, config.solve_tol, config.max_iter)
+    except InadmissibleCertificateError:
+        return [{"parameter": value, "status": "inadmissible"}]
     except NonconvergenceError:
         return [{"parameter": value, "status": "nonconvergence"}]
     dec = sp.spectral_decomposition_of(sol)
@@ -415,7 +413,7 @@ def _sweep_point(config: RunConfig, value: float) -> list[dict]:
             "re": tags[i]["re"],
             "im": tags[i]["im"],
             "tag": tags[i]["tag"],
-            "r_min": cert.r_min,
+            "r_min": sol.certificate.r_min,
             "iterations": sol.iterations,
         })
     return rows
@@ -484,15 +482,12 @@ def run_oracle(config: RunConfig) -> tuple[int, dict]:
         }
     comparison = None
     if config.contour_json is not None:
-        contour = _build_contour(config)
-        cert = ct.solvability_certificate(model, contour)
-        if not cert.admissible:
-            return EXIT_INADMISSIBLE, {
-                "status": "inadmissible",
-                "certificate": _certificate_dict(cert),
-            }
-        sol = solve_fixed_point(model, contour, config.solve_tol, config.max_iter)
-        nu_match = contour.multi_index[0]
+        try:
+            sol = solve_fixed_point(model, _build_contour(config), config.solve_tol,
+                                    config.max_iter)
+        except InadmissibleCertificateError as exc:
+            return _inadmissible(exc)
+        nu_match = sol.multi_index[0]
         root = fr.resonance_root(params.with_sheet(nu_match))
         solver_root = complex(sol.effective[0, 0])
         comparison = {

@@ -408,8 +408,9 @@ def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,
 
     quad_points = np.concatenate([[complex(p.nu) for p in model.discrete], nodes])
     quad_weights = np.concatenate([np.ones(len(model.discrete), dtype=complex), weights])
-    quad_values = np.stack([p.weight for p in model.discrete]
-                           + [model.coupling(mu) for mu in nodes])
+    quad_values = np.concatenate([
+        np.reshape([p.weight for p in model.discrete], (-1, model.dim, model.dim)),
+        model.coupling(nodes)])
     for data in (quad_points, quad_weights, quad_values):
         data.setflags(write=False)
 

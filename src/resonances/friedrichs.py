@@ -259,19 +259,22 @@ class OutsideSpectrumReport:
         return self.roots_below == 0 and self.roots_above == 0
 
 
+def _gauss_nodes(a: float, panels: int, points: int):
+    """Nodes and weights of composite Gauss-Legendre on (0, a)."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    edges = np.linspace(0.0, a, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    return ((mids[:, None] + halves[:, None] * x[None, :]).reshape(-1),
+            (halves[:, None] * w[None, :]).reshape(-1))
+
+
 def _quadratic_form_matrix(model: SpectralModel, weight, panels: int = 64,
                            points: int = 16) -> np.ndarray:
     """Composite Gauss-Legendre integral of weight(mu)*density(mu) on (0, a)."""
-    iv = model.intervals[0]
-    x, w = np.polynomial.legendre.leggauss(points)
-    edges = np.linspace(iv.lo, iv.hi, panels + 1)
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for a_, b_ in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-        for xi, wi in zip(x, w):
-            mu = mid + half * xi
-            out += (half * wi * weight(mu)) * model.coupling(mu)
-    return out
+    mus, ws = _gauss_nodes(model.intervals[0].hi, panels, points)
+    n = model.dim
+    return ((ws * weight(mus)) @ model.coupling(mus).reshape(-1, n * n)).reshape(n, n)
 
 
 def no_spectrum_outside(model: SpectralModel, grid: int = 4001) -> OutsideSpectrumReport:
@@ -294,7 +297,8 @@ def no_spectrum_outside(model: SpectralModel, grid: int = 4001) -> OutsideSpectr
 
     k0 = spectral_norm(model.coupling(0.0))
     ka = spectral_norm(model.coupling(a))
-    scale = 1.0 + max(spectral_norm(model.coupling(x)) for x in np.linspace(0.1 * a, 0.9 * a, 9))
+    scale = 1.0 + float(np.max(np.linalg.norm(
+        model.coupling(np.linspace(0.1 * a, 0.9 * a, 9)), 2, axis=(1, 2))))
     finite0 = k0 <= 1e-12 * scale
     finitea = ka <= 1e-12 * scale
 
@@ -315,16 +319,9 @@ def no_spectrum_outside(model: SpectralModel, grid: int = 4001) -> OutsideSpectr
         status = "violated"
 
     # determinant sign scan outside [0, a] on the physical sheet; the node
-    # density values are precomputed once and reused for every scan point
-    points = 16
-    panels = 96
-    x_gl, w_gl = np.polynomial.legendre.leggauss(points)
-    edges = np.linspace(0.0, a, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    mus = (mids[:, None] + halves[:, None] * x_gl[None, :]).reshape(-1)
-    ws = (halves[:, None] * w_gl[None, :]).reshape(-1)
-    stack = np.stack([model.coupling(mu) for mu in mus])
+    # density values are computed once and reused for every scan point
+    mus, ws = _gauss_nodes(a, 96, 16)
+    stack = model.coupling(mus)
 
     def det_at(x: float) -> float:
         se = np.einsum("q,qij->ij", ws / (x - mus), stack)

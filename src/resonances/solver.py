@@ -113,11 +113,28 @@ def _iterate(model: SpectralModel, contour: Contour, q: float,
                     f"certified contraction factor {q:.6e} at iteration {it}")
         x = x_next
         if step <= threshold:
-            return x, it, step, steps
+            return x, steps
         prev_step = step
     raise NonconvergenceError(
         f"no convergence within {max_iter} iterations "
         f"(last step {steps[-1]:.3e}, threshold {threshold:.3e})", steps)
+
+
+def _solution(model: SpectralModel, contour: Contour, cert: SolvabilityCertificate,
+              x: np.ndarray, steps: list[float], bound: float) -> Solution:
+    residual = spectral_norm(x - self_energy_of_operator(model, contour, model.a1 + x))
+    return Solution(
+        multi_index=contour.multi_index,
+        correction=x,
+        effective=model.a1 + x,
+        iterations=len(steps),
+        last_step_norm=steps[-1],
+        a_posteriori_bound=bound,
+        certificate=cert,
+        contour=contour,
+        step_norms=tuple(steps),
+        fixed_point_residual=residual,
+    )
 
 
 def solve_fixed_point(model: SpectralModel, contour: Contour,
@@ -135,27 +152,14 @@ def solve_fixed_point(model: SpectralModel, contour: Contour,
     if not cert.admissible:
         raise InadmissibleCertificateError(cert)
     q = cert.contraction_factor()
-    x, iterations, last_step, steps = _iterate(
-        model, contour, q, tol, max_iter, cert.r_max)
-    bound = 0.0 if q == 0.0 else q / (1.0 - q) * last_step
+    x, steps = _iterate(model, contour, q, tol, max_iter, cert.r_max)
+    bound = 0.0 if q == 0.0 else q / (1.0 - q) * steps[-1]
     x_norm = spectral_norm(x)
     if x_norm > cert.r_min + bound + 1e-12 * (1.0 + cert.r_min):
         raise ContractionViolationError(
             f"final norm {x_norm:.6e} exceeds the certified radius "
             f"{cert.r_min:.6e} plus bound {bound:.3e}")
-    residual = spectral_norm(x - self_energy_of_operator(model, contour, model.a1 + x))
-    return Solution(
-        multi_index=contour.multi_index,
-        correction=x,
-        effective=model.a1 + x,
-        iterations=iterations,
-        last_step_norm=last_step,
-        a_posteriori_bound=bound,
-        certificate=cert,
-        contour=contour,
-        step_norms=tuple(steps),
-        fixed_point_residual=residual,
-    )
+    return _solution(model, contour, cert, x, steps, bound)
 
 
 def refine_fixed_point(model: SpectralModel, contour: Contour, x0: np.ndarray,
@@ -170,32 +174,8 @@ def refine_fixed_point(model: SpectralModel, contour: Contour, x0: np.ndarray,
     reports the final step norm.
     """
     cert = solvability_certificate(model, contour)
-    x = np.asarray(x0, dtype=complex)
-    steps: list[float] = []
-    for it in range(1, max_iter + 1):
-        x_next = self_energy_of_operator(model, contour, model.a1 + x)
-        step = spectral_norm(x_next - x)
-        steps.append(step)
-        x = x_next
-        if step <= tol:
-            break
-    else:
-        raise NonconvergenceError(
-            f"refinement did not reach step <= {tol} in {max_iter} iterations",
-            steps)
-    residual = spectral_norm(x - self_energy_of_operator(model, contour, model.a1 + x))
-    return Solution(
-        multi_index=contour.multi_index,
-        correction=x,
-        effective=model.a1 + x,
-        iterations=len(steps),
-        last_step_norm=steps[-1],
-        a_posteriori_bound=steps[-1],
-        certificate=cert,
-        contour=contour,
-        step_norms=tuple(steps),
-        fixed_point_residual=residual,
-    )
+    x, steps = _iterate(model, contour, 0.0, tol, max_iter, None, stop_abs=tol, x0=x0)
+    return _solution(model, contour, cert, x, steps, steps[-1])
 
 
 def contour_independence(model: SpectralModel, sol: Solution, other: Contour,
@@ -219,8 +199,8 @@ def contour_independence(model: SpectralModel, sol: Solution, other: Contour,
         return spectral_norm(resolved.correction - sol.correction)
     r0_estimate = sol.certificate.r_min + sol.a_posteriori_bound
     if cert.d0 > r0_estimate:
-        x, _, _, _ = _iterate(model, other, 0.0, tol, max_iter,
-                              None, stop_abs=tol, x0=sol.correction)
+        x, _ = _iterate(model, other, 0.0, tol, max_iter, None, stop_abs=tol,
+                        x0=sol.correction)
         return spectral_norm(x - sol.correction)
     raise InadmissibleCertificateError(
         cert, "second contour is neither admissible nor separated beyond the "
@@ -241,13 +221,3 @@ def adjoint_equation_residual(model: SpectralModel, sol_l: Solution,
     rhs = adjoint_self_energy_of_operator(model, sol_l.contour, model.a1 + x_adj)
     return spectral_norm(x_adj - rhs)
 
-
-def solve_mirror_pair(model: SpectralModel, contour: Contour,
-                      tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> tuple[Solution, Solution]:
-    """Solve on a contour and on its mirror; returns (solution, mirror)."""
-    from .contour import mirrored
-
-    sol = solve_fixed_point(model, contour, tol, max_iter)
-    sol_m = solve_fixed_point(model, mirrored(model, contour), tol, max_iter)
-    return sol, sol_m

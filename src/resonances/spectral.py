@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,47 +49,38 @@ class Circle:
 
 
 def _as_circles(gamma) -> tuple[Circle, ...]:
-    if isinstance(gamma, Circle):
-        return (gamma,)
-    if isinstance(gamma, (tuple, list)) and len(gamma) == 2 and np.isscalar(gamma[1]):
-        return (Circle(complex(gamma[0]), float(gamma[1])),)
-    return tuple(
-        c if isinstance(c, Circle) else Circle(complex(c[0]), float(c[1]))
-        for c in gamma
-    )
+    return (gamma,) if isinstance(gamma, Circle) else tuple(gamma)
 
 
-def _trapezoid_residue(f_batch, circles, moment: int = 0,
-                       start: int = _TRAPEZOID_START, cap: int = _TRAPEZOID_CAP,
-                       rtol: float = _TRAPEZOID_RTOL, atol: float = 0.0):
+def _trapezoid_residue(f_batch, circles, moment: int = 0, atol: float = 0.0):
     """-(1/2 pi i) * contour integral of z^moment * f(z) dz over circles.
 
     ``f_batch`` maps an array of points to a stacked array of matrices.
-    The trapezoidal rule is spectrally accurate on circles; the point count
-    doubles until two consecutive results agree. Returns (value, delta,
-    points).
+    The trapezoidal rule is spectrally accurate on circles. Level N uses the
+    nodes theta_k = 2 pi k / N, so the rule nests: each doubling evaluates
+    only the N new midpoints and adds them to a running sum, until two
+    consecutive levels agree. Returns (value, delta, points).
     """
-    def value(npts: int):
-        total = None
-        theta = 2.0 * math.pi * (np.arange(npts) + 0.5) / npts
-        phase = np.exp(1j * theta)
+    def level_sum(npts: int, offset: float):
+        total = 0.0
+        phase = np.exp(2j * math.pi * (np.arange(npts) + offset) / npts)
         for c in circles:
             zs = c.center + c.radius * phase
-            vals = f_batch(zs)
-            weight = phase * (c.radius / npts)
+            weight = c.radius * phase
             if moment:
                 weight = weight * zs ** moment
-            contrib = -np.einsum("p,pij->ij", weight, vals)
-            total = contrib if total is None else total + contrib
+            total = total + np.einsum("p,pij->ij", weight, f_batch(zs))
         return total
 
-    npts = start
-    prev = value(npts)
-    while npts < cap:
+    npts = _TRAPEZOID_START
+    running = level_sum(npts, 0.0)
+    prev = -running / npts
+    while npts < _TRAPEZOID_CAP:
+        running = running + level_sum(npts, 0.5)
         npts *= 2
-        cur = value(npts)
+        cur = -running / npts
         delta = spectral_norm(cur - prev)
-        if delta <= atol + rtol * max(spectral_norm(cur), 1.0):
+        if delta <= atol + _TRAPEZOID_RTOL * max(spectral_norm(cur), 1.0):
             return cur, delta, npts
         prev = cur
     return prev, math.inf, npts
@@ -181,10 +173,6 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
             f"({4.0 * cluster_tol:.3e}); choose a different tolerance")
 
     eye = np.eye(n)
-
-    def resolvent(zs):
-        return _resolvents(h1, zs)
-
     projections = []
     nilpotents = []
     algebraic = []
@@ -210,7 +198,7 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
             radius = 0.5 * (spread + gap)
         else:
             radius = spread + 0.1 * (1.0 + scale)
-        p, _, _ = _trapezoid_residue(resolvent, (Circle(lam, radius),),
+        p, _, _ = _trapezoid_residue(partial(_resolvents, h1), (Circle(lam, radius),),
                                      atol=1e-13 * (1.0 + scale))
         m_raw = float(np.trace(p).real)
         m = int(round(m_raw))
@@ -262,26 +250,33 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
 @dataclass(frozen=True)
 class Factorization:
     left_factor: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
 def factorize(model: SpectralModel, contour: Contour, sol: Solution,
-              z: complex, guard: float | None = None) -> Factorization:
+              z: complex | np.ndarray) -> Factorization:
     """Left factor of the transfer function at z and the factorization defect.
 
     The left factor is the identity minus the coupling data integrated
     against the inverse distance to z times the resolvent of the effective
     operator; multiplying it by (effective - z) must reproduce the continued
-    transfer function.
+    transfer function. ``z`` is one point, giving an (n, n) factor and a
+    float defect, or an array of points, giving factors and defects stacked
+    in its shape; the resolvent stack is inverted once for all of them.
     """
-    z = complex(z)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.reshape(-1)
     h = sol.effective
+    eye = np.eye(model.dim)
     points, weights, values = _quadrature(model, contour)
-    w1 = np.eye(model.dim, dtype=complex)
-    w1 -= _weighted_sum(weights / (points - z), values, _resolvents(h, points))
-    m1 = transfer(model, contour, z, guard).matrix
-    residual = spectral_norm(m1 - w1 @ (h - z * np.eye(model.dim)))
-    return Factorization(w1, residual)
+    inv = _resolvents(h, points)
+    w1 = np.stack([eye - _weighted_sum(weights / (points - zk), values, inv) for zk in flat])
+    m1 = transfer_many(model, contour, flat)
+    shifted = h[None, :, :] - flat[:, None, None] * eye
+    residual = np.linalg.norm(m1 - w1 @ shifted, 2, axis=(1, 2))
+    if zs.ndim == 0:
+        return Factorization(w1[0], float(residual[0]))
+    return Factorization(w1.reshape(zs.shape + eye.shape), residual.reshape(zs.shape))
 
 
 def left_factor_inverse_bound(cert) -> float:

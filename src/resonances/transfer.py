@@ -24,8 +24,8 @@ LOCATION_OUTSIDE = "outside"
 LOCATION_GUARD_BAND = "on-contour-guard-band"
 
 
-def guard_epsilon(contour: Contour, guard: float | None = None) -> float:
-    return GUARD_FRACTION * contour.diameter if guard is None else guard
+def guard_epsilon(contour: Contour) -> float:
+    return GUARD_FRACTION * contour.diameter
 
 
 def _resolvents(h: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -58,35 +58,32 @@ def integration_distance(model: SpectralModel, contour: Contour, z: complex) -> 
     return d
 
 
-def locate(model: SpectralModel, contour: Contour, z: complex,
-           guard: float | None = None) -> str:
+def locate(model: SpectralModel, contour: Contour, z: complex) -> str:
     """Classify z relative to the region bounded by contour and intervals."""
-    eps = guard_epsilon(contour, guard)
+    eps = guard_epsilon(contour)
     if integration_distance(model, contour, z) <= eps:
         return LOCATION_GUARD_BAND
     return LOCATION_INSIDE if contour.region_contains(z) else LOCATION_OUTSIDE
 
 
-def _check_guard(model, contour, z, guard):
-    eps = guard_epsilon(contour, guard)
+def _check_guard(model, contour, z):
+    eps = guard_epsilon(contour)
     d = integration_distance(model, contour, z)
     if d <= eps:
         raise GuardBandError(z, d, eps)
 
 
-def self_energy(model: SpectralModel, contour: Contour, z: complex,
-                guard: float | None = None) -> np.ndarray:
+def self_energy(model: SpectralModel, contour: Contour, z: complex) -> np.ndarray:
     """Continued self-energy at z: the resolvent-weighted coupling integral."""
-    return self_energy_many(model, contour, [z], guard)[0]
+    return self_energy_many(model, contour, [z])[0]
 
 
-def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray,
-                     guard: float | None = None) -> np.ndarray:
+def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray) -> np.ndarray:
     """Vectorized self-energy over a batch of points, shape (P, n, n)."""
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     points, weights, values = _quadrature(model, contour)
     for z in zs:
-        _check_guard(model, contour, z, guard)
+        _check_guard(model, contour, z)
     coeff = weights[None, :] / (zs[:, None] - points[None, :])
     n = model.dim
     return (coeff @ values.reshape(-1, n * n)).reshape(-1, n, n)
@@ -106,8 +103,7 @@ class TransferEvaluation:
         return self.location != LOCATION_GUARD_BAND
 
 
-def transfer(model: SpectralModel, contour: Contour, z: complex,
-             guard: float | None = None) -> TransferEvaluation:
+def transfer(model: SpectralModel, contour: Contour, z: complex) -> TransferEvaluation:
     """Evaluate the continued transfer function and classify the point.
 
     Inside the region bounded by the contour and the intervals the value
@@ -115,27 +111,25 @@ def transfer(model: SpectralModel, contour: Contour, z: complex,
     coincides with the physical-sheet transfer function.
     """
     z = complex(z)
-    location = locate(model, contour, z, guard)
+    location = locate(model, contour, z)
     if location == LOCATION_GUARD_BAND:
-        eps = guard_epsilon(contour, guard)
+        eps = guard_epsilon(contour)
         raise GuardBandError(z, integration_distance(model, contour, z), eps)
-    matrix = model.a1 - z * np.eye(model.dim) + self_energy(model, contour, z, guard)
+    matrix = model.a1 - z * np.eye(model.dim) + self_energy(model, contour, z)
     tag = contour.multi_index if location == LOCATION_INSIDE else "physical"
     return TransferEvaluation(z, matrix, tag, location)
 
 
-def transfer_many(model: SpectralModel, contour: Contour, zs: np.ndarray,
-                  guard: float | None = None) -> np.ndarray:
+def transfer_many(model: SpectralModel, contour: Contour, zs: np.ndarray) -> np.ndarray:
     """Vectorized transfer matrices over a batch of points, shape (P, n, n)."""
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    se = self_energy_many(model, contour, zs, guard)
+    se = self_energy_many(model, contour, zs)
     eye = np.eye(model.dim)
     return model.a1[None, :, :] - zs[:, None, None] * eye[None, :, :] + se
 
 
 def adjoint_symmetry_residual(model: SpectralModel, contour_l: Contour,
-                              contour_minus_l: Contour, z: complex,
-                              guard: float | None = None) -> float:
+                              contour_minus_l: Contour, z: complex) -> float:
     """Defect of the conjugate-adjoint symmetry between mirror sheets.
 
     Returns the norm of the difference between the adjoint of the mirror
@@ -145,6 +139,6 @@ def adjoint_symmetry_residual(model: SpectralModel, contour_l: Contour,
     if not is_mirror_pair(contour_l, contour_minus_l):
         raise PairingError("contours are not a mirror pair")
     z = complex(z)
-    left = transfer(model, contour_minus_l, np.conj(z), guard).matrix.conj().T
-    right = transfer(model, contour_l, z, guard).matrix
+    left = transfer(model, contour_minus_l, np.conj(z)).matrix.conj().T
+    right = transfer(model, contour_l, z).matrix
     return spectral_norm(left - right)

@@ -131,6 +131,19 @@ def test_oracle_conjugate_pair(tmp_path, std_model):
     assert art["bound_states"]["abs_fa"] <= 1e-12
 
 
+def test_oracle_inadmissible_contour_exit_2(tmp_path):
+    model = rs.friedrichs_model(1.0, beta_sq=1.0 / (2.0 * math.pi))
+    cfg = write_config(tmp_path, "oracle_inadm", "oracle", model, SEMI,
+                       oracle={"nu": [1, -1]})
+    out = tmp_path / "oracle_inadm_out.json"
+    assert main(["oracle", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    art = json.loads(out.read_text())
+    assert art["status"] == "inadmissible"
+    assert art["certificate"]["admissible"] is False
+    assert art["certificate"]["r_min"] is None
+    assert art["certificate"]["omega"] < 0.0
+
+
 def test_oracle_unsupported_model(tmp_path):
     model = rs.SpectralModel(np.diag([0.3, 0.5, 0.7]).astype(complex),
                              [rs.Interval(0.0, 1.0, 0.6)])

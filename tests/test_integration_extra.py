@@ -121,19 +121,22 @@ def test_cli_nonconvergence_exit_3(tmp_path):
     model = rs.friedrichs_model(1.0, beta_sq=3.0 / (16.0 * math.pi))
     model_path = tmp_path / "model.json"
     model_path.write_text(rs.model_dumps(model))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "command": "solve",
-        "model_path": str(model_path),
-        "contour": {"shape": "semicircle", "l": [1], "panels": 6, "points": 16},
-        "max_iter": 3,
-    }))
-    out = tmp_path / "out.json"
-    code = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
-    assert code == 3
-    art = json.loads(out.read_text())
-    assert art["status"] == "nonconvergence"
-    assert len(art["step_norms"]) == 3
+    for max_iter in (1, 3):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "command": "solve",
+            "model_path": str(model_path),
+            "contour": {"shape": "semicircle", "l": [1], "panels": 6, "points": 16},
+            "max_iter": max_iter,
+        }))
+        out = tmp_path / "out.json"
+        code = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 3
+        art = json.loads(out.read_text())
+        assert art["status"] == "nonconvergence"
+        assert len(art["step_norms"]) == max_iter
+        assert art["certificate"]["admissible"] is True
+        assert art["certificate"]["d0"] == 1.0
 
 
 def test_closed_form_vanishes_with_coupling():

@@ -203,6 +203,35 @@ def test_serialization_round_trip_discrete_and_decay():
     assert back.intervals[0].hi == math.inf
 
 
+@pytest.mark.parametrize("kind", ["constant-vector", "polynomial-matrix",
+                                  "rational-matrix", "user-plugin"])
+def test_coupling_array_matches_pointwise(kind):
+    rng = np.random.default_rng(5)
+    mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
+    coupling = {
+        "constant-vector": CouplingFunction.constant_vector([1.0 + 2.0j, 0.5, -1.0j]),
+        "polynomial-matrix": CouplingFunction.polynomial(mats),
+        "rational-matrix": CouplingFunction.rational(mats, [1.0, 0.3, 0.2]),
+        "user-plugin": CouplingFunction.user_plugin(lambda mu: mats[0] * mu + mats[1], 3),
+    }[kind]
+    mus = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    pointwise = np.stack([coupling(mu) for mu in mus])
+    assert pointwise.shape == (12, 3, 3)
+    for shape in ((12,), (3, 4)):
+        values = coupling(mus.reshape(shape))
+        assert values.shape == shape + (3, 3)
+        defect = np.max(np.abs(values.reshape(12, 3, 3) - pointwise))
+        assert defect <= 1e-15 * np.max(np.abs(pointwise))
+
+
+def test_plugin_wrong_shape_raises():
+    coupling = CouplingFunction.user_plugin(lambda mu: np.zeros((2, 2)), 3)
+    with pytest.raises(StructuralModelError):
+        coupling(0.5)
+    with pytest.raises(StructuralModelError):
+        coupling(np.array([0.25, 0.5]))
+
+
 def test_plugin_serialization_rejected():
     from resonances import UnsupportedModelError, model_to_json_dict
 

@@ -111,6 +111,27 @@ def test_decompose_cluster_separability_error():
         eigen_decompose(h, cluster_tol=5e-8)
 
 
+def test_trapezoid_residue_evaluates_each_point_once():
+    from resonances.spectral import _trapezoid_residue
+    from resonances.transfer import _resolvents
+
+    h = np.diag([0.0, 1.0]).astype(complex)
+    seen = []
+
+    def f_batch(zs):
+        seen.append(zs)
+        return _resolvents(h, zs)
+
+    p, delta, points = _trapezoid_residue(f_batch, (Circle(0.0, 0.5),))
+    assert points == 128
+    evaluated = np.concatenate(seen)
+    assert evaluated.size == points
+    nodes = 0.5 * np.exp(2j * math.pi * np.arange(points) / points)
+    assert np.allclose(np.sort_complex(evaluated), np.sort_complex(nodes), atol=1e-15)
+    assert delta <= 1e-12
+    assert spectral_norm(p - np.diag([1.0, 0.0])) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # factorization
 # ---------------------------------------------------------------------------
@@ -131,6 +152,7 @@ def test_factorize_random_points(friedrichs_std, poly4_model):
         sol = solve_fixed_point(model, c)
         bound = left_factor_inverse_bound(cert)
         eigs = model.a1_eigenvalues()
+        zs, single = [], []
         count = 0
         while count < 100:
             lam = complex(eigs[rng.integers(0, len(eigs))])
@@ -140,7 +162,20 @@ def test_factorize_random_points(friedrichs_std, poly4_model):
             f = factorize(model, c, sol, z)
             assert f.residual <= 1e-8
             assert spectral_norm(np.linalg.inv(f.left_factor)) <= bound * 1.1
+            zs.append(z)
+            single.append(f)
             count += 1
+        # one call over all points, in a 2-d shape, equals the stacked scalar calls
+        grid = factorize(model, c, sol, np.reshape(zs, (10, 10)))
+        n = model.dim
+        assert grid.left_factor.shape == (10, 10, n, n)
+        assert grid.residual.shape == (10, 10)
+        assert np.array_equal(grid.left_factor.reshape(100, n, n),
+                              np.stack([f.left_factor for f in single]))
+        # the transfer matrices of a batch agree to rounding, and the defect is
+        # a difference of O(1) matrices
+        assert np.allclose(grid.residual.reshape(100), [f.residual for f in single],
+                           rtol=0.0, atol=1e-14)
 
 
 def test_factorize_adjoint_identity(poly4_model):
