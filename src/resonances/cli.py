@@ -294,10 +294,8 @@ def _verify_rows(config: RunConfig) -> list[dict]:
             lam = complex(eigs_a1[rng.integers(0, len(eigs_a1))])
             r = (0.05 + 0.9 * rng.random()) * cert.d0 / 2.0
             z = lam + r * np.exp(2j * math.pi * rng.random())
-            dist = min(base.distance_to_curve(z), fine.distance_to_curve(z))
-            for p in model.discrete:
-                dist = min(dist, abs(z - p.nu))
-            if dist > max(1e-6 * base.diameter, guard):
+            # fine shares base's curve and remainder
+            if base.distance(z) > max(1e-6 * base.diameter, guard):
                 pts.append(z)
         return np.array(pts)
 

@@ -29,6 +29,7 @@ from .model import Interval, SpectralModel
 
 DEFAULT_ORDER = (6, 16)
 DEFAULT_QUAD_TOL = 1e-10
+GUARD_FRACTION = 1e-8  # guard band as a fraction of the contour diameter
 _TAIL_BUDGET = 1e-3  # fraction of quad_tol allowed in a truncated ray tail
 
 
@@ -108,42 +109,28 @@ class Section:
         s = math.pi * (1.0 - u)
         return math.pi * self.radius * (np.sin(s) - 1j * self.half_plane * np.cos(s))
 
-    def distance_to(self, p: complex) -> float:
-        """Exact distance from a point to the section."""
-        p = complex(p)
+    def distance_to(self, z):
+        """Exact distance from a point or an array of points to the section."""
+        z = np.asarray(z, dtype=complex)
         if self.kind == "segment":
             d = self.end - self.start
             L2 = abs(d) ** 2
+            v = z - self.start
             if L2 == 0.0:
-                return abs(p - self.start)
-            t = ((p - self.start).real * d.real + (p - self.start).imag * d.imag) / L2
-            t = min(1.0, max(0.0, t))
-            return abs(p - (self.start + t * d))
-        v = p - self.center
-        r = abs(v)
-        ang = math.atan2(v.imag, v.real)
-        in_span = (0.0 <= ang <= math.pi) if self.half_plane > 0 else (-math.pi <= ang <= 0.0)
-        if r == 0.0 or in_span:
-            return abs(r - self.radius)
-        return min(abs(p - self.start), abs(p - self.end))
-
-    def distance_range(self, p: complex) -> tuple[float, float]:
-        """(min, max) distance from a point to the section."""
-        p = complex(p)
-        dmin = self.distance_to(p)
-        if self.kind == "segment":
-            return dmin, max(abs(p - self.start), abs(p - self.end))
-        v = p - self.center
-        r = abs(v)
-        far = max(abs(p - self.start), abs(p - self.end))
-        if r > 0.0:
-            ang = math.atan2(-v.imag, -v.real)
-            in_span = (0.0 <= ang <= math.pi) if self.half_plane > 0 else (-math.pi <= ang <= 0.0)
-            if in_span:
-                far = max(far, r + self.radius)
+                return np.hypot(v.real, v.imag)
+            t = np.clip((v.real * d.real + v.imag * d.imag) / L2, 0.0, 1.0)
+            w = z - (self.start + t * d)
+            return np.hypot(w.real, w.imag)
+        v = z - self.center
+        r = np.hypot(v.real, v.imag)
+        ang = np.arctan2(v.imag, v.real)
+        if self.half_plane > 0:
+            in_span = (0.0 <= ang) & (ang <= math.pi)
         else:
-            far = max(far, self.radius)
-        return dmin, far
+            in_span = (-math.pi <= ang) & (ang <= 0.0)
+        a, b = z - self.start, z - self.end
+        ends = np.minimum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+        return np.where((r == 0.0) | in_span, np.abs(r - self.radius), ends)
 
     def mirrored(self) -> "Section":
         return Section(self.kind, np.conj(self.start), np.conj(self.end),
@@ -222,8 +209,23 @@ class Contour:
     def region_contains(self, z: complex) -> bool:
         return any(p.region_contains(z) for p in self.pieces)
 
-    def distance_to_curve(self, p: complex) -> float:
-        return min(s.distance_to(p) for piece in self.pieces for s in piece.sections)
+    @property
+    def guard(self) -> float:
+        """Points this close to the integration set are not evaluated."""
+        return GUARD_FRACTION * self.diameter
+
+    def distance(self, z):
+        """Distance from z to the integration set: remainder points and curve.
+
+        ``z`` is a point, giving a float, or an array, giving distances in
+        its shape. The remainder points head ``quad_points``.
+        """
+        z = np.asarray(z, dtype=complex)
+        v = z[..., None] - self.quad_points[:len(self.sources) - 1]
+        found = [np.hypot(v.real, v.imag).min(axis=-1, initial=math.inf)]
+        found += [s.distance_to(z) for piece in self.pieces for s in piece.sections]
+        d = np.min(found, axis=0)
+        return float(d) if d.ndim == 0 else d
 
     def spec_signature(self) -> tuple:
         return tuple(p.spec_signature() for p in self.pieces)
@@ -493,16 +495,7 @@ def separation_distance(model: SpectralModel, contour: Contour) -> float:
     Uses exact closest-point formulas for the segment and arc sections of
     every curve family, so no sampling slack is needed.
     """
-    eigs = model.a1_eigenvalues()
-    best = math.inf
-    for lam in eigs:
-        lam = complex(lam)
-        for p in model.discrete:
-            best = min(best, abs(lam - p.nu))
-        for piece in contour.pieces:
-            for s in piece.sections:
-                best = min(best, s.distance_to(lam))
-    return float(best)
+    return float(contour.distance(model.a1_eigenvalues()).min(initial=math.inf))
 
 
 @dataclass(frozen=True)

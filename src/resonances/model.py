@@ -30,7 +30,7 @@ def spectral_norm(m: np.ndarray) -> float:
     a = np.atleast_2d(np.asarray(m))
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _as_complex_matrix(m, name: str) -> np.ndarray:

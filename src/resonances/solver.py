@@ -23,7 +23,6 @@ from .contour import (
 )
 from .errors import (
     ContractionViolationError,
-    IdentityFailureError,
     InadmissibleCertificateError,
     NonconvergenceError,
     PairingError,
@@ -37,27 +36,16 @@ _RATIO_SLACK = 1e-6
 
 
 def self_energy_of_operator(model: SpectralModel, contour: Contour,
-                            y: np.ndarray, debug: bool = False) -> np.ndarray:
+                            y: np.ndarray) -> np.ndarray:
     """Self-energy applied to an operator argument.
 
     Sums the coupling data against the resolvent of ``y`` at every discrete
     point and quadrature node. On an eigenvector of ``y`` this action
-    reduces to the scalar self-energy at the eigenvalue. With
-    ``debug=True`` the norm estimate against the variation times the
-    largest resolvent norm is asserted.
+    reduces to the scalar self-energy at the eigenvalue.
     """
     points, weights, values = _quadrature(model, contour)
     inv = _resolvents(np.asarray(y, dtype=complex), points)
-    out = _weighted_sum(weights, values, inv)
-    if debug:
-        from .contour import variation
-
-        max_resolvent = float(np.max(np.linalg.norm(inv, 2, axis=(1, 2))))
-        bound = variation(model, contour) * max_resolvent
-        if spectral_norm(out) > bound * (1.0 + 1e-9) + 1e-300:
-            raise IdentityFailureError(
-                f"self-energy norm {spectral_norm(out):.3e} exceeds its bound {bound:.3e}")
-    return out
+    return _weighted_sum(weights, values, inv)
 
 
 def adjoint_self_energy_of_operator(model: SpectralModel, contour: Contour,

@@ -31,12 +31,12 @@ from .solver import Solution
 from .transfer import (
     _resolvents,
     _weighted_sum,
-    guard_epsilon,
     transfer,
     transfer_many,
 )
 
 DEFAULT_NILPOTENT_TOL = 1e-8
+_ENCLOSURE_PAD = 0.45  # enclosure circle pad, as a fraction of the separation
 _TRAPEZOID_START = 64
 _TRAPEZOID_CAP = 16384
 _TRAPEZOID_RTOL = 1e-12
@@ -140,8 +140,7 @@ def _cluster(eigs: np.ndarray, tol: float) -> list[list[int]]:
     return out
 
 
-def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
-                    nilpotent_tol: float = DEFAULT_NILPOTENT_TOL) -> SpectralDecomposition:
+def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Cluster the spectrum and compute projections by residue integrals.
 
     Eigenvalues within ``cluster_tol`` of each other merge into one cluster
@@ -149,7 +148,7 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
     resolvent on a circle of radius half the gap to the nearest other
     cluster; the nilpotent is the shifted matrix times the projection, and
     the pole order is the first power whose norm falls below the threshold
-    ``nilpotent_tol * max(norm(h1), 1)**k``.
+    ``DEFAULT_NILPOTENT_TOL * max(norm(h1), 1)**k``.
     """
     h1 = np.asarray(h1, dtype=complex)
     n = h1.shape[0]
@@ -161,12 +160,12 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
     centroids = [complex(np.mean(eigs[g])) for g in groups]
 
     # inter-cluster separability
-    min_gap = math.inf
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            for a in groups[i]:
-                for b in groups[j]:
-                    min_gap = min(min_gap, abs(eigs[a] - eigs[b]))
+    labels = np.empty(eigs.size, dtype=int)
+    for j, g in enumerate(groups):
+        labels[g] = j
+    diff = eigs[:, None] - eigs[None, :]
+    foreign = labels[:, None] != labels[None, :]
+    min_gap = np.hypot(diff.real, diff.imag).min(where=foreign, initial=math.inf)
     if len(groups) > 1 and min_gap < 4.0 * cluster_tol:
         raise ClusteringError(
             f"inter-cluster gap {min_gap:.3e} < 4 * cluster_tol "
@@ -180,14 +179,11 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
     pole_orders = []
     margins = []
     power_scale = max(scale, 1.0)
-    for g, lam in zip(groups, centroids):
-        spread = max((abs(eigs[i] - lam) for i in g), default=0.0)
-        gap = math.inf
-        for h, mu in zip(groups, centroids):
-            if h is g:
-                continue
-            for i in h:
-                gap = min(gap, abs(eigs[i] - lam))
+    for j, lam in enumerate(centroids):
+        offset = eigs - lam
+        dist = np.hypot(offset.real, offset.imag)
+        spread = dist.max(where=labels == j, initial=0.0)
+        gap = dist.min(where=labels != j, initial=math.inf)
         if math.isfinite(gap):
             if spread >= gap * (1.0 - 1e-9):
                 raise ClusteringError(
@@ -208,20 +204,20 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None,
                 "residue circle geometry is unreliable")
         nil = (h1 - lam * eye) @ p
         sv = np.linalg.svd(nil, compute_uv=False)
-        rank = int(np.sum(sv > nilpotent_tol * power_scale))
+        rank = int(np.sum(sv > DEFAULT_NILPOTENT_TOL * power_scale))
         order = m
         margin = 0.0
         power = nil.copy()
         for k in range(1, m + 1):
             norm_k = spectral_norm(power)
-            thresh = nilpotent_tol * power_scale ** k
+            thresh = DEFAULT_NILPOTENT_TOL * power_scale ** k
             if norm_k <= thresh:
                 order = k
                 margin = norm_k / thresh
                 break
             power = power @ nil
         else:
-            margin = spectral_norm(power) / (nilpotent_tol * power_scale ** (m + 1))
+            margin = spectral_norm(power) / (DEFAULT_NILPOTENT_TOL * power_scale ** (m + 1))
         projections.append(p)
         nilpotents.append(nil if order > 1 else np.zeros_like(nil))
         algebraic.append(m)
@@ -342,38 +338,20 @@ class MomentResult:
     circles: tuple[Circle, ...]
 
 
-def _check_circle_geometry(model: SpectralModel, contour: Contour,
-                           circles: tuple[Circle, ...], enclosed: np.ndarray,
-                           excluded: np.ndarray = None):
-    guard = guard_epsilon(contour)
+def _check_circle_geometry(contour: Contour, circles: tuple[Circle, ...],
+                           enclosed: np.ndarray):
+    clearance = contour.distance([c.center for c in circles])
     for i, c in enumerate(circles):
-        for piece in contour.pieces:
-            for s in piece.sections:
-                dmin, dmax = s.distance_range(c.center)
-                if dmin - guard <= c.radius <= dmax + guard:
-                    raise GeometryError(
-                        f"integration circle {i} intersects the contour")
-                if dmax < c.radius:
-                    raise GeometryError(
-                        f"integration circle {i} encloses part of the contour")
-        for p in model.discrete:
-            if abs(p.nu - c.center) <= c.radius + guard:
-                raise GeometryError(
-                    f"integration circle {i} touches or encloses the discrete "
-                    f"point nu={p.nu}")
+        if clearance[i] <= c.radius + contour.guard:
+            raise GeometryError(
+                f"integration circle {i} meets or encloses part of the contour "
+                "or the discrete remainder")
     for lam in np.atleast_1d(enclosed):
         hits = [c for c in circles if abs(lam - c.center) < c.radius * (1.0 - 1e-9)]
         if len(hits) != 1:
             raise GeometryError(
                 f"eigenvalue {lam} is enclosed by {len(hits)} circles; "
                 "need exactly one")
-    if excluded is not None:
-        for lam in np.atleast_1d(excluded):
-            for c in circles:
-                band = abs(abs(lam - c.center) - c.radius)
-                if band < 1e-9 * max(1.0, c.radius):
-                    raise GeometryError(
-                        f"point {lam} lies on an integration circle")
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
             a, b = circles[i], circles[j]
@@ -394,8 +372,7 @@ def _minv_batch(model: SpectralModel, contour: Contour, scale: float):
     return f
 
 
-def enclosure_circles(model: SpectralModel, sol: Solution,
-                      pad_factor: float = 0.45) -> tuple[Circle, ...]:
+def enclosure_circles(model: SpectralModel, sol: Solution) -> tuple[Circle, ...]:
     """Circles around the effective spectrum, padded by the separation.
 
     Groups eigenvalues closer than the separation distance and wraps each
@@ -411,7 +388,7 @@ def enclosure_circles(model: SpectralModel, sol: Solution,
         center = complex(0.5 * (pts.real.min() + pts.real.max()),
                          0.5 * (pts.imag.min() + pts.imag.max()))
         spread = max(abs(pts - center))
-        circles.append(Circle(center, spread + pad_factor * cert.d0))
+        circles.append(Circle(center, spread + _ENCLOSURE_PAD * cert.d0))
     return tuple(circles)
 
 
@@ -430,8 +407,7 @@ def contour_moment(model: SpectralModel, contour: Contour, sol_l: Solution,
     circles = _as_circles(gamma)
     eigs = np.linalg.eigvals(sol_l.effective)
     eigs_m = np.conj(np.linalg.eigvals(sol_minus_l.effective))
-    _check_circle_geometry(model, contour, circles,
-                           np.concatenate([eigs, eigs_m]))
+    _check_circle_geometry(contour, circles, np.concatenate([eigs, eigs_m]))
     scale = max(spectral_norm(sol_l.effective), 1.0)
     value, delta, pts = _trapezoid_residue(
         _minv_batch(model, contour, scale), circles, moment,
@@ -465,17 +441,14 @@ def transfer_residue(model: SpectralModel, contour: Contour, sol_l: Solution,
 
     gap = min((abs(lam_i - ev) for k2, ev in enumerate(dec_l.eigenvalues) if k2 != i),
               default=math.inf)
-    guard = guard_epsilon(contour)
-    dist_curve = contour.distance_to_curve(lam_i)
-    for p in model.discrete:
-        dist_curve = min(dist_curve, abs(lam_i - p.nu))
-    radius = 0.5 * min(gap, dist_curve - guard)
+    dist_curve = contour.distance(lam_i)
+    radius = 0.5 * min(gap, dist_curve - contour.guard)
     if not (radius > 0.0):
         raise GeometryError(
             f"no admissible residue circle around {lam_i}: gap {gap:.3e}, "
             f"distance to contour {dist_curve:.3e}")
     circle = Circle(lam_i, radius)
-    _check_circle_geometry(model, contour, (circle,), np.array([lam_i]))
+    _check_circle_geometry(contour, (circle,), np.array([lam_i]))
     value, delta, _ = _trapezoid_residue(
         _minv_batch(model, contour, scale), (circle,),
         atol=1e-13 * (1.0 + scale))

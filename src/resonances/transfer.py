@@ -17,15 +17,9 @@ from .contour import Contour, _quadrature, is_mirror_pair
 from .errors import GuardBandError, PairingError, ResolventSingularityError
 from .model import SpectralModel, spectral_norm
 
-GUARD_FRACTION = 1e-8
-
 LOCATION_INSIDE = "inside"
 LOCATION_OUTSIDE = "outside"
 LOCATION_GUARD_BAND = "on-contour-guard-band"
-
-
-def guard_epsilon(contour: Contour) -> float:
-    return GUARD_FRACTION * contour.diameter
 
 
 def _resolvents(h: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -49,28 +43,11 @@ def _weighted_sum(coeff: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return left @ b.reshape(p * k, -1)
 
 
-def integration_distance(model: SpectralModel, contour: Contour, z: complex) -> float:
-    """Distance from z to the discrete remainder and the contour curve."""
-    z = complex(z)
-    d = contour.distance_to_curve(z)
-    for p in model.discrete:
-        d = min(d, abs(z - p.nu))
-    return d
-
-
 def locate(model: SpectralModel, contour: Contour, z: complex) -> str:
     """Classify z relative to the region bounded by contour and intervals."""
-    eps = guard_epsilon(contour)
-    if integration_distance(model, contour, z) <= eps:
+    if contour.distance(z) <= contour.guard:
         return LOCATION_GUARD_BAND
     return LOCATION_INSIDE if contour.region_contains(z) else LOCATION_OUTSIDE
-
-
-def _check_guard(model, contour, z):
-    eps = guard_epsilon(contour)
-    d = integration_distance(model, contour, z)
-    if d <= eps:
-        raise GuardBandError(z, d, eps)
 
 
 def self_energy(model: SpectralModel, contour: Contour, z: complex) -> np.ndarray:
@@ -79,11 +56,16 @@ def self_energy(model: SpectralModel, contour: Contour, z: complex) -> np.ndarra
 
 
 def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray) -> np.ndarray:
-    """Vectorized self-energy over a batch of points, shape (P, n, n)."""
+    """Vectorized self-energy over a batch of points, shape (P, n, n).
+
+    Raises ``GuardBandError`` for the first point within the guard band.
+    """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     points, weights, values = _quadrature(model, contour)
-    for z in zs:
-        _check_guard(model, contour, z)
+    dist = contour.distance(zs)
+    near = np.flatnonzero(dist <= contour.guard)
+    if near.size:
+        raise GuardBandError(complex(zs[near[0]]), float(dist[near[0]]), contour.guard)
     coeff = weights[None, :] / (zs[:, None] - points[None, :])
     n = model.dim
     return (coeff @ values.reshape(-1, n * n)).reshape(-1, n, n)
@@ -111,11 +93,8 @@ def transfer(model: SpectralModel, contour: Contour, z: complex) -> TransferEval
     coincides with the physical-sheet transfer function.
     """
     z = complex(z)
-    location = locate(model, contour, z)
-    if location == LOCATION_GUARD_BAND:
-        eps = guard_epsilon(contour)
-        raise GuardBandError(z, integration_distance(model, contour, z), eps)
-    matrix = model.a1 - z * np.eye(model.dim) + self_energy(model, contour, z)
+    matrix = transfer_many(model, contour, [z])[0]
+    location = LOCATION_INSIDE if contour.region_contains(z) else LOCATION_OUTSIDE
     tag = contour.multi_index if location == LOCATION_INSIDE else "physical"
     return TransferEvaluation(z, matrix, tag, location)
 

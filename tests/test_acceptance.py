@@ -94,7 +94,7 @@ def test_criterion_3_factorization(poly4_model):
             lam = complex(eigs[rng.integers(0, len(eigs))])
             z = lam + (cert.d0 / 2.0) * rng.random() * np.exp(
                 2j * math.pi * rng.random())
-            if c.distance_to_curve(z) < 1e-3:
+            if c.distance(z) < 1e-3:
                 continue
             f = rs.factorize(model, c, sol, z)
             ok = ok and f.residual <= 1e-8

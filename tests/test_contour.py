@@ -221,14 +221,64 @@ def test_exact_section_distances_match_dense_sampling(x, y):
     ]
     u = np.linspace(0.0, 1.0, 4001)
     for s in sections:
-        pts = s.point(u)
-        brute_min = float(np.min(np.abs(pts - p)))
-        brute_max = float(np.max(np.abs(pts - p)))
-        dmin, dmax = s.distance_range(p)
+        brute_min = float(np.min(np.abs(s.point(u) - p)))
+        dmin = s.distance_to(p)
         assert abs(dmin - brute_min) <= 2e-3
         assert dmin <= brute_min + 1e-12
-        assert abs(dmax - brute_max) <= 2e-3
-        assert dmax >= brute_max - 1e-12
+
+
+def _scalar_section_distance(s, p):
+    # the closest-point formulas one point at a time, in Python scalars
+    p = complex(p)
+    if s.kind == "segment":
+        d = s.end - s.start
+        t = ((p - s.start).real * d.real + (p - s.start).imag * d.imag) / abs(d) ** 2
+        return abs(p - (s.start + min(1.0, max(0.0, t)) * d))
+    v = p - s.center
+    ang = math.atan2(v.imag, v.real)
+    in_span = (0.0 <= ang <= math.pi) if s.half_plane > 0 else (-math.pi <= ang <= 0.0)
+    if abs(v) == 0.0 or in_span:
+        return abs(abs(v) - s.radius)
+    return min(abs(p - s.start), abs(p - s.end))
+
+
+def test_distance_array_matches_scalar(friedrichs_std):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 3.0, 2000)
+    y = rng.uniform(-1.5, 1.5, 2000)
+    y[:500] = 0.0        # real axis, both signs of zero
+    y[:250] = -0.0
+    z = x.astype(complex)
+    z.imag = y
+    z = z.reshape(50, 40)
+    contours = [build_contour(friedrichs_std, spec, [l])
+                for spec in (Semicircle(), Semicircle(radius=0.6), Rectangle(depth=0.5))
+                for l in (1, -1)]
+    for c in contours:
+        d = c.distance(z)
+        assert d.shape == z.shape
+        scalar = [c.distance(v) for v in z.reshape(-1)]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(d.reshape(-1), scalar)
+        for piece in c.pieces:
+            for s in piece.sections:
+                ref = [_scalar_section_distance(s, v) for v in z.reshape(-1)]
+                assert np.array_equal(s.distance_to(z).reshape(-1), ref)
+    assert type(contours[0].distance(np.asarray(1.0 + 2.0j))) is float
+
+
+def test_distance_counts_discrete_remainder():
+    coupling = CouplingFunction.constant_vector([0.05])
+    model = SpectralModel(np.array([[5.0]]), [Interval(0.0, 1.0, 0.6)],
+                          [(3.0, np.array([[0.04]]))], coupling)
+    bare = SpectralModel(model.a1, model.intervals, (), coupling)
+    c = build_contour(model, Semicircle(), [1])
+    c_bare = build_contour(bare, Semicircle(), [1])
+    assert c.distance(3.0) == 0.0
+    assert c.distance(3.25 + 0.0j) == 0.25
+    assert c_bare.distance(3.25) > 2.0
+    zs = np.array([3.0 + 0.5j, 0.5 + 0.25j, 4.0])
+    assert np.array_equal(c.distance(zs), [0.5, c_bare.distance(0.5 + 0.25j), 1.0])
 
 
 def test_geometry_errors(friedrichs_std):

@@ -31,6 +31,7 @@ from resonances import (
     solve_fixed_point,
     spectral_norm,
     transfer,
+    variation,
 )
 
 
@@ -135,7 +136,11 @@ def test_operator_self_energy_eigenvector_property(poly4_model):
     y = poly4_model.a1 + 0.05 * (rng.standard_normal((4, 4))
                                  + 1j * rng.standard_normal((4, 4)))
     vals, vecs = np.linalg.eig(y)
-    out = self_energy_of_operator(poly4_model, c, y, debug=True)
+    out = self_energy_of_operator(poly4_model, c, y)
+    # norm estimate: the variation times the largest resolvent norm
+    inv = np.linalg.inv(y[None, :, :] - c.quad_points[:, None, None] * np.eye(4))
+    bound = variation(poly4_model, c) * float(np.max(np.linalg.norm(inv, 2, axis=(1, 2))))
+    assert spectral_norm(out) <= bound * (1.0 + 1e-9) + 1e-300
     for k in range(4):
         u = vecs[:, k]
         lhs = out @ u

@@ -107,8 +107,12 @@ def test_decompose_real_isolated_semisimple(n3_bound_model):
 
 def test_decompose_cluster_separability_error():
     h = np.diag([0.0, 1e-7, 1.0]).astype(complex)
-    with pytest.raises(ClusteringError):
+    with pytest.raises(ClusteringError, match="inter-cluster gap"):
         eigen_decompose(h, cluster_tol=5e-8)
+    # a chained cluster of spread 4.5 with a foreign eigenvalue 4.1 from its centroid
+    h = np.diag(np.append(0.9 * np.arange(11), 4.5 + 4.1j))
+    with pytest.raises(ClusteringError, match="spreads over 4.500e"):
+        eigen_decompose(h, cluster_tol=1.0)
 
 
 def test_trapezoid_residue_evaluates_each_point_once():
@@ -157,7 +161,7 @@ def test_factorize_random_points(friedrichs_std, poly4_model):
         while count < 100:
             lam = complex(eigs[rng.integers(0, len(eigs))])
             z = lam + (cert.d0 / 2.0) * rng.random() * np.exp(2j * math.pi * rng.random())
-            if c.distance_to_curve(z) < 1e-3:
+            if c.distance(z) < 1e-3:
                 continue
             f = factorize(model, c, sol, z)
             assert f.residual <= 1e-8
@@ -185,7 +189,7 @@ def test_factorize_adjoint_identity(poly4_model):
     eye = np.eye(4)
     for _ in range(20):
         z = complex(rng.uniform(0.5, 3.5), rng.uniform(-1.6, 1.6))
-        if min(c.distance_to_curve(z), cm.distance_to_curve(z)) < 0.1:
+        if min(c.distance(z), cm.distance(z)) < 0.1:
             continue
         w = factorize(poly4_model, c, sol, z).left_factor
         w_adj = factorize(poly4_model, cm, sol_m, np.conj(z)).left_factor.conj().T
@@ -455,7 +459,7 @@ def test_transfer_invertible_on_half_separation_curve(poly4_model):
         z = lam + (cert.d0 / 2.0) * np.exp(2j * math.pi * rng.random())
         if min(abs(z - e) for e in eigs) < cert.d0 / 2.0 - 1e-12:
             continue
-        if c.distance_to_curve(z) < 1e-6:
+        if c.distance(z) < 1e-6:
             continue
         m = transfer(poly4_model, c, z).matrix
         smin = np.linalg.svd(m, compute_uv=False)[-1]

@@ -23,7 +23,7 @@ from resonances import (
     transfer,
     adjoint_symmetry_residual,
 )
-from resonances.transfer import LOCATION_INSIDE, LOCATION_OUTSIDE, locate
+from resonances.transfer import LOCATION_INSIDE, LOCATION_OUTSIDE, locate, self_energy_many
 from conftest import BETA_SQ_STD, squared_poly_coupling
 
 
@@ -108,6 +108,18 @@ def test_guard_band_rejection(friedrichs_std):
         transfer(friedrichs_std, c, node + 1e-12j)
 
 
+def test_guard_band_names_first_point_of_batch(friedrichs_std):
+    c = build_contour(friedrichs_std, Semicircle(), [1])
+    node = c.nodes[len(c.nodes) // 2]
+    zs = [1.0 + 0.4j, 3.0, node, 2.0 - 1.0j, c.nodes[0]]
+    with pytest.raises(GuardBandError) as err:
+        self_energy_many(friedrichs_std, c, zs)
+    assert err.value.z == node
+    assert err.value.distance == c.distance(node)
+    assert err.value.guard == c.guard
+    assert self_energy_many(friedrichs_std, c, [zs[0], zs[1], zs[3]]).shape == (3, 1, 1)
+
+
 def test_guard_band_near_discrete_point():
     model = SpectralModel(np.array([[5.0]]), [Interval(0.0, 1.0, 0.6)],
                           [(3.0, np.array([[0.04]]))],
@@ -132,7 +144,7 @@ def test_adjoint_symmetry_random_points(poly4_model):
     count = 0
     while count < 50:
         z = complex(rng.uniform(-1.0, 5.0), rng.uniform(-2.5, 2.5))
-        if min(c.distance_to_curve(z), cm.distance_to_curve(z)) < 0.05:
+        if min(c.distance(z), cm.distance(z)) < 0.05:
             continue
         assert adjoint_symmetry_residual(poly4_model, c, cm, z) <= 1e-9
         count += 1
@@ -183,7 +195,7 @@ def test_holomorphy_cauchy_riemann_proxy(poly4_model):
     checked = 0
     while checked < 20:
         z = complex(rng.uniform(0.5, 3.5), rng.uniform(-1.5, 1.5))
-        if c.distance_to_curve(z) < 0.2:
+        if c.distance(z) < 0.2:
             continue
         fx = (transfer(poly4_model, c, z + h).matrix
               - transfer(poly4_model, c, z - h).matrix) / (2 * h)
