@@ -73,12 +73,13 @@ print(f"  moment 1 vs effective form:      "
       f"{np.linalg.norm(m1.matrix - sol.effective @ metric_inv, 2):.3e}")
 
 print("\nresidue product identities per resonance")
-dec = rs.spectral_decomposition_of(sol)
+dec = rs.eigen_decompose(sol.effective)
+dec_m = rs.eigen_decompose(sol_m.effective)
 for lam in dec.eigenvalues:
-    res = rs.residue_at(model, contour, sol, sol_m, lam)
+    res = rs.residue_at(model, contour, sol, sol_m, dec, dec_m, lam)
     print(f"  {lam:.6f}: vs adjoint projection {res.residual_vs_adjoint_projection:.3e}, "
           f"vs projection {res.residual_vs_projection:.3e}")
 
 print("\nbinormalized Gram matrix under the modified inner product")
-g = rs.riesz_gram(model, sol, sol_m)
+g = rs.riesz_gram(model, sol, sol_m, dec, dec_m)
 print(f"  ||G - I|| = {g.gram_defect:.3e} for {g.gram.shape[0]} eigenvectors")

@@ -3,9 +3,10 @@
 An effective operator with an exact 2-Jordan block is constructed first,
 then the internal matrix is defined backwards so that this operator solves
 the fixed-point equation exactly. Re-solving from zero recovers it, and the
-residue-based decomposition reproduces the algebraic multiplicity 2,
-geometric multiplicity 1, and pole order 2, along with the projection and
-nilpotent equations.
+decomposition reproduces the algebraic multiplicity 2, geometric
+multiplicity 1, and pole order 2, along with the projection and nilpotent
+equations. The Jordan block leaves no usable eigenvector basis, so every
+cluster takes the residue path.
 
 Run:  python3 demos/jordan_structure.py
 """
@@ -52,11 +53,11 @@ resolved = rs.refine_fixed_point(model, contour, np.zeros((4, 4)),
 print(f"re-solve from zero: {resolved.iterations} iterations, "
       f"distance to target {np.linalg.norm(resolved.effective - h, 2):.3e}")
 
-dec = rs.spectral_decomposition_of(resolved, cluster_tol=1e-4)
-print("\nrecovered spectral structure (eigenvalue, alg, geom, pole order):")
+dec = rs.eigen_decompose(resolved.effective, cluster_tol=1e-4)
+print("\nrecovered spectral structure (eigenvalue, alg, geom, pole order, path):")
 for i, ev in enumerate(dec.eigenvalues):
     print(f"  {ev:.8f}  m={dec.algebraic[i]} g={dec.geometric[i]} "
-          f"n={dec.pole_orders[i]}")
+          f"n={dec.pole_orders[i]}  {dec.paths[i]}")
 
 report = rs.verify_projection_equations(model, contour, resolved, dec)
 print("\nprojection/nilpotent equation residuals:")

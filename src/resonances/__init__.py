@@ -82,6 +82,7 @@ from .spectral import (
     ProjectionReport,
     ResidueResult,
     SpectralDecomposition,
+    TransferResidue,
     contour_moment,
     eigen_decompose,
     enclosure_circles,
@@ -91,7 +92,6 @@ from .spectral import (
     residue_at,
     riesz_gram,
     self_energy_derivative,
-    spectral_decomposition_of,
     transfer_residue,
     verify_projection_equations,
 )

@@ -236,7 +236,7 @@ def run_solve(config: RunConfig) -> tuple[int, dict]:
             "certificate": _certificate_dict(ct.solvability_certificate(model, contour)),
             "step_norms": [float(v) for v in exc.history],
         }
-    dec = sp.spectral_decomposition_of(sol)
+    dec = sp.eigen_decompose(sol.effective)
     artifact = {
         "status": "ok",
         "certificate": _certificate_dict(sol.certificate),
@@ -314,12 +314,12 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     r2 = spectral_norm(m1.matrix - sol2.effective @ metric2_inv)
     add("resolvent-moment-1", max(r1, r2), id_tol)
 
-    dec = sp.spectral_decomposition_of(sol)
-    dec2 = sp.spectral_decomposition_of(sol2)
-    dec2_m = sp.spectral_decomposition_of(sol2_m)
+    dec = sp.eigen_decompose(sol.effective)
+    dec2 = sp.eigen_decompose(sol2.effective)
+    dec2_m = sp.eigen_decompose(sol2_m.effective)
     res_max = 0.0
     for lam in dec.eigenvalues:
-        value, _, _ = sp.transfer_residue(model, base, sol, lam)
+        value = sp.transfer_residue(model, base, sol, dec, lam).matrix
         j = int(np.argmin([abs(ev - np.conj(lam)) for ev in dec2_m.eigenvalues]))
         i2 = int(np.argmin([abs(ev - lam) for ev in dec2.eigenvalues]))
         p_adj = dec2_m.projections[j].conj().T
@@ -342,7 +342,8 @@ def _verify_rows(config: RunConfig) -> list[dict]:
         scale = max(spectral_norm(sol.effective), 1.0)
         band = max(10.0 * sol.a_posteriori_bound, 1e-9 * scale)
         real_eigs = [ev.real for ev in dec.eigenvalues if abs(ev.imag) <= band]
-        gram = sp.riesz_gram(model, sol, sol_m, real_eigs)
+        dec_m = sp.eigen_decompose(sol_m.effective)
+        gram = sp.riesz_gram(model, sol, sol_m, dec, dec_m, real_eigs)
         add("gram-identity", max(gram.gram_defect, gram.real_block_defect), id_tol)
     except UnsupportedModelError:
         add("gram-identity", 0.0, id_tol, skipped=True)
@@ -399,7 +400,7 @@ def _sweep_point(config: RunConfig, value: float) -> list[dict]:
         return [{"parameter": value, "status": "inadmissible"}]
     except NonconvergenceError:
         return [{"parameter": value, "status": "nonconvergence"}]
-    dec = sp.spectral_decomposition_of(sol)
+    dec = sp.eigen_decompose(sol.effective)
     tags = _tag_eigenvalues(model, sol, dec)
     rows = []
     order = sorted(range(dec.count), key=lambda i: (tags[i]["re"], tags[i]["im"]))

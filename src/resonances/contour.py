@@ -583,22 +583,6 @@ def scan_contours(model: SpectralModel, l, family: Sequence, order=DEFAULT_ORDER
 # JSON curve specs
 # ---------------------------------------------------------------------------
 
-def _spec_to_json(spec: CurveSpec) -> dict:
-    if isinstance(spec, Semicircle):
-        out: dict = {"shape": "semicircle"}
-        if spec.center is not None:
-            out["center"] = spec.center
-        if spec.radius is not None:
-            out["radius"] = spec.radius
-        return out
-    if isinstance(spec, Rectangle):
-        out = {"shape": "rectangle", "depth": spec.depth}
-        if spec.extent is not None:
-            out["extent"] = spec.extent
-        return out
-    return {"shape": "flat"}
-
-
 def _spec_from_json(data: dict) -> CurveSpec:
     shape = data.get("shape")
     if shape == "semicircle":
@@ -626,16 +610,3 @@ def contour_spec_from_json(data: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralModelError(f"malformed contour spec: {exc}") from exc
     return specs, l, (panels, points)
-
-
-def contour_spec_to_json(contour: Contour) -> dict:
-    specs = [p.spec for p in contour.pieces]
-    first = _spec_to_json(specs[0])
-    same = all(_spec_to_json(s) == first for s in specs)
-    out: dict = dict(first) if same else {"pieces": [_spec_to_json(s) for s in specs]}
-    if not same:
-        out["shape"] = "mixed"
-    out["l"] = list(contour.multi_index)
-    out["panels"] = contour.panels
-    out["points"] = contour.points
-    return out

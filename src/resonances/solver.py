@@ -10,7 +10,7 @@ point at termination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class Solution:
     contour: Contour
     step_norms: tuple[float, ...]
     fixed_point_residual: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _iterate(model: SpectralModel, contour: Contour, q: float,

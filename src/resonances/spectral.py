@@ -1,12 +1,18 @@
 """Spectral structure of the effective operators and the proved identities.
 
-Eigenprojections are computed as contour residues of the resolvent
-(trapezoidal rule on circles, order-doubled until stable), which stays
-robust for defective clusters where eigenvector bases are ill conditioned.
-The module also builds the left factor of the transfer-function
-factorization, the overlap operator defining the modified inner product,
-the resolvent moments of the inverse transfer function, and the Gram
-matrices behind the basis statements.
+An eigenprojection at a simple eigenvalue is the outer product of its right
+eigenvector and the matching row of the inverse eigenvector matrix, when
+that matrix is well conditioned. Clusters of several eigenvalues, and every
+cluster of an ill-conditioned eigenvector basis, take the contour residue
+of the resolvent instead (trapezoidal rule on circles, order-doubled until
+stable), which stays robust for defective clusters. The residue of the
+inverse transfer function at a simple eigenvalue comes from Keldysh's
+theorem (the null vectors of the transfer function and its derivative);
+at a multiple eigenvalue it is a trapezoid residue as well. The module also
+builds the left factor of the transfer-function factorization, the overlap
+operator defining the modified inner product, the resolvent moments of the
+inverse transfer function, and the Gram matrices behind the basis
+statements.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ _ENCLOSURE_PAD = 0.45  # enclosure circle pad, as a fraction of the separation
 _TRAPEZOID_START = 64
 _TRAPEZOID_CAP = 16384
 _TRAPEZOID_RTOL = 1e-12
+# largest cond(V) of the eigenvector matrix V for which simple eigenvalues
+# take their projections from V and V^-1 rather than from resolvent residues
+_EIGVEC_COND_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -87,12 +96,17 @@ def _trapezoid_residue(f_batch, circles, moment: int = 0, atol: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
-# Eigen decomposition via residues
+# Eigen decomposition
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered eigenvalues with projections, nilpotents, multiplicities."""
+    """Clustered eigenvalues with projections, nilpotents, multiplicities.
+
+    ``paths`` names, per cluster, how its projection was computed:
+    ``"eigenvector"`` (outer product of eigenvector and dual row) or
+    ``"residue"`` (trapezoid residue of the resolvent).
+    """
 
     eigenvalues: tuple[complex, ...]
     projections: tuple[np.ndarray, ...]
@@ -102,6 +116,7 @@ class SpectralDecomposition:
     pole_orders: tuple[int, ...]
     projector_sum_defect: float
     nilpotent_margins: tuple[float, ...]
+    paths: tuple[str, ...]
 
     @property
     def count(self) -> int:
@@ -141,13 +156,16 @@ def _cluster(eigs: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
-    """Cluster the spectrum and compute projections by residue integrals.
+    """Cluster the spectrum and compute its projections.
 
     Eigenvalues within ``cluster_tol`` of each other merge into one cluster
-    represented by its centroid. Each projection is the residue of the
-    resolvent on a circle of radius half the gap to the nearest other
-    cluster; the nilpotent is the shifted matrix times the projection, and
-    the pole order is the first power whose norm falls below the threshold
+    represented by its centroid. A cluster of one eigenvalue takes the
+    projection v w^H, with v its column of the eigenvector matrix V and w^H
+    the matching row of V^-1, while cond(V) is at most ``_EIGVEC_COND_MAX``.
+    Any other projection is the residue of the resolvent on a circle of
+    radius half the gap to the nearest other cluster. The nilpotent is the
+    shifted matrix times the projection, and the pole order is the first
+    power whose norm falls below the threshold
     ``DEFAULT_NILPOTENT_TOL * max(norm(h1), 1)**k``.
     """
     h1 = np.asarray(h1, dtype=complex)
@@ -155,7 +173,7 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
     scale = max(spectral_norm(h1), 1e-300)
     if cluster_tol is None:
         cluster_tol = 1e-7 * scale
-    eigs = np.linalg.eigvals(h1)
+    eigs, vecs = np.linalg.eig(h1)
     groups = _cluster(eigs, cluster_tol)
     centroids = [complex(np.mean(eigs[g])) for g in groups]
 
@@ -172,7 +190,9 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
             f"({4.0 * cluster_tol:.3e}); choose a different tolerance")
 
     eye = np.eye(n)
+    duals = np.linalg.inv(vecs) if np.linalg.cond(vecs) <= _EIGVEC_COND_MAX else None
     projections = []
+    paths = []
     nilpotents = []
     algebraic = []
     geometric = []
@@ -194,8 +214,14 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
             radius = 0.5 * (spread + gap)
         else:
             radius = spread + 0.1 * (1.0 + scale)
-        p, _, _ = _trapezoid_residue(partial(_resolvents, h1), (Circle(lam, radius),),
-                                     atol=1e-13 * (1.0 + scale))
+        if duals is not None and len(groups[j]) == 1:
+            k = groups[j][0]
+            p = np.outer(vecs[:, k], duals[k])
+            paths.append("eigenvector")
+        else:
+            p, _, _ = _trapezoid_residue(partial(_resolvents, h1), (Circle(lam, radius),),
+                                         atol=1e-13 * (1.0 + scale))
+            paths.append("residue")
         m_raw = float(np.trace(p).real)
         m = int(round(m_raw))
         if abs(m_raw - m) > 1e-2 or m < 1:
@@ -236,6 +262,7 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
         pole_orders=tuple(pole_orders),
         projector_sum_defect=defect,
         nilpotent_margins=tuple(margins),
+        paths=tuple(paths),
     )
 
 
@@ -360,15 +387,27 @@ def _check_circle_geometry(contour: Contour, circles: tuple[Circle, ...],
 
 
 def _minv_batch(model: SpectralModel, contour: Contour, scale: float):
+    limit = 1e-10 * scale
+
     def f(zs):
         mats = transfer_many(model, contour, zs)
-        smallest = np.linalg.svd(mats, compute_uv=False)[:, -1]
-        near = np.flatnonzero(smallest < 1e-10 * scale)
-        if near.size:
-            raise GeometryError(
-                f"transfer function nearly singular on the circle at "
-                f"z={zs[near[0]]:.6g}")
-        return np.linalg.inv(mats)
+        try:
+            inv = np.linalg.inv(mats)
+        except np.linalg.LinAlgError:
+            inv, suspect = None, np.arange(len(zs))
+        else:
+            # 1/||T^-1||_F <= sigma_min, so only the points this bound cannot
+            # clear (with a factor 2 for the rounding of the inverse) need an SVD
+            suspect = np.flatnonzero(np.linalg.norm(inv, axis=(1, 2)) * limit > 0.5)
+        if suspect.size:
+            smallest = np.linalg.svd(mats[suspect], compute_uv=False)[:, -1]
+            near = suspect[smallest < limit]
+            if near.size or inv is None:
+                bad = near[0] if near.size else suspect[np.argmin(smallest)]
+                raise GeometryError(
+                    f"transfer function nearly singular on the circle at "
+                    f"z={zs[bad]:.6g}")
+        return inv
     return f
 
 
@@ -416,27 +455,51 @@ def contour_moment(model: SpectralModel, contour: Contour, sol_l: Solution,
 
 
 @dataclass(frozen=True)
-class ResidueResult:
+class TransferResidue:
+    """Residue of the inverse transfer function at one eigenvalue.
+
+    ``delta`` is the trapezoid doubling delta, None on the Keldysh path.
+    ``singular_ratio`` is sigma_min(T(lam)) / max(sigma_max(T(lam)), scale),
+    scale = max(norm(effective), 1), on the Keldysh path and None on the
+    trapezoid path: a check, independent of the residue, that the transfer
+    function is singular at the eigenvalue (the scale keeps it meaningful at
+    n = 1, where sigma_min/sigma_max is always 1).
+    """
+
     matrix: np.ndarray
+    circle: Circle
+    delta: float | None
+    singular_ratio: float | None
+
+
+@dataclass(frozen=True)
+class ResidueResult(TransferResidue):
     residual_vs_adjoint_projection: float
     residual_vs_projection: float
-    circle: Circle
-    delta: float
+
+
+def _find_tol(scale: float, cluster_tol: float | None) -> float:
+    return 1e-5 * scale if cluster_tol is None else max(10.0 * cluster_tol, 1e-12)
 
 
 def transfer_residue(model: SpectralModel, contour: Contour, sol_l: Solution,
-                     lam: complex, cluster_tol: float | None = None):
+                     dec_l: SpectralDecomposition, lam: complex,
+                     cluster_tol: float | None = None) -> TransferResidue:
     """Raw residue of the inverse transfer function around one eigenvalue.
 
-    The circle is centered at the matching cluster centroid with radius half
-    the gap to the nearest other cluster, capped to stay off the contour by
-    the guard band. Returns (matrix, circle, doubling delta).
+    ``dec_l`` is the decomposition of ``sol_l.effective``. At an eigenvalue
+    of algebraic multiplicity one the residue follows from Keldysh's theorem:
+    with u and v the left and right singular vectors of T(lam) for its
+    smallest singular value, it is -v u^H / (u^H T'(lam) v), in the sign
+    convention of ``_trapezoid_residue``. At a multiple eigenvalue it is the
+    trapezoid residue on the circle centered at the cluster centroid with
+    radius half the gap to the nearest other cluster, capped to stay off the
+    contour by the guard band; that circle is checked and reported on both
+    paths.
     """
     lam = complex(lam)
-    dec_l = spectral_decomposition_of(sol_l, cluster_tol)
     scale = max(spectral_norm(sol_l.effective), 1.0)
-    tol_find = 1e-5 * scale if cluster_tol is None else max(10.0 * cluster_tol, 1e-12)
-    i = dec_l.find(lam, tol_find)
+    i = dec_l.find(lam, _find_tol(scale, cluster_tol))
     lam_i = dec_l.eigenvalues[i]
 
     gap = min((abs(lam_i - ev) for k2, ev in enumerate(dec_l.eigenvalues) if k2 != i),
@@ -449,46 +512,43 @@ def transfer_residue(model: SpectralModel, contour: Contour, sol_l: Solution,
             f"distance to contour {dist_curve:.3e}")
     circle = Circle(lam_i, radius)
     _check_circle_geometry(contour, (circle,), np.array([lam_i]))
+    if dec_l.algebraic[i] == 1:
+        u, s, vh = np.linalg.svd(transfer_many(model, contour, [lam_i])[0])
+        left, right = u[:, -1], vh[-1].conj()
+        slope = self_energy_derivative(model, contour, lam_i, 1) - np.eye(model.dim)
+        value = -np.outer(right, left.conj()) / (left.conj() @ slope @ right)
+        return TransferResidue(value, circle, None, float(s[-1] / max(s[0], scale)))
     value, delta, _ = _trapezoid_residue(
         _minv_batch(model, contour, scale), (circle,),
         atol=1e-13 * (1.0 + scale))
-    return value, circle, delta
+    return TransferResidue(value, circle, delta, None)
 
 
 def residue_at(model: SpectralModel, contour: Contour, sol_l: Solution,
-               sol_minus_l: Solution, lam: complex,
+               sol_minus_l: Solution, dec_l: SpectralDecomposition,
+               dec_m: SpectralDecomposition, lam: complex,
                cluster_tol: float | None = None) -> ResidueResult:
     """Residue of the inverse transfer function at one isolated eigenvalue.
 
-    Also reports the defects of the two product identities relating the
-    residue to the eigenprojections of the effective operator and of the
-    adjoint mirror operator through the overlap metric.
+    ``dec_l`` and ``dec_m`` are the decompositions of the two effective
+    operators. Also reports the defects of the two product identities
+    relating the residue to the eigenprojections of the effective operator
+    and of the adjoint mirror operator through the overlap metric.
     """
     lam = complex(lam)
-    dec_l = spectral_decomposition_of(sol_l, cluster_tol)
-    dec_m = spectral_decomposition_of(sol_minus_l, cluster_tol)
-    scale = max(spectral_norm(sol_l.effective), 1.0)
-    tol_find = 1e-5 * scale if cluster_tol is None else max(10.0 * cluster_tol, 1e-12)
+    tol_find = _find_tol(max(spectral_norm(sol_l.effective), 1.0), cluster_tol)
     i = dec_l.find(lam, tol_find)
     j = dec_m.find(np.conj(lam), tol_find)
-    value, circle, delta = transfer_residue(model, contour, sol_l, lam, cluster_tol)
+    res = transfer_residue(model, contour, sol_l, dec_l, lam, cluster_tol)
 
     om = overlap_operator(model, sol_l.contour, sol_l, sol_minus_l)
     metric_inv = np.linalg.inv(om.metric())
     p_l = dec_l.projections[i]
     p_m_adj = dec_m.projections[j].conj().T
-    res_left = spectral_norm(value - metric_inv @ p_m_adj)
-    res_right = spectral_norm(value - p_l @ metric_inv)
-    return ResidueResult(value, res_left, res_right, circle, delta)
-
-
-def spectral_decomposition_of(sol: Solution,
-                              cluster_tol: float | None = None) -> SpectralDecomposition:
-    """Decomposition of the effective operator, memoized on the solution."""
-    key = ("decomposition", cluster_tol)
-    if key not in sol._cache:
-        sol._cache[key] = eigen_decompose(sol.effective, cluster_tol)
-    return sol._cache[key]
+    res_left = spectral_norm(res.matrix - metric_inv @ p_m_adj)
+    res_right = spectral_norm(res.matrix - p_l @ metric_inv)
+    return ResidueResult(res.matrix, res.circle, res.delta, res.singular_ratio,
+                         res_left, res_right)
 
 
 # ---------------------------------------------------------------------------
@@ -603,51 +663,8 @@ def _range_basis(p: np.ndarray, m: int) -> np.ndarray:
     return u[:, :m]
 
 
-def decomposition_to_json_dict(dec: SpectralDecomposition,
-                               residuals: ProjectionReport | None = None) -> dict:
-    """JSON-ready view of a decomposition, with optional residual report.
-
-    Matrices are flat row-major lists of [re, im] pairs, matching the model
-    schema.
-    """
-    def pairs(m):
-        return [[float(v.real), float(v.imag)]
-                for v in np.asarray(m, dtype=complex).reshape(-1)]
-
-    out = {
-        "eigenvalues": [
-            {
-                "re": float(ev.real),
-                "im": float(ev.imag),
-                "algebraic_multiplicity": dec.algebraic[i],
-                "geometric_multiplicity": dec.geometric[i],
-                "pole_order": dec.pole_orders[i],
-                "projection": pairs(dec.projections[i]),
-                "nilpotent": pairs(dec.nilpotents[i]),
-            }
-            for i, ev in enumerate(dec.eigenvalues)
-        ],
-        "projector_sum_defect": dec.projector_sum_defect,
-        "nilpotent_margins": list(dec.nilpotent_margins),
-    }
-    if residuals is not None:
-        out["residuals"] = {
-            "rows": [
-                {
-                    "eigenvalue": [float(r.eigenvalue.real), float(r.eigenvalue.imag)],
-                    "projection_residual": r.projection_residual,
-                    "nilpotent_residuals": list(r.nilpotent_residuals),
-                }
-                for r in residuals.rows
-            ],
-            "reconstruction_error": residuals.reconstruction_error,
-            "correction_norm": residuals.correction_norm,
-            "within_larger_ball": residuals.within_larger_ball,
-        }
-    return out
-
-
 def riesz_gram(model: SpectralModel, sol_l: Solution, sol_minus_l: Solution,
+               dec_l: SpectralDecomposition, dec_m: SpectralDecomposition,
                real_eigs=(), cluster_tol: float | None = None) -> GramResult:
     """Binormalized Gram matrix of the eigenvector systems under the metric.
 
@@ -657,15 +674,13 @@ def riesz_gram(model: SpectralModel, sol_l: Solution, sol_minus_l: Solution,
     biorthogonality across distinct eigenvalues. Bases at eigenvalues listed
     in ``real_eigs`` are first orthonormalized in the modified inner product
     itself, and the returned real block checks that orthonormality using the
-    left system on both sides.
+    left system on both sides. ``dec_l`` and ``dec_m`` are the
+    decompositions of the two effective operators.
     """
-    dec_l = spectral_decomposition_of(sol_l, cluster_tol)
-    dec_m = spectral_decomposition_of(sol_minus_l, cluster_tol)
     if any(o != 1 for o in dec_l.pole_orders):
         raise UnsupportedModelError(
             "gram construction requires a semisimple spectrum")
-    scale = max(spectral_norm(sol_l.effective), 1.0)
-    tol_find = 1e-5 * scale if cluster_tol is None else max(10.0 * cluster_tol, 1e-12)
+    tol_find = _find_tol(max(spectral_norm(sol_l.effective), 1.0), cluster_tol)
     for lam in real_eigs:
         dec_l.find(complex(lam), tol_find)
         dec_m.find(complex(np.conj(lam)), tol_find)

@@ -121,9 +121,10 @@ def test_criterion_4_contour_identities(poly4_model):
         # order-doubled trapezoid self-convergence: two or more digits
         for m in (m0, m1):
             ok = ok and m.delta <= 1e-2 * max(rs.spectral_norm(m.matrix), 1.0)
-        dec = rs.spectral_decomposition_of(sol)
+        dec = rs.eigen_decompose(sol.effective)
+        dec_m = rs.eigen_decompose(sol_m.effective)
         for lam in dec.eigenvalues:
-            res = rs.residue_at(model, c, sol, sol_m, lam)
+            res = rs.residue_at(model, c, sol, sol_m, dec, dec_m, lam)
             ok = ok and res.residual_vs_adjoint_projection <= 1e-6
             ok = ok and res.residual_vs_projection <= 1e-6
     elapsed = time.perf_counter() - t0
@@ -170,10 +171,11 @@ def test_criterion_6_zero_coupling_suite(zero_model):
     ok = ok and f.residual <= 1e-14
     om = rs.overlap_operator(zero_model, c, sol, sol_m)
     ok = ok and rs.spectral_norm(om.matrix) == 0.0
-    dec = rs.spectral_decomposition_of(sol)
+    dec = rs.eigen_decompose(sol.effective)
     rep = rs.verify_projection_equations(zero_model, c, sol, dec)
     ok = ok and rep.max_residual <= 1e-12
-    g = rs.riesz_gram(zero_model, sol, sol_m, real_eigs=[0.3, 0.7])
+    g = rs.riesz_gram(zero_model, sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
+                      real_eigs=[0.3, 0.7])
     ok = ok and g.gram_defect <= 1e-12 and g.real_block_defect <= 1e-12
     report(6, "zero-coupling suite", ok)
 
@@ -203,15 +205,16 @@ def test_criterion_7_contraction_property(poly4_model, m2_model, n3_bound_model)
 def test_criterion_8_riesz_gram_and_defective(n3_bound_model, defective4):
     ok = True
     c, sol, sol_m = solve_pair(n3_bound_model, rs.Semicircle(), [1])
-    dec = rs.spectral_decomposition_of(sol)
+    dec = rs.eigen_decompose(sol.effective)
     real = [ev.real for ev in dec.eigenvalues if abs(ev.imag) <= 1e-9]
-    g = rs.riesz_gram(n3_bound_model, sol, sol_m, real_eigs=real)
+    g = rs.riesz_gram(n3_bound_model, sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
+                      real_eigs=real)
     ok = ok and g.gram.shape == (3, 3)
     ok = ok and g.gram_defect <= 1e-6 and g.real_block_defect <= 1e-6
 
     model, contour, h, x_exact, j = defective4
     sol_d = rs.refine_fixed_point(model, contour, x_exact, tol=1e-11)
-    dec_d = rs.spectral_decomposition_of(sol_d, cluster_tol=1e-4)
+    dec_d = rs.eigen_decompose(sol_d.effective, cluster_tol=1e-4)
     ok = ok and sorted(zip(dec_d.algebraic, dec_d.geometric, dec_d.pole_orders)) == [
         (1, 1, 1), (1, 1, 1), (2, 1, 2)]
     rep = rs.verify_projection_equations(model, contour, sol_d, dec_d)

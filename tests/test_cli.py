@@ -71,10 +71,22 @@ def test_solve_inadmissible_exit_2(tmp_path):
     assert art["certificate"]["admissible"] is False
 
 
-def test_verify_passes(tmp_path, std_model):
+def test_verify_passes(tmp_path, std_model, monkeypatch):
+    from resonances import spectral
+
+    decompose = spectral.eigen_decompose
+    decomposed = []
+
+    def counting(h1, *args, **kwargs):
+        decomposed.append(h1)
+        return decompose(h1, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigen_decompose", counting)
     cfg = write_config(tmp_path, "verify", "verify", std_model, SEMI)
     out = tmp_path / "verify_out.json"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    # one decomposition per solution: base, its mirror, and the two fine ones
+    assert len(decomposed) == 4
     art = json.loads(out.read_text())
     assert art["all_pass"] is True
     names = {r["name"] for r in art["identities"]}

@@ -1,6 +1,7 @@
 """Spectral structure: decompositions, factorization, moments, Gram."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from resonances import (
     riesz_gram,
     solvability_certificate,
     solve_fixed_point,
-    spectral_decomposition_of,
     spectral_norm,
     transfer,
+    transfer_residue,
     verify_projection_equations,
 )
 from resonances.model import coupling_density
@@ -36,6 +37,10 @@ def solve_pair(model, spec, l):
     sol = solve_fixed_point(model, c)
     sol_m = solve_fixed_point(model, mirrored(model, c))
     return c, sol, sol_m
+
+
+def decompose_pair(sol, sol_m):
+    return eigen_decompose(sol.effective), eigen_decompose(sol_m.effective)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +102,7 @@ def test_decompose_similarity_six():
 def test_decompose_real_isolated_semisimple(n3_bound_model):
     c = build_contour(n3_bound_model, Semicircle(), [1])
     sol = solve_fixed_point(n3_bound_model, c)
-    dec = spectral_decomposition_of(sol)
+    dec = eigen_decompose(sol.effective)
     real = [i for i, ev in enumerate(dec.eigenvalues) if abs(ev.imag) < 1e-9]
     assert len(real) == 1
     i = real[0]
@@ -113,6 +118,53 @@ def test_decompose_cluster_separability_error():
     h = np.diag(np.append(0.9 * np.arange(11), 4.5 + 4.1j))
     with pytest.raises(ClusteringError, match="spreads over 4.500e"):
         eigen_decompose(h, cluster_tol=1.0)
+
+
+def _residue_path_decomposition(monkeypatch, h, **kwargs):
+    """eigen_decompose with every cluster forced onto the residue path."""
+    from resonances import spectral
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_EIGVEC_COND_MAX", 0.0)
+        return eigen_decompose(h, **kwargs)
+
+
+def test_eigenvector_path_matches_residue_path(monkeypatch, friedrichs_std, zero_model,
+                                                poly4_model, m2_model, n3_bound_model,
+                                                embedded_real_model):
+    mats = []
+    for model in (friedrichs_std, zero_model, poly4_model, n3_bound_model,
+                  embedded_real_model):
+        mats.append(solve_fixed_point(model, build_contour(model, Semicircle(), [1])).effective)
+    mats.append(solve_fixed_point(
+        m2_model, build_contour(m2_model, Semicircle(radius=0.4), [1, -1])).effective)
+    rng = np.random.default_rng(43)
+    for n in (2, 5, 8):
+        for _ in range(3):
+            mats.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    for h in mats:
+        dec = eigen_decompose(h)
+        ref = _residue_path_decomposition(monkeypatch, h)
+        assert dec.paths == ("eigenvector",) * dec.count
+        assert ref.paths == ("residue",) * ref.count
+        assert dec.algebraic == ref.algebraic and dec.pole_orders == ref.pole_orders
+        assert np.allclose(dec.eigenvalues, ref.eigenvalues, rtol=0.0, atol=1e-14)
+        for p, q in zip(dec.projections, ref.projections):
+            assert spectral_norm(p - q) <= 1e-10
+        assert dec.projector_sum_defect <= 1e-12
+
+
+def test_ill_conditioned_basis_falls_back_to_residue():
+    # distinct eigenvalues 1 and 1.001, eigenvectors 2e-5 rad apart: cond(V) ~ 1e5
+    b = 50.0
+    h = np.array([[1.0, b], [0.0, 1.001]], dtype=complex)
+    assert np.linalg.cond(np.linalg.eig(h)[1]) > 1e4
+    dec = eigen_decompose(h)
+    assert dec.paths == ("residue", "residue")
+    coupling = b / (1.0 - 1.001)
+    exact = (np.array([[1.0, coupling], [0.0, 0.0]]), np.array([[0.0, -coupling], [0.0, 1.0]]))
+    for p, q in zip(dec.projections, exact):
+        assert spectral_norm(p - q) <= 1e-9 * abs(coupling)
 
 
 def test_trapezoid_residue_evaluates_each_point_once():
@@ -226,7 +278,7 @@ def test_overlap_adjoint_mirror(poly4_model):
 def test_overlap_positive_on_real_eigenvectors(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
     om = overlap_operator(n3_bound_model, c, sol, sol_m)
-    dec = spectral_decomposition_of(sol)
+    dec = eigen_decompose(sol.effective)
     i = [k for k, ev in enumerate(dec.eigenvalues) if abs(ev.imag) < 1e-9][0]
     u, s, _ = np.linalg.svd(dec.projections[i])
     psi = u[:, 0]
@@ -275,24 +327,69 @@ def test_moment_geometry_errors(poly4_model):
 def test_residue_relations(friedrichs_std, n3_bound_model):
     for model in (friedrichs_std, n3_bound_model):
         c, sol, sol_m = solve_pair(model, Semicircle(), [1])
-        dec = spectral_decomposition_of(sol)
+        dec, dec_m = decompose_pair(sol, sol_m)
         for lam in dec.eigenvalues:
-            res = residue_at(model, c, sol, sol_m, lam)
+            res = residue_at(model, c, sol, sol_m, dec, dec_m, lam)
             assert res.residual_vs_adjoint_projection <= 1e-6
             assert res.residual_vs_projection <= 1e-6
 
 
+def test_keldysh_residue_matches_trapezoid(poly4_model):
+    from resonances.spectral import _minv_batch, _trapezoid_residue
+
+    c, sol, _ = solve_pair(poly4_model, Semicircle(), [1])
+    dec = eigen_decompose(sol.effective)
+    scale = max(spectral_norm(sol.effective), 1.0)
+    for lam in dec.eigenvalues:
+        res = transfer_residue(poly4_model, c, sol, dec, lam)
+        assert res.delta is None
+        assert res.singular_ratio <= 1e-10
+        ref, delta, _ = _trapezoid_residue(_minv_batch(poly4_model, c, scale), (res.circle,),
+                                           atol=1e-13 * (1.0 + scale))
+        assert delta <= 1e-10
+        assert spectral_norm(res.matrix - ref) <= 1e-10
+
+
+def test_multiple_eigenvalue_takes_trapezoid_residue(defective4):
+    from resonances import refine_fixed_point
+
+    model, contour, h, x_exact, j = defective4
+    sol = refine_fixed_point(model, contour, x_exact, tol=1e-11)
+    dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
+    for i, lam in enumerate(dec.eigenvalues):
+        res = transfer_residue(model, contour, sol, dec, lam, cluster_tol=1e-4)
+        if dec.algebraic[i] == 2:
+            assert res.singular_ratio is None
+            assert res.delta <= 1e-10
+        else:
+            assert res.delta is None and res.singular_ratio <= 1e-10
+
+
+def test_minv_batch_rejects_singular_transfer(zero_model):
+    from resonances.spectral import _minv_batch
+
+    # zero coupling: T(z) = A1 - z exactly, singular at the levels 0.3 and 0.7
+    c = build_contour(zero_model, Semicircle(), [1])
+    f = _minv_batch(zero_model, c, 1.0)
+    zs = np.array([0.45 + 0.1j, 0.5 - 0.2j])
+    assert np.array_equal(f(zs), np.linalg.inv(zero_model.a1 - zs[:, None, None] * np.eye(2)))
+    for bad in (0.3 + 0.0j, 0.7 + 1e-12j):
+        message = re.escape(f"nearly singular on the circle at z={bad:.6g}")
+        with pytest.raises(GeometryError, match=message):
+            f(np.array([0.45 + 0.1j, bad, 0.5 - 0.2j]))
+
+
 def test_residue_zero_coupling_gives_internal_projection(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
-    res = residue_at(zero_model, c, sol, sol_m, 0.3)
+    res = residue_at(zero_model, c, sol, sol_m, *decompose_pair(sol, sol_m), 0.3)
     e = np.zeros((2, 2)); e[0, 0] = 1.0
     assert spectral_norm(res.matrix - e) <= 1e-10
 
 
 def test_residue_sum_inverse_is_metric(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
-    dec = spectral_decomposition_of(sol)
-    total = sum(residue_at(n3_bound_model, c, sol, sol_m, ev).matrix
+    dec, dec_m = decompose_pair(sol, sol_m)
+    total = sum(residue_at(n3_bound_model, c, sol, sol_m, dec, dec_m, ev).matrix
                 for ev in dec.eigenvalues)
     om = overlap_operator(n3_bound_model, c, sol, sol_m)
     assert spectral_norm(np.linalg.inv(total) - om.metric()) <= 1e-6
@@ -304,7 +401,7 @@ def test_residue_sum_inverse_is_metric(n3_bound_model):
 
 def test_projection_equations_zero_coupling(zero_model):
     c, sol, _ = solve_pair(zero_model, Semicircle(), [1])
-    dec = spectral_decomposition_of(sol)
+    dec = eigen_decompose(sol.effective)
     report = verify_projection_equations(zero_model, c, sol, dec)
     assert report.max_residual <= 1e-12
     assert report.within_larger_ball
@@ -312,7 +409,7 @@ def test_projection_equations_zero_coupling(zero_model):
 
 def test_projection_equations_scalar(friedrichs_std):
     c, sol, _ = solve_pair(friedrichs_std, Semicircle(), [1])
-    dec = spectral_decomposition_of(sol)
+    dec = eigen_decompose(sol.effective)
     report = verify_projection_equations(friedrichs_std, c, sol, dec)
     assert report.rows[0].projection_residual <= 1e-8
     assert report.reconstruction_error <= 1e-9
@@ -325,7 +422,7 @@ def test_projection_equations_defective(defective4):
     model, contour, h, x_exact, j = defective4
     sol = refine_fixed_point(model, contour, x_exact, tol=1e-11)
     assert spectral_norm(sol.effective - h) <= 1e-10
-    dec = spectral_decomposition_of(sol, cluster_tol=1e-4)
+    dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
     orders = sorted(zip(dec.algebraic, dec.geometric, dec.pole_orders))
     assert orders == [(1, 1, 1), (1, 1, 1), (2, 1, 2)]
     report = verify_projection_equations(model, contour, sol, dec)
@@ -342,9 +439,11 @@ def test_defective_resolve_recovers_structure(defective4):
     resolved = refine_fixed_point(model, contour, np.zeros((n, n)), tol=1e-12,
                                   max_iter=400)
     assert spectral_norm(resolved.effective - h) <= 1e-8
-    dec = spectral_decomposition_of(resolved, cluster_tol=1e-4)
+    dec = eigen_decompose(resolved.effective, cluster_tol=1e-4)
     assert sorted(zip(dec.algebraic, dec.geometric, dec.pole_orders)) == [
         (1, 1, 1), (1, 1, 1), (2, 1, 2)]
+    # the Jordan block makes the eigenvector basis singular: no cluster uses it
+    assert dec.paths == ("residue",) * 3
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +452,7 @@ def test_defective_resolve_recovers_structure(defective4):
 
 def test_gram_zero_coupling(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
-    g = riesz_gram(zero_model, sol, sol_m, real_eigs=[0.3, 0.7])
+    g = riesz_gram(zero_model, sol, sol_m, *decompose_pair(sol, sol_m), real_eigs=[0.3, 0.7])
     assert g.gram_defect <= 1e-12
     assert g.real_block_defect <= 1e-12
     assert g.real_block.shape == (2, 2)
@@ -361,10 +460,10 @@ def test_gram_zero_coupling(zero_model):
 
 def test_gram_bound_state_block(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
-    dec = spectral_decomposition_of(sol)
+    dec, dec_m = decompose_pair(sol, sol_m)
     real = [ev.real for ev in dec.eigenvalues if abs(ev.imag) < 1e-9]
     assert len(real) == 1
-    g = riesz_gram(n3_bound_model, sol, sol_m, real_eigs=real)
+    g = riesz_gram(n3_bound_model, sol, sol_m, dec, dec_m, real_eigs=real)
     assert g.real_block.shape == (1, 1)
     assert abs(g.real_block[0, 0] - 1.0) <= 1e-8
     assert g.gram.shape == (3, 3)
@@ -373,7 +472,7 @@ def test_gram_bound_state_block(n3_bound_model):
 
 def test_gram_semisimple_complex_pair(poly4_model):
     c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
-    g = riesz_gram(poly4_model, sol, sol_m)
+    g = riesz_gram(poly4_model, sol, sol_m, *decompose_pair(sol, sol_m))
     assert g.gram.shape == (4, 4)
     assert g.gram_defect <= 1e-6
 
@@ -381,7 +480,7 @@ def test_gram_semisimple_complex_pair(poly4_model):
 def test_gram_missing_real_eig_raises(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
     with pytest.raises(InconsistencyError):
-        riesz_gram(n3_bound_model, sol, sol_m, real_eigs=[10.0])
+        riesz_gram(n3_bound_model, sol, sol_m, *decompose_pair(sol, sol_m), real_eigs=[10.0])
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +572,7 @@ def test_embedded_real_eigenvalue_criterion(embedded_real_model):
     cert = solvability_certificate(model, c)
     assert cert.admissible
     sol = solve_fixed_point(model, c)
-    dec = spectral_decomposition_of(sol)
+    dec = eigen_decompose(sol.effective)
     # the engineered level survives inside the interval, exactly real
     i = dec.find(0.5, 1e-9)
     lam = dec.eigenvalues[i]
