@@ -50,22 +50,22 @@ for ev in np.sort_complex(np.linalg.eigvals(sol.effective)):
 
 print("\nfactorization of the transfer function")
 z = 2.0 + 0.3j
-f = rs.factorize(model, contour, sol, z)
+f = rs.factorize(sol, z)
 print(f"  residual at z={z}: {f.residual:.3e}")
 print(f"  left-factor inverse norm {np.linalg.norm(np.linalg.inv(f.left_factor), 2):.4f}"
       f" <= certified bound {rs.left_factor_inverse_bound(cert):.4f}")
 
 print("\noverlap operator")
-om = rs.overlap_operator(model, contour, sol, sol_m)
+om = rs.overlap_operator(sol, sol_m)
 print(f"  norm {om.norm:.3e} < bound {om.norm_bound_check:.3e} < 1")
-om_m = rs.overlap_operator(model, sol_m.contour, sol_m, sol)
+om_m = rs.overlap_operator(sol_m, sol)
 print(f"  adjoint-mirror defect {np.linalg.norm(om.matrix.conj().T - om_m.matrix, 2):.3e}")
 
 print("\nresolvent moments of the inverse transfer function")
 metric_inv = np.linalg.inv(om.metric())
-gamma = rs.enclosure_circles(model, sol)
-m0 = rs.contour_moment(model, contour, sol, sol_m, gamma, 0)
-m1 = rs.contour_moment(model, contour, sol, sol_m, gamma, 1)
+gamma = rs.enclosure_circles(sol)
+m0 = rs.contour_moment(sol, sol_m, gamma, 0)
+m1 = rs.contour_moment(sol, sol_m, gamma, 1)
 print(f"  moment 0 vs inverse metric:      {np.linalg.norm(m0.matrix - metric_inv, 2):.3e}")
 print(f"  moment 1 vs metric-adjoint form: "
       f"{np.linalg.norm(m1.matrix - metric_inv @ sol_m.effective.conj().T, 2):.3e}")
@@ -76,10 +76,10 @@ print("\nresidue product identities per resonance")
 dec = rs.eigen_decompose(sol.effective)
 dec_m = rs.eigen_decompose(sol_m.effective)
 for lam in dec.eigenvalues:
-    res = rs.residue_at(model, contour, sol, sol_m, dec, dec_m, lam)
+    res = rs.residue_at(sol, sol_m, dec, dec_m, lam)
     print(f"  {lam:.6f}: vs adjoint projection {res.residual_vs_adjoint_projection:.3e}, "
           f"vs projection {res.residual_vs_projection:.3e}")
 
 print("\nbinormalized Gram matrix under the modified inner product")
-g = rs.riesz_gram(model, sol, sol_m, dec, dec_m)
+g = rs.riesz_gram(sol, sol_m, dec, dec_m)
 print(f"  ||G - I|| = {g.gram_defect:.3e} for {g.gram.shape[0]} eigenvectors")

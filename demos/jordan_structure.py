@@ -59,7 +59,7 @@ for i, ev in enumerate(dec.eigenvalues):
     print(f"  {ev:.8f}  m={dec.algebraic[i]} g={dec.geometric[i]} "
           f"n={dec.pole_orders[i]}  {dec.paths[i]}")
 
-report = rs.verify_projection_equations(model, contour, resolved, dec)
+report = rs.verify_projection_equations(contour, resolved, dec)
 print("\nprojection/nilpotent equation residuals:")
 for row in report.rows:
     extras = ", ".join(f"{v:.2e}" for v in row.nilpotent_residuals) or "-"

@@ -6,7 +6,11 @@ formatted at 17 significant digits, so identical inputs produce
 byte-identical artifacts.
 
 Exit codes: 0 pass, 1 identity failure, 2 inadmissible certificate,
-3 nonconvergence, 4 config or model error.
+3 nonconvergence, 4 config or model error. Exit 4 also covers every other
+``ResonanceError``: ``StructuralModelError``, ``UnsupportedModelError``,
+``DomainError``, ``GeometryError``, ``ClusteringError``, ``PairingError``,
+``ContractionViolationError``, ``InconsistencyError``, ``GuardBandError``
+and ``ResolventSingularityError``.
 """
 
 from __future__ import annotations
@@ -24,13 +28,9 @@ from . import contour as ct
 from . import friedrichs as fr
 from . import spectral as sp
 from .errors import (
-    ClusteringError,
-    DomainError,
-    GeometryError,
     IdentityFailureError,
     InadmissibleCertificateError,
     NonconvergenceError,
-    PairingError,
     ResonanceError,
     StructuralModelError,
     UnsupportedModelError,
@@ -189,8 +189,7 @@ def _inadmissible(exc: InadmissibleCertificateError) -> tuple[int, dict]:
 
 
 def _tag_eigenvalues(model: SpectralModel, sol, dec) -> list:
-    scale = max(spectral_norm(sol.effective), 1.0)
-    real_band = max(10.0 * sol.a_posteriori_bound, 1e-9 * scale)
+    real_band = max(10.0 * sol.a_posteriori_bound, 1e-9 * dec.scale)
     rows = []
     for i in range(dec.count):
         lam = dec.eigenvalues[i]
@@ -300,15 +299,15 @@ def _verify_rows(config: RunConfig) -> list[dict]:
         return np.array(pts)
 
     zs = sample_points(20)
-    add("factorization", np.max(sp.factorize(model, base, sol, zs).residual), alg_tol)
+    add("factorization", np.max(sp.factorize(sol, zs).residual), alg_tol)
 
-    omega2 = sp.overlap_operator(model, fine, sol2, sol2_m)
+    omega2 = sp.overlap_operator(sol2, sol2_m)
     metric2_inv = np.linalg.inv(omega2.metric())
-    gamma = sp.enclosure_circles(model, sol)
-    m0 = sp.contour_moment(model, base, sol, sol_m, gamma, 0)
+    gamma = sp.enclosure_circles(sol)
+    m0 = sp.contour_moment(sol, sol_m, gamma, 0)
     add("resolvent-moment-0", spectral_norm(m0.matrix - metric2_inv), id_tol)
 
-    m1 = sp.contour_moment(model, base, sol, sol_m, gamma, 1)
+    m1 = sp.contour_moment(sol, sol_m, gamma, 1)
     h2_adj = sol2_m.effective.conj().T
     r1 = spectral_norm(m1.matrix - metric2_inv @ h2_adj)
     r2 = spectral_norm(m1.matrix - sol2.effective @ metric2_inv)
@@ -319,7 +318,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     dec2_m = sp.eigen_decompose(sol2_m.effective)
     res_max = 0.0
     for lam in dec.eigenvalues:
-        value = sp.transfer_residue(model, base, sol, dec, lam).matrix
+        value = sp.transfer_residue(sol, dec, lam).matrix
         j = int(np.argmin([abs(ev - np.conj(lam)) for ev in dec2_m.eigenvalues]))
         i2 = int(np.argmin([abs(ev - lam) for ev in dec2.eigenvalues]))
         p_adj = dec2_m.projections[j].conj().T
@@ -328,7 +327,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
         res_max = max(res_max, left, right)
     add("residue-projection-product", res_max, id_tol)
 
-    pn = sp.verify_projection_equations(model, fine, sol, dec)
+    pn = sp.verify_projection_equations(fine, sol, dec)
     add("projection-equations", pn.max_residual, id_tol)
 
     add("adjoint-symmetry",
@@ -339,11 +338,10 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     add("mirror-spectrum", float(np.max(np.abs(e_l - e_m))), alg_tol)
 
     try:
-        scale = max(spectral_norm(sol.effective), 1.0)
-        band = max(10.0 * sol.a_posteriori_bound, 1e-9 * scale)
+        band = max(10.0 * sol.a_posteriori_bound, 1e-9 * dec.scale)
         real_eigs = [ev.real for ev in dec.eigenvalues if abs(ev.imag) <= band]
         dec_m = sp.eigen_decompose(sol_m.effective)
-        gram = sp.riesz_gram(model, sol, sol_m, dec, dec_m, real_eigs)
+        gram = sp.riesz_gram(sol, sol_m, dec, dec_m, real_eigs)
         add("gram-identity", max(gram.gram_defect, gram.real_block_defect), id_tol)
     except UnsupportedModelError:
         add("gram-identity", 0.0, id_tol, skipped=True)
@@ -558,10 +556,6 @@ def main(argv=None) -> int:
     except IdentityFailureError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IDENTITY_FAILURE
-    except (StructuralModelError, UnsupportedModelError, DomainError,
-            GeometryError, ClusteringError, PairingError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG_ERROR
     except ResonanceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG_ERROR

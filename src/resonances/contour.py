@@ -163,14 +163,6 @@ class Piece:
             return (0.0 < im < depth) and (lo < z.real < hi)
         return False
 
-    def spec_signature(self) -> tuple:
-        s = self.spec
-        if isinstance(s, Semicircle):
-            return ("semicircle", s.center, s.radius)
-        if isinstance(s, Rectangle):
-            return ("rectangle", s.depth, s.extent)
-        return ("flat",)
-
 
 @dataclass(frozen=True, eq=False)
 class Contour:
@@ -191,7 +183,6 @@ class Contour:
     nodes: np.ndarray
     weights: np.ndarray
     diameter: float
-    intervals: tuple[tuple[float, float, float], ...]
     quad_points: np.ndarray = field(repr=False)
     quad_weights: np.ndarray = field(repr=False)
     quad_values: np.ndarray = field(repr=False)
@@ -226,9 +217,6 @@ class Contour:
         found += [s.distance_to(z) for piece in self.pieces for s in piece.sections]
         d = np.min(found, axis=0)
         return float(d) if d.ndim == 0 else d
-
-    def spec_signature(self) -> tuple:
-        return tuple(p.spec_signature() for p in self.pieces)
 
 
 def normalize_multi_index(l, m: int) -> tuple[int, ...]:
@@ -431,7 +419,6 @@ def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,
         nodes=nodes,
         weights=weights,
         diameter=diameter,
-        intervals=tuple((iv.lo, iv.hi, iv.strip) for iv in model.intervals),
         quad_points=quad_points,
         quad_weights=quad_weights,
         quad_values=quad_values,
@@ -467,10 +454,10 @@ def double_order(model: SpectralModel, contour: Contour) -> Contour:
 
 
 def is_mirror_pair(a: Contour, b: Contour) -> bool:
+    """Negated multi-indices and exactly conjugate integration data."""
     return (a.multi_index == tuple(-v for v in b.multi_index)
-            and a.spec_signature() == b.spec_signature()
-            and (a.panels, a.points) == (b.panels, b.points)
-            and a.intervals == b.intervals)
+            and np.array_equal(a.quad_points, np.conj(b.quad_points))
+            and np.array_equal(a.quad_weights, np.conj(b.quad_weights)))
 
 
 # ---------------------------------------------------------------------------

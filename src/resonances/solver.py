@@ -5,6 +5,9 @@ the shifted internal matrix. Under an admissible certificate F contracts
 every ball between the two certified radii, the iteration starts at zero,
 and the standard a-posteriori bound controls the distance to the true fixed
 point at termination.
+
+A ``Solution`` records the model, contour and certificate (computed once
+per solve) it was solved with, and the identities read them from it.
 """
 
 from __future__ import annotations
@@ -58,9 +61,12 @@ def adjoint_self_energy_of_operator(model: SpectralModel, contour: Contour,
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Fixed point of the contraction map with its diagnostics."""
+    """Fixed point of the contraction map with its diagnostics.
 
-    multi_index: tuple[int, ...]
+    Also records the model, contour and certificate it was solved with.
+    """
+
+    model: SpectralModel
     correction: np.ndarray          # X
     effective: np.ndarray           # internal matrix plus X
     iterations: int
@@ -70,6 +76,10 @@ class Solution:
     contour: Contour
     step_norms: tuple[float, ...]
     fixed_point_residual: float
+
+    @property
+    def multi_index(self) -> tuple[int, ...]:
+        return self.contour.multi_index
 
 
 def _iterate(model: SpectralModel, contour: Contour, q: float,
@@ -111,7 +121,7 @@ def _solution(model: SpectralModel, contour: Contour, cert: SolvabilityCertifica
               x: np.ndarray, steps: list[float], bound: float) -> Solution:
     residual = spectral_norm(x - self_energy_of_operator(model, contour, model.a1 + x))
     return Solution(
-        multi_index=contour.multi_index,
+        model=model,
         correction=x,
         effective=model.a1 + x,
         iterations=len(steps),
@@ -165,7 +175,7 @@ def refine_fixed_point(model: SpectralModel, contour: Contour, x0: np.ndarray,
     return _solution(model, contour, cert, x, steps, steps[-1])
 
 
-def contour_independence(model: SpectralModel, sol: Solution, other: Contour,
+def contour_independence(sol: Solution, other: Contour,
                          tol: float = DEFAULT_TOL,
                          max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Norm distance between the solution and an independent re-solve.
@@ -177,16 +187,18 @@ def contour_independence(model: SpectralModel, sol: Solution, other: Contour,
     equation up to quadrature agreement) and the difference is reported
     without claiming uniqueness there.
     """
-    if tuple(other.multi_index) != tuple(sol.multi_index):
+    if tuple(other.multi_index) != sol.multi_index:
         raise PairingError(
             f"multi-index mismatch: {other.multi_index} vs {sol.multi_index}")
-    cert = solvability_certificate(model, other)
-    if cert.admissible:
-        resolved = solve_fixed_point(model, other, tol, max_iter)
+    try:
+        resolved = solve_fixed_point(sol.model, other, tol, max_iter)
+    except InadmissibleCertificateError as exc:
+        cert = exc.certificate
+    else:
         return spectral_norm(resolved.correction - sol.correction)
     r0_estimate = sol.certificate.r_min + sol.a_posteriori_bound
     if cert.d0 > r0_estimate:
-        x, _ = _iterate(model, other, 0.0, tol, max_iter, None, stop_abs=tol,
+        x, _ = _iterate(sol.model, other, 0.0, tol, max_iter, None, stop_abs=tol,
                         x0=sol.correction)
         return spectral_norm(x - sol.correction)
     raise InadmissibleCertificateError(
@@ -194,8 +206,7 @@ def contour_independence(model: SpectralModel, sol: Solution, other: Contour,
               "certified solution radius")
 
 
-def adjoint_equation_residual(model: SpectralModel, sol_l: Solution,
-                              sol_minus_l: Solution) -> float:
+def adjoint_equation_residual(sol_l: Solution, sol_minus_l: Solution) -> float:
     """Residual of the adjoint fixed-point equation on the original contour.
 
     The adjoint of the mirror solution must solve the variant with the
@@ -204,7 +215,7 @@ def adjoint_equation_residual(model: SpectralModel, sol_l: Solution,
     """
     if not is_mirror_pair(sol_l.contour, sol_minus_l.contour):
         raise PairingError("solutions do not live on mirror contours")
+    model = sol_l.model
     x_adj = sol_minus_l.correction.conj().T
     rhs = adjoint_self_energy_of_operator(model, sol_l.contour, model.a1 + x_adj)
     return spectral_norm(x_adj - rhs)
-

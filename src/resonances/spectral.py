@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .contour import Contour, _quadrature, is_mirror_pair, solvability_certificate
+from .contour import Contour, _quadrature, is_mirror_pair
 from .errors import (
     ClusteringError,
     GeometryError,
@@ -105,7 +105,9 @@ class SpectralDecomposition:
 
     ``paths`` names, per cluster, how its projection was computed:
     ``"eigenvector"`` (outer product of eigenvector and dual row) or
-    ``"residue"`` (trapezoid residue of the resolvent).
+    ``"residue"`` (trapezoid residue of the resolvent). ``scale`` is
+    max(norm(h), 1) of the decomposed matrix h, and ``lookup_tol`` the
+    distance within which ``find`` matches an eigenvalue to a cluster.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -117,15 +119,17 @@ class SpectralDecomposition:
     projector_sum_defect: float
     nilpotent_margins: tuple[float, ...]
     paths: tuple[str, ...]
+    scale: float
+    lookup_tol: float
 
     @property
     def count(self) -> int:
         return len(self.eigenvalues)
 
-    def find(self, lam: complex, tol: float) -> int:
+    def find(self, lam: complex) -> int:
         dists = [abs(ev - lam) for ev in self.eigenvalues]
         i = int(np.argmin(dists))
-        if dists[i] > tol:
+        if dists[i] > self.lookup_tol:
             raise InconsistencyError(
                 f"eigenvalue {lam} not present in the decomposition "
                 f"(closest is {self.eigenvalues[i]} at distance {dists[i]:.3e})")
@@ -159,20 +163,27 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
     """Cluster the spectrum and compute its projections.
 
     Eigenvalues within ``cluster_tol`` of each other merge into one cluster
-    represented by its centroid. A cluster of one eigenvalue takes the
+    represented by its centroid; ``find`` then matches within
+    ``max(10 * cluster_tol, 1e-12)``, or ``1e-5 * max(norm(h1), 1)`` when no
+    ``cluster_tol`` is given. A cluster of one eigenvalue takes the
     projection v w^H, with v its column of the eigenvector matrix V and w^H
     the matching row of V^-1, while cond(V) is at most ``_EIGVEC_COND_MAX``.
     Any other projection is the residue of the resolvent on a circle of
     radius half the gap to the nearest other cluster. The nilpotent is the
     shifted matrix times the projection, and the pole order is the first
     power whose norm falls below the threshold
-    ``DEFAULT_NILPOTENT_TOL * max(norm(h1), 1)**k``.
+    ``DEFAULT_NILPOTENT_TOL * max(norm(h1), 1)**k``. A cluster of algebraic
+    multiplicity one has nilpotent 0 and pole order 1 without either test.
     """
     h1 = np.asarray(h1, dtype=complex)
     n = h1.shape[0]
-    scale = max(spectral_norm(h1), 1e-300)
+    norm = spectral_norm(h1)
+    scale = max(norm, 1.0)
     if cluster_tol is None:
-        cluster_tol = 1e-7 * scale
+        cluster_tol = 1e-7 * max(norm, 1e-300)
+        lookup_tol = 1e-5 * scale
+    else:
+        lookup_tol = max(10.0 * cluster_tol, 1e-12)
     eigs, vecs = np.linalg.eig(h1)
     groups = _cluster(eigs, cluster_tol)
     centroids = [complex(np.mean(eigs[g])) for g in groups]
@@ -198,7 +209,6 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
     geometric = []
     pole_orders = []
     margins = []
-    power_scale = max(scale, 1.0)
     for j, lam in enumerate(centroids):
         offset = eigs - lam
         dist = np.hypot(offset.real, offset.imag)
@@ -213,14 +223,14 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
             # between the cluster spread and the nearest foreign eigenvalue
             radius = 0.5 * (spread + gap)
         else:
-            radius = spread + 0.1 * (1.0 + scale)
+            radius = spread + 0.1 * (1.0 + norm)
         if duals is not None and len(groups[j]) == 1:
             k = groups[j][0]
             p = np.outer(vecs[:, k], duals[k])
             paths.append("eigenvector")
         else:
             p, _, _ = _trapezoid_residue(partial(_resolvents, h1), (Circle(lam, radius),),
-                                         atol=1e-13 * (1.0 + scale))
+                                         atol=1e-13 * (1.0 + norm))
             paths.append("residue")
         m_raw = float(np.trace(p).real)
         m = int(round(m_raw))
@@ -228,22 +238,25 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
             raise ClusteringError(
                 f"projection trace {m_raw:.6f} is not close to an integer; "
                 "residue circle geometry is unreliable")
-        nil = (h1 - lam * eye) @ p
-        sv = np.linalg.svd(nil, compute_uv=False)
-        rank = int(np.sum(sv > DEFAULT_NILPOTENT_TOL * power_scale))
-        order = m
-        margin = 0.0
-        power = nil.copy()
-        for k in range(1, m + 1):
-            norm_k = spectral_norm(power)
-            thresh = DEFAULT_NILPOTENT_TOL * power_scale ** k
-            if norm_k <= thresh:
-                order = k
-                margin = norm_k / thresh
-                break
-            power = power @ nil
+        if m == 1:
+            nil, rank, order, margin = np.zeros((n, n), dtype=complex), 0, 1, 0.0
         else:
-            margin = spectral_norm(power) / (DEFAULT_NILPOTENT_TOL * power_scale ** (m + 1))
+            nil = (h1 - lam * eye) @ p
+            sv = np.linalg.svd(nil, compute_uv=False)
+            rank = int(np.sum(sv > DEFAULT_NILPOTENT_TOL * scale))
+            order = m
+            margin = 0.0
+            power = nil.copy()
+            for k in range(1, m + 1):
+                norm_k = spectral_norm(power)
+                thresh = DEFAULT_NILPOTENT_TOL * scale ** k
+                if norm_k <= thresh:
+                    order = k
+                    margin = norm_k / thresh
+                    break
+                power = power @ nil
+            else:
+                margin = spectral_norm(power) / (DEFAULT_NILPOTENT_TOL * scale ** (m + 1))
         projections.append(p)
         nilpotents.append(nil if order > 1 else np.zeros_like(nil))
         algebraic.append(m)
@@ -263,6 +276,8 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
         projector_sum_defect=defect,
         nilpotent_margins=tuple(margins),
         paths=tuple(paths),
+        scale=scale,
+        lookup_tol=lookup_tol,
     )
 
 
@@ -276,8 +291,7 @@ class Factorization:
     residual: float | np.ndarray
 
 
-def factorize(model: SpectralModel, contour: Contour, sol: Solution,
-              z: complex | np.ndarray) -> Factorization:
+def factorize(sol: Solution, z: complex | np.ndarray) -> Factorization:
     """Left factor of the transfer function at z and the factorization defect.
 
     The left factor is the identity minus the coupling data integrated
@@ -289,7 +303,7 @@ def factorize(model: SpectralModel, contour: Contour, sol: Solution,
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
-    h = sol.effective
+    model, contour, h = sol.model, sol.contour, sol.effective
     eye = np.eye(model.dim)
     points, weights, values = _quadrature(model, contour)
     inv = _resolvents(h, points)
@@ -326,24 +340,23 @@ class OverlapOperator:
         return np.eye(self.matrix.shape[0]) + self.matrix
 
 
-def overlap_operator(model: SpectralModel, contour: Contour, sol_l: Solution,
-                     sol_minus_l: Solution) -> OverlapOperator:
+def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
     """Integral of mirror-adjoint resolvent, coupling data, and resolvent.
 
-    Computed over the discrete remainder plus the given contour. The norm
-    must stay below the certified bound (variation over the squared half
-    separation); a violation beyond one percent slack raises, since it
-    signals a bad certificate or quadrature.
+    Computed over the discrete remainder plus the contour of ``sol_l``,
+    which must be the mirror of the contour of ``sol_minus_l``. The norm
+    must stay below the certified bound, the variation over the squared
+    half separation of the certificate ``sol_l`` was solved with; a
+    violation beyond one percent slack raises, since it signals a bad
+    certificate or quadrature.
     """
     if not is_mirror_pair(sol_l.contour, sol_minus_l.contour):
         raise PairingError("solutions do not live on mirror contours")
-    if tuple(contour.multi_index) != tuple(sol_l.multi_index):
-        raise PairingError("contour multi-index does not match the solution")
-    points, weights, values = _quadrature(model, contour)
+    points, weights, values = _quadrature(sol_l.model, sol_l.contour)
     left_inv = _resolvents(sol_minus_l.effective.conj().T, points)
     right_inv = _resolvents(sol_l.effective, points)
     out = _weighted_sum(weights, left_inv @ values, right_inv)
-    cert = solvability_certificate(model, contour)
+    cert = sol_l.certificate
     bound = cert.v0 / (cert.d0 / 2.0) ** 2 if cert.d0 > 0 else math.inf
     norm = spectral_norm(out)
     if norm >= bound * 1.01 + 1e-300:
@@ -411,7 +424,7 @@ def _minv_batch(model: SpectralModel, contour: Contour, scale: float):
     return f
 
 
-def enclosure_circles(model: SpectralModel, sol: Solution) -> tuple[Circle, ...]:
+def enclosure_circles(sol: Solution) -> tuple[Circle, ...]:
     """Circles around the effective spectrum, padded by the separation.
 
     Groups eigenvalues closer than the separation distance and wraps each
@@ -431,25 +444,26 @@ def enclosure_circles(model: SpectralModel, sol: Solution) -> tuple[Circle, ...]
     return tuple(circles)
 
 
-def contour_moment(model: SpectralModel, contour: Contour, sol_l: Solution,
-                   sol_minus_l: Solution, gamma, moment: int = 0) -> MomentResult:
+def contour_moment(sol_l: Solution, sol_minus_l: Solution, gamma,
+                   moment: int = 0) -> MomentResult:
     """Residue-style moment of the inverse transfer function.
 
-    Moment 0 integrates the inverse transfer function around the whole
-    effective spectrum; moment 1 weights the integrand by z. The circles
-    must enclose every effective eigenvalue exactly once, avoid the contour
-    and the discrete remainder, and the trapezoidal rule is doubled until
-    stable.
+    Moment 0 integrates the inverse transfer function on the contour of
+    ``sol_l`` around the whole effective spectrum; moment 1 weights the
+    integrand by z. The circles must enclose every effective eigenvalue of
+    both solutions exactly once, avoid the contour and the discrete
+    remainder, and the trapezoidal rule is doubled until stable.
     """
     if moment not in (0, 1):
         raise GeometryError("moment must be 0 or 1")
+    contour = sol_l.contour
     circles = _as_circles(gamma)
     eigs = np.linalg.eigvals(sol_l.effective)
     eigs_m = np.conj(np.linalg.eigvals(sol_minus_l.effective))
     _check_circle_geometry(contour, circles, np.concatenate([eigs, eigs_m]))
     scale = max(spectral_norm(sol_l.effective), 1.0)
     value, delta, pts = _trapezoid_residue(
-        _minv_batch(model, contour, scale), circles, moment,
+        _minv_batch(sol_l.model, contour, scale), circles, moment,
         atol=1e-13 * (1.0 + scale))
     return MomentResult(value, delta, pts, circles)
 
@@ -478,15 +492,11 @@ class ResidueResult(TransferResidue):
     residual_vs_projection: float
 
 
-def _find_tol(scale: float, cluster_tol: float | None) -> float:
-    return 1e-5 * scale if cluster_tol is None else max(10.0 * cluster_tol, 1e-12)
-
-
-def transfer_residue(model: SpectralModel, contour: Contour, sol_l: Solution,
-                     dec_l: SpectralDecomposition, lam: complex,
-                     cluster_tol: float | None = None) -> TransferResidue:
+def transfer_residue(sol_l: Solution, dec_l: SpectralDecomposition,
+                     lam: complex) -> TransferResidue:
     """Raw residue of the inverse transfer function around one eigenvalue.
 
+    The transfer function is the one on the contour of ``sol_l``, and
     ``dec_l`` is the decomposition of ``sol_l.effective``. At an eigenvalue
     of algebraic multiplicity one the residue follows from Keldysh's theorem:
     with u and v the left and right singular vectors of T(lam) for its
@@ -497,9 +507,8 @@ def transfer_residue(model: SpectralModel, contour: Contour, sol_l: Solution,
     contour by the guard band; that circle is checked and reported on both
     paths.
     """
-    lam = complex(lam)
-    scale = max(spectral_norm(sol_l.effective), 1.0)
-    i = dec_l.find(lam, _find_tol(scale, cluster_tol))
+    model, contour, scale = sol_l.model, sol_l.contour, dec_l.scale
+    i = dec_l.find(complex(lam))
     lam_i = dec_l.eigenvalues[i]
 
     gap = min((abs(lam_i - ev) for k2, ev in enumerate(dec_l.eigenvalues) if k2 != i),
@@ -524,10 +533,9 @@ def transfer_residue(model: SpectralModel, contour: Contour, sol_l: Solution,
     return TransferResidue(value, circle, delta, None)
 
 
-def residue_at(model: SpectralModel, contour: Contour, sol_l: Solution,
-               sol_minus_l: Solution, dec_l: SpectralDecomposition,
-               dec_m: SpectralDecomposition, lam: complex,
-               cluster_tol: float | None = None) -> ResidueResult:
+def residue_at(sol_l: Solution, sol_minus_l: Solution,
+               dec_l: SpectralDecomposition, dec_m: SpectralDecomposition,
+               lam: complex) -> ResidueResult:
     """Residue of the inverse transfer function at one isolated eigenvalue.
 
     ``dec_l`` and ``dec_m`` are the decompositions of the two effective
@@ -536,12 +544,11 @@ def residue_at(model: SpectralModel, contour: Contour, sol_l: Solution,
     and of the adjoint mirror operator through the overlap metric.
     """
     lam = complex(lam)
-    tol_find = _find_tol(max(spectral_norm(sol_l.effective), 1.0), cluster_tol)
-    i = dec_l.find(lam, tol_find)
-    j = dec_m.find(np.conj(lam), tol_find)
-    res = transfer_residue(model, contour, sol_l, dec_l, lam, cluster_tol)
+    i = dec_l.find(lam)
+    j = dec_m.find(np.conj(lam))
+    res = transfer_residue(sol_l, dec_l, lam)
 
-    om = overlap_operator(model, sol_l.contour, sol_l, sol_minus_l)
+    om = overlap_operator(sol_l, sol_minus_l)
     metric_inv = np.linalg.inv(om.metric())
     p_l = dec_l.projections[i]
     p_m_adj = dec_m.projections[j].conj().T
@@ -588,12 +595,12 @@ class ProjectionReport:
         return out
 
 
-def verify_projection_equations(model: SpectralModel, contour: Contour,
-                                sol: Solution,
+def verify_projection_equations(contour: Contour, sol: Solution,
                                 dec: SpectralDecomposition) -> ProjectionReport:
     """Residuals of the projection and nilpotent equations for every cluster.
 
-    Each cluster is checked against the identity expressing the transfer
+    The equations are evaluated on ``contour``, which ``verify`` takes at
+    twice the order of the contour of ``sol``. Each cluster is checked against the identity expressing the transfer
     function times the projection through the nilpotent and the self-energy
     derivatives, plus the shifted variants obtained by multiplying with
     nilpotent powers. The decomposition is also reconstructed into a matrix
@@ -601,6 +608,7 @@ def verify_projection_equations(model: SpectralModel, contour: Contour,
     that makes the reconstruction unique.
     """
     rows = []
+    model = sol.model
     n = model.dim
     recon = np.zeros((n, n), dtype=complex)
     for i in range(dec.count):
@@ -663,9 +671,9 @@ def _range_basis(p: np.ndarray, m: int) -> np.ndarray:
     return u[:, :m]
 
 
-def riesz_gram(model: SpectralModel, sol_l: Solution, sol_minus_l: Solution,
+def riesz_gram(sol_l: Solution, sol_minus_l: Solution,
                dec_l: SpectralDecomposition, dec_m: SpectralDecomposition,
-               real_eigs=(), cluster_tol: float | None = None) -> GramResult:
+               real_eigs=()) -> GramResult:
     """Binormalized Gram matrix of the eigenvector systems under the metric.
 
     Eigenvector bases of the two mirror solutions are paired by conjugate
@@ -680,12 +688,11 @@ def riesz_gram(model: SpectralModel, sol_l: Solution, sol_minus_l: Solution,
     if any(o != 1 for o in dec_l.pole_orders):
         raise UnsupportedModelError(
             "gram construction requires a semisimple spectrum")
-    tol_find = _find_tol(max(spectral_norm(sol_l.effective), 1.0), cluster_tol)
     for lam in real_eigs:
-        dec_l.find(complex(lam), tol_find)
-        dec_m.find(complex(np.conj(lam)), tol_find)
+        dec_l.find(complex(lam))
+        dec_m.find(complex(np.conj(lam)))
 
-    om = overlap_operator(model, sol_l.contour, sol_l, sol_minus_l)
+    om = overlap_operator(sol_l, sol_minus_l)
     metric = om.metric()
 
     real_set = [complex(v) for v in real_eigs]
@@ -697,7 +704,7 @@ def riesz_gram(model: SpectralModel, sol_l: Solution, sol_minus_l: Solution,
     real_labels = []
     for i in range(dec_l.count):
         lam = dec_l.eigenvalues[i]
-        j = dec_m.find(np.conj(lam), tol_find)
+        j = dec_m.find(np.conj(lam))
         m_i = dec_l.algebraic[i]
         if dec_m.algebraic[j] != m_i:
             raise InconsistencyError(
@@ -705,7 +712,7 @@ def riesz_gram(model: SpectralModel, sol_l: Solution, sol_minus_l: Solution,
                 f"{m_i} vs {dec_m.algebraic[j]}")
         psi_l = _range_basis(dec_l.projections[i], m_i)
         psi_m = _range_basis(dec_m.projections[j], m_i)
-        is_real = any(abs(lam - v) <= tol_find for v in real_set)
+        is_real = any(abs(lam - v) <= dec_l.lookup_tol for v in real_set)
         if is_real:
             b = psi_l.conj().T @ metric @ psi_l
             bh = 0.5 * (b + b.conj().T)

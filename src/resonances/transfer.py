@@ -80,10 +80,6 @@ class TransferEvaluation:
     sheet_tag: tuple[int, ...] | str
     location: str
 
-    @property
-    def reliable(self) -> bool:
-        return self.location != LOCATION_GUARD_BAND
-
 
 def transfer(model: SpectralModel, contour: Contour, z: complex) -> TransferEvaluation:
     """Evaluate the continued transfer function and classify the point.

@@ -96,7 +96,7 @@ def test_criterion_3_factorization(poly4_model):
                 2j * math.pi * rng.random())
             if c.distance(z) < 1e-3:
                 continue
-            f = rs.factorize(model, c, sol, z)
+            f = rs.factorize(sol, z)
             ok = ok and f.residual <= 1e-8
             ok = ok and rs.spectral_norm(np.linalg.inv(f.left_factor)) <= bound * 1.1
             count += 1
@@ -108,12 +108,12 @@ def test_criterion_4_contour_identities(poly4_model):
     ok = True
     for model in (rs.friedrichs_model(1.0, beta_sq=BETA_SQ_STD), poly4_model):
         c, sol, sol_m = solve_pair(model, rs.Semicircle(), [1])
-        om = rs.overlap_operator(model, c, sol, sol_m)
+        om = rs.overlap_operator(sol, sol_m)
         metric_inv = np.linalg.inv(om.metric())
-        gamma = rs.enclosure_circles(model, sol)
-        m0 = rs.contour_moment(model, c, sol, sol_m, gamma, 0)
+        gamma = rs.enclosure_circles(sol)
+        m0 = rs.contour_moment(sol, sol_m, gamma, 0)
         ok = ok and rs.spectral_norm(m0.matrix - metric_inv) <= 1e-6
-        m1 = rs.contour_moment(model, c, sol, sol_m, gamma, 1)
+        m1 = rs.contour_moment(sol, sol_m, gamma, 1)
         ok = ok and rs.spectral_norm(
             m1.matrix - metric_inv @ sol_m.effective.conj().T) <= 1e-6
         ok = ok and rs.spectral_norm(
@@ -124,7 +124,7 @@ def test_criterion_4_contour_identities(poly4_model):
         dec = rs.eigen_decompose(sol.effective)
         dec_m = rs.eigen_decompose(sol_m.effective)
         for lam in dec.eigenvalues:
-            res = rs.residue_at(model, c, sol, sol_m, dec, dec_m, lam)
+            res = rs.residue_at(sol, sol_m, dec, dec_m, lam)
             ok = ok and res.residual_vs_adjoint_projection <= 1e-6
             ok = ok and res.residual_vs_projection <= 1e-6
     elapsed = time.perf_counter() - t0
@@ -156,7 +156,7 @@ def test_criterion_5_symmetry_suite(m2_model, n3_bound_model):
     sol1 = rs.solve_fixed_point(n3_bound_model, c1)
     c2 = rs.build_contour(n3_bound_model, rs.Rectangle(depth=0.5), [1])
     ok = ok and rs.solvability_certificate(n3_bound_model, c2).admissible
-    ok = ok and rs.contour_independence(n3_bound_model, sol1, c2) <= 1e-8
+    ok = ok and rs.contour_independence(sol1, c2) <= 1e-8
     report(5, "symmetry and invariance", ok)
 
 
@@ -167,14 +167,14 @@ def test_criterion_6_zero_coupling_suite(zero_model):
     z = 0.4 - 0.7j
     ev = rs.transfer(zero_model, c, z)
     ok = ok and rs.spectral_norm(ev.matrix - (zero_model.a1 - z * np.eye(2))) == 0.0
-    f = rs.factorize(zero_model, c, sol, 0.55 + 0.2j)
+    f = rs.factorize(sol, 0.55 + 0.2j)
     ok = ok and f.residual <= 1e-14
-    om = rs.overlap_operator(zero_model, c, sol, sol_m)
+    om = rs.overlap_operator(sol, sol_m)
     ok = ok and rs.spectral_norm(om.matrix) == 0.0
     dec = rs.eigen_decompose(sol.effective)
-    rep = rs.verify_projection_equations(zero_model, c, sol, dec)
+    rep = rs.verify_projection_equations(c, sol, dec)
     ok = ok and rep.max_residual <= 1e-12
-    g = rs.riesz_gram(zero_model, sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
+    g = rs.riesz_gram(sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
                       real_eigs=[0.3, 0.7])
     ok = ok and g.gram_defect <= 1e-12 and g.real_block_defect <= 1e-12
     report(6, "zero-coupling suite", ok)
@@ -207,7 +207,7 @@ def test_criterion_8_riesz_gram_and_defective(n3_bound_model, defective4):
     c, sol, sol_m = solve_pair(n3_bound_model, rs.Semicircle(), [1])
     dec = rs.eigen_decompose(sol.effective)
     real = [ev.real for ev in dec.eigenvalues if abs(ev.imag) <= 1e-9]
-    g = rs.riesz_gram(n3_bound_model, sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
+    g = rs.riesz_gram(sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
                       real_eigs=real)
     ok = ok and g.gram.shape == (3, 3)
     ok = ok and g.gram_defect <= 1e-6 and g.real_block_defect <= 1e-6
@@ -217,7 +217,7 @@ def test_criterion_8_riesz_gram_and_defective(n3_bound_model, defective4):
     dec_d = rs.eigen_decompose(sol_d.effective, cluster_tol=1e-4)
     ok = ok and sorted(zip(dec_d.algebraic, dec_d.geometric, dec_d.pole_orders)) == [
         (1, 1, 1), (1, 1, 1), (2, 1, 2)]
-    rep = rs.verify_projection_equations(model, contour, sol_d, dec_d)
+    rep = rs.verify_projection_equations(contour, sol_d, dec_d)
     ok = ok and rep.max_residual <= 1e-6
     for row in rep.rows:
         ok = ok and row.projection_residual <= 1e-6

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,13 @@ def write_config(tmp_path, name, command, model, contour=None, **extra):
 
 
 SEMI = {"shape": "semicircle", "l": [1], "panels": 6, "points": 16}
+
+
+def child_env() -> dict:
+    """Environment in which a child interpreter imports the package under test."""
+    src = str(Path(rs.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="module")
@@ -72,21 +81,32 @@ def test_solve_inadmissible_exit_2(tmp_path):
 
 
 def test_verify_passes(tmp_path, std_model, monkeypatch):
-    from resonances import spectral
+    from resonances import contour, solver, spectral
 
     decompose = spectral.eigen_decompose
+    certify = contour.solvability_certificate
     decomposed = []
+    certified = []
 
     def counting(h1, *args, **kwargs):
         decomposed.append(h1)
         return decompose(h1, *args, **kwargs)
 
+    def counting_certificate(model, c):
+        certified.append(c)
+        return certify(model, c)
+
     monkeypatch.setattr(spectral, "eigen_decompose", counting)
+    for module in (contour, solver, spectral):
+        if getattr(module, "solvability_certificate", None) is certify:
+            monkeypatch.setattr(module, "solvability_certificate", counting_certificate)
     cfg = write_config(tmp_path, "verify", "verify", std_model, SEMI)
     out = tmp_path / "verify_out.json"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    # one decomposition per solution: base, its mirror, and the two fine ones
+    # one decomposition and one certificate per solution: base, its mirror,
+    # and the two fine ones
     assert len(decomposed) == 4
+    assert len(certified) == 4
     art = json.loads(out.read_text())
     assert art["all_pass"] is True
     names = {r["name"] for r in art["identities"]}
@@ -219,7 +239,7 @@ def test_cli_import_loads_no_scipy():
 
     code = "import sys, resonances.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
+                          check=True, env=child_env())
     assert proc.stdout.strip() == "False"
 
 
@@ -230,7 +250,7 @@ def test_console_entry_point_runs(tmp_path, std_model):
     cfg = write_config(tmp_path, "entry", "solve", std_model, SEMI)
     proc = subprocess.run(
         [sys.executable, "-m", "resonances.cli", "solve", "--config", cfg],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     art = json.loads(proc.stdout)
     assert art["status"] == "ok"

@@ -206,6 +206,17 @@ def test_mirror_nodes_exactly_conjugate(m2_model):
     assert np.array_equal(cm.weights, np.conj(c.weights))
 
 
+def test_mirror_pair_by_integration_data(friedrichs_std):
+    # pairing reads the integration data, not how the curve was specified
+    c = build_contour(friedrichs_std, Semicircle(), [1])
+    explicit = build_contour(friedrichs_std, Semicircle(center=1.0, radius=1.0), [1])
+    assert is_mirror_pair(c, mirrored(friedrichs_std, explicit))
+    assert not is_mirror_pair(c, double_order(friedrichs_std, mirrored(friedrichs_std, c)))
+    extra = SpectralModel(friedrichs_std.a1, friedrichs_std.intervals,
+                          [(3.0, np.array([[0.01]]))], friedrichs_std.coupling)
+    assert not is_mirror_pair(c, build_contour(extra, Semicircle(), [-1]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-3.0, 5.0), st.floats(-3.0, 3.0))
 def test_exact_section_distances_match_dense_sampling(x, y):

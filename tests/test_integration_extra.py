@@ -29,16 +29,16 @@ def test_discrete_remainder_full_identity_flow(discrete_model):
     assert cert.admissible
     sol = rs.solve_fixed_point(model, c)
     sol_m = rs.solve_fixed_point(model, rs.mirrored(model, c))
-    om = rs.overlap_operator(model, c, sol, sol_m)
+    om = rs.overlap_operator(sol, sol_m)
     assert om.norm < om.norm_bound_check
-    gamma = rs.enclosure_circles(model, sol)
-    m0 = rs.contour_moment(model, c, sol, sol_m, gamma, 0)
+    gamma = rs.enclosure_circles(sol)
+    m0 = rs.contour_moment(sol, sol_m, gamma, 0)
     assert rs.spectral_norm(m0.matrix - np.linalg.inv(om.metric())) <= 1e-6
     dec = rs.eigen_decompose(sol.effective)
-    res = rs.residue_at(model, c, sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
+    res = rs.residue_at(sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
                         dec.eigenvalues[0])
     assert res.residual_vs_adjoint_projection <= 1e-6
-    f = rs.factorize(model, c, sol, 0.5 + 0.1j)
+    f = rs.factorize(sol, 0.5 + 0.1j)
     assert f.residual <= 1e-8
 
 
@@ -48,7 +48,7 @@ def test_discrete_point_inside_gamma_rejected(discrete_model):
     sol = rs.solve_fixed_point(model, c)
     sol_m = rs.solve_fixed_point(model, rs.mirrored(model, c))
     with pytest.raises(rs.GeometryError):
-        rs.contour_moment(model, c, sol, sol_m, rs.Circle(-1.0 + 0.0j, 1.5), 0)
+        rs.contour_moment(sol, sol_m, rs.Circle(-1.0 + 0.0j, 1.5), 0)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def test_unbounded_interval_end_to_end(unbounded_model):
     # independent contour (deeper rectangle) gives the same correction
     c2 = rs.build_contour(model, rs.Rectangle(depth=0.2), [1], quad_tol=1e-8)
     if rs.solvability_certificate(model, c2).admissible:
-        assert rs.contour_independence(model, sol, c2) <= 1e-7
+        assert rs.contour_independence(sol, c2) <= 1e-7
 
 
 def test_contour_spec_from_json(m2_model):

@@ -96,7 +96,7 @@ def test_adjoint_equation_residual(poly4_model):
     c = build_contour(poly4_model, Semicircle(), [1])
     sol = solve_fixed_point(poly4_model, c)
     sol_m = solve_fixed_point(poly4_model, mirrored(poly4_model, c))
-    assert adjoint_equation_residual(poly4_model, sol, sol_m) <= 2.0 * 1e-10
+    assert adjoint_equation_residual(sol, sol_m) <= 2.0 * 1e-10
 
 
 def test_inadmissible_refusal():
@@ -199,7 +199,7 @@ def test_contour_independence_admissible_shapes():
     sol = solve_fixed_point(model, c1)
     c2 = build_contour(model, Semicircle(radius=0.6), [1])
     assert solvability_certificate(model, c2).admissible
-    assert contour_independence(model, sol, c2) <= 1e-8
+    assert contour_independence(sol, c2) <= 1e-8
 
 
 def test_contour_independence_rectangle(n3_bound_model):
@@ -207,14 +207,14 @@ def test_contour_independence_rectangle(n3_bound_model):
     sol = solve_fixed_point(n3_bound_model, c1)
     c2 = build_contour(n3_bound_model, Rectangle(depth=0.5), [1])
     assert solvability_certificate(n3_bound_model, c2).admissible
-    assert contour_independence(n3_bound_model, sol, c2) <= 1e-8
+    assert contour_independence(sol, c2) <= 1e-8
 
 
 def test_contour_independence_zero_coupling(zero_model):
     c1 = build_contour(zero_model, Semicircle(), [1])
     sol = solve_fixed_point(zero_model, c1)
     c2 = build_contour(zero_model, Rectangle(depth=0.5), [1])
-    assert contour_independence(zero_model, sol, c2) == 0.0
+    assert contour_independence(sol, c2) == 0.0
 
 
 def test_contour_independence_separated_only(friedrichs_std):
@@ -225,7 +225,7 @@ def test_contour_independence_separated_only(friedrichs_std):
     cert2 = solvability_certificate(friedrichs_std, c2)
     assert not cert2.admissible
     assert cert2.d0 > sol.certificate.r_min + sol.a_posteriori_bound
-    assert contour_independence(friedrichs_std, sol, c2) <= 1e-8
+    assert contour_independence(sol, c2) <= 1e-8
 
 
 def test_contour_independence_pairing_error(friedrichs_std):
@@ -233,7 +233,7 @@ def test_contour_independence_pairing_error(friedrichs_std):
     sol = solve_fixed_point(friedrichs_std, c1)
     c2 = build_contour(friedrichs_std, Flat(), [-1])
     with pytest.raises(PairingError):
-        contour_independence(friedrichs_std, sol, c2)
+        contour_independence(sol, c2)
 
 
 def test_refine_fixed_point_accepts_exact_solution(poly4_model):

@@ -90,7 +90,12 @@ def test_decompose_similarity_six():
     assert dec.algebraic[i1] == 3 and dec.geometric[i1] == 1 and dec.pole_orders[i1] == 3
     assert dec.algebraic[i2] == 2 and dec.geometric[i2] == 1 and dec.pole_orders[i2] == 2
     assert dec.algebraic[i4] == 1 and dec.pole_orders[i4] == 1
+    assert dec.nilpotent_margins[i4] == 0.0
     assert dec.projector_sum_defect <= 1e-9
+    # cluster_tol=1e-4 gives find a lookup tolerance of 1e-3
+    assert dec.find(dec.eigenvalues[i4] + 5e-4) == i4
+    with pytest.raises(InconsistencyError):
+        dec.find(dec.eigenvalues[i4] + 2e-3)
     # projection algebra
     for a in range(3):
         for b in range(3):
@@ -195,7 +200,7 @@ def test_trapezoid_residue_evaluates_each_point_once():
 def test_factorize_zero_coupling(zero_model):
     c = build_contour(zero_model, Semicircle(), [1])
     sol = solve_fixed_point(zero_model, c)
-    f = factorize(zero_model, c, sol, 0.45 + 0.21j)
+    f = factorize(sol, 0.45 + 0.21j)
     assert spectral_norm(f.left_factor - np.eye(2)) == 0.0
     assert f.residual <= 1e-14
 
@@ -215,14 +220,14 @@ def test_factorize_random_points(friedrichs_std, poly4_model):
             z = lam + (cert.d0 / 2.0) * rng.random() * np.exp(2j * math.pi * rng.random())
             if c.distance(z) < 1e-3:
                 continue
-            f = factorize(model, c, sol, z)
+            f = factorize(sol, z)
             assert f.residual <= 1e-8
             assert spectral_norm(np.linalg.inv(f.left_factor)) <= bound * 1.1
             zs.append(z)
             single.append(f)
             count += 1
         # one call over all points, in a 2-d shape, equals the stacked scalar calls
-        grid = factorize(model, c, sol, np.reshape(zs, (10, 10)))
+        grid = factorize(sol, np.reshape(zs, (10, 10)))
         n = model.dim
         assert grid.left_factor.shape == (10, 10, n, n)
         assert grid.residual.shape == (10, 10)
@@ -243,8 +248,8 @@ def test_factorize_adjoint_identity(poly4_model):
         z = complex(rng.uniform(0.5, 3.5), rng.uniform(-1.6, 1.6))
         if min(c.distance(z), cm.distance(z)) < 0.1:
             continue
-        w = factorize(poly4_model, c, sol, z).left_factor
-        w_adj = factorize(poly4_model, cm, sol_m, np.conj(z)).left_factor.conj().T
+        w = factorize(sol, z).left_factor
+        w_adj = factorize(sol_m, np.conj(z)).left_factor.conj().T
         left = w @ (sol.effective - z * eye)
         right = (sol_m.effective.conj().T - z * eye) @ w_adj
         assert spectral_norm(left - right) <= 1e-9
@@ -256,13 +261,13 @@ def test_factorize_adjoint_identity(poly4_model):
 
 def test_overlap_zero_coupling(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
-    om = overlap_operator(zero_model, c, sol, sol_m)
+    om = overlap_operator(sol, sol_m)
     assert spectral_norm(om.matrix) == 0.0
 
 
 def test_overlap_norm_bound(friedrichs_std):
     c, sol, sol_m = solve_pair(friedrichs_std, Semicircle(), [1])
-    om = overlap_operator(friedrichs_std, c, sol, sol_m)
+    om = overlap_operator(sol, sol_m)
     cert = sol.certificate
     assert om.norm < cert.v0 / (cert.d0 / 2.0) ** 2 < 1.0
     assert om.norm_bound_check == cert.v0 / (cert.d0 / 2.0) ** 2
@@ -270,14 +275,14 @@ def test_overlap_norm_bound(friedrichs_std):
 
 def test_overlap_adjoint_mirror(poly4_model):
     c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
-    om_l = overlap_operator(poly4_model, c, sol, sol_m)
-    om_ml = overlap_operator(poly4_model, sol_m.contour, sol_m, sol)
+    om_l = overlap_operator(sol, sol_m)
+    om_ml = overlap_operator(sol_m, sol)
     assert spectral_norm(om_l.matrix.conj().T - om_ml.matrix) <= 1e-10
 
 
 def test_overlap_positive_on_real_eigenvectors(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
-    om = overlap_operator(n3_bound_model, c, sol, sol_m)
+    om = overlap_operator(sol, sol_m)
     dec = eigen_decompose(sol.effective)
     i = [k for k, ev in enumerate(dec.eigenvalues) if abs(ev.imag) < 1e-9][0]
     u, s, _ = np.linalg.svd(dec.projections[i])
@@ -294,21 +299,21 @@ def test_overlap_positive_on_real_eigenvectors(n3_bound_model):
 def test_moments_zero_coupling(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
     gamma = Circle(0.5 + 0.0j, 0.35)
-    m0 = contour_moment(zero_model, c, sol, sol_m, gamma, 0)
-    m1 = contour_moment(zero_model, c, sol, sol_m, gamma, 1)
+    m0 = contour_moment(sol, sol_m, gamma, 0)
+    m1 = contour_moment(sol, sol_m, gamma, 1)
     assert spectral_norm(m0.matrix - np.eye(2)) <= 1e-12
     assert spectral_norm(m1.matrix - zero_model.a1) <= 1e-12
 
 
 def test_moment_identities(poly4_model):
     c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
-    om = overlap_operator(poly4_model, c, sol, sol_m)
+    om = overlap_operator(sol, sol_m)
     metric_inv = np.linalg.inv(om.metric())
-    gamma = enclosure_circles(poly4_model, sol)
-    m0 = contour_moment(poly4_model, c, sol, sol_m, gamma, 0)
+    gamma = enclosure_circles(sol)
+    m0 = contour_moment(sol, sol_m, gamma, 0)
     assert spectral_norm(m0.matrix - metric_inv) <= 1e-6
     assert m0.delta <= 1e-2 * max(spectral_norm(m0.matrix), 1.0)
-    m1 = contour_moment(poly4_model, c, sol, sol_m, gamma, 1)
+    m1 = contour_moment(sol, sol_m, gamma, 1)
     r_adj = spectral_norm(m1.matrix - metric_inv @ sol_m.effective.conj().T)
     r_eff = spectral_norm(m1.matrix - sol.effective @ metric_inv)
     assert max(r_adj, r_eff) <= 1e-6
@@ -318,10 +323,10 @@ def test_moment_geometry_errors(poly4_model):
     c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
     with pytest.raises(GeometryError):
         # circle crosses the deformation contour
-        contour_moment(poly4_model, c, sol, sol_m, Circle(2.0 + 0.0j, 2.5), 0)
+        contour_moment(sol, sol_m, Circle(2.0 + 0.0j, 2.5), 0)
     with pytest.raises(GeometryError):
         # circle too small: excludes eigenvalues
-        contour_moment(poly4_model, c, sol, sol_m, Circle(1.6 + 0.0j, 0.05), 0)
+        contour_moment(sol, sol_m, Circle(1.6 + 0.0j, 0.05), 0)
 
 
 def test_residue_relations(friedrichs_std, n3_bound_model):
@@ -329,7 +334,7 @@ def test_residue_relations(friedrichs_std, n3_bound_model):
         c, sol, sol_m = solve_pair(model, Semicircle(), [1])
         dec, dec_m = decompose_pair(sol, sol_m)
         for lam in dec.eigenvalues:
-            res = residue_at(model, c, sol, sol_m, dec, dec_m, lam)
+            res = residue_at(sol, sol_m, dec, dec_m, lam)
             assert res.residual_vs_adjoint_projection <= 1e-6
             assert res.residual_vs_projection <= 1e-6
 
@@ -341,7 +346,7 @@ def test_keldysh_residue_matches_trapezoid(poly4_model):
     dec = eigen_decompose(sol.effective)
     scale = max(spectral_norm(sol.effective), 1.0)
     for lam in dec.eigenvalues:
-        res = transfer_residue(poly4_model, c, sol, dec, lam)
+        res = transfer_residue(sol, dec, lam)
         assert res.delta is None
         assert res.singular_ratio <= 1e-10
         ref, delta, _ = _trapezoid_residue(_minv_batch(poly4_model, c, scale), (res.circle,),
@@ -357,7 +362,7 @@ def test_multiple_eigenvalue_takes_trapezoid_residue(defective4):
     sol = refine_fixed_point(model, contour, x_exact, tol=1e-11)
     dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
     for i, lam in enumerate(dec.eigenvalues):
-        res = transfer_residue(model, contour, sol, dec, lam, cluster_tol=1e-4)
+        res = transfer_residue(sol, dec, lam)
         if dec.algebraic[i] == 2:
             assert res.singular_ratio is None
             assert res.delta <= 1e-10
@@ -381,7 +386,7 @@ def test_minv_batch_rejects_singular_transfer(zero_model):
 
 def test_residue_zero_coupling_gives_internal_projection(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
-    res = residue_at(zero_model, c, sol, sol_m, *decompose_pair(sol, sol_m), 0.3)
+    res = residue_at(sol, sol_m, *decompose_pair(sol, sol_m), 0.3)
     e = np.zeros((2, 2)); e[0, 0] = 1.0
     assert spectral_norm(res.matrix - e) <= 1e-10
 
@@ -389,9 +394,9 @@ def test_residue_zero_coupling_gives_internal_projection(zero_model):
 def test_residue_sum_inverse_is_metric(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
     dec, dec_m = decompose_pair(sol, sol_m)
-    total = sum(residue_at(n3_bound_model, c, sol, sol_m, dec, dec_m, ev).matrix
+    total = sum(residue_at(sol, sol_m, dec, dec_m, ev).matrix
                 for ev in dec.eigenvalues)
-    om = overlap_operator(n3_bound_model, c, sol, sol_m)
+    om = overlap_operator(sol, sol_m)
     assert spectral_norm(np.linalg.inv(total) - om.metric()) <= 1e-6
 
 
@@ -402,7 +407,7 @@ def test_residue_sum_inverse_is_metric(n3_bound_model):
 def test_projection_equations_zero_coupling(zero_model):
     c, sol, _ = solve_pair(zero_model, Semicircle(), [1])
     dec = eigen_decompose(sol.effective)
-    report = verify_projection_equations(zero_model, c, sol, dec)
+    report = verify_projection_equations(c, sol, dec)
     assert report.max_residual <= 1e-12
     assert report.within_larger_ball
 
@@ -410,7 +415,7 @@ def test_projection_equations_zero_coupling(zero_model):
 def test_projection_equations_scalar(friedrichs_std):
     c, sol, _ = solve_pair(friedrichs_std, Semicircle(), [1])
     dec = eigen_decompose(sol.effective)
-    report = verify_projection_equations(friedrichs_std, c, sol, dec)
+    report = verify_projection_equations(c, sol, dec)
     assert report.rows[0].projection_residual <= 1e-8
     assert report.reconstruction_error <= 1e-9
     assert report.within_larger_ball
@@ -425,7 +430,7 @@ def test_projection_equations_defective(defective4):
     dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
     orders = sorted(zip(dec.algebraic, dec.geometric, dec.pole_orders))
     assert orders == [(1, 1, 1), (1, 1, 1), (2, 1, 2)]
-    report = verify_projection_equations(model, contour, sol, dec)
+    report = verify_projection_equations(contour, sol, dec)
     assert report.max_residual <= 1e-6
     defective_row = [r for r in report.rows if len(r.nilpotent_residuals) > 0][0]
     assert all(v <= 1e-6 for v in defective_row.nilpotent_residuals)
@@ -452,7 +457,7 @@ def test_defective_resolve_recovers_structure(defective4):
 
 def test_gram_zero_coupling(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
-    g = riesz_gram(zero_model, sol, sol_m, *decompose_pair(sol, sol_m), real_eigs=[0.3, 0.7])
+    g = riesz_gram(sol, sol_m, *decompose_pair(sol, sol_m), real_eigs=[0.3, 0.7])
     assert g.gram_defect <= 1e-12
     assert g.real_block_defect <= 1e-12
     assert g.real_block.shape == (2, 2)
@@ -463,7 +468,7 @@ def test_gram_bound_state_block(n3_bound_model):
     dec, dec_m = decompose_pair(sol, sol_m)
     real = [ev.real for ev in dec.eigenvalues if abs(ev.imag) < 1e-9]
     assert len(real) == 1
-    g = riesz_gram(n3_bound_model, sol, sol_m, dec, dec_m, real_eigs=real)
+    g = riesz_gram(sol, sol_m, dec, dec_m, real_eigs=real)
     assert g.real_block.shape == (1, 1)
     assert abs(g.real_block[0, 0] - 1.0) <= 1e-8
     assert g.gram.shape == (3, 3)
@@ -472,7 +477,7 @@ def test_gram_bound_state_block(n3_bound_model):
 
 def test_gram_semisimple_complex_pair(poly4_model):
     c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
-    g = riesz_gram(poly4_model, sol, sol_m, *decompose_pair(sol, sol_m))
+    g = riesz_gram(sol, sol_m, *decompose_pair(sol, sol_m))
     assert g.gram.shape == (4, 4)
     assert g.gram_defect <= 1e-6
 
@@ -480,7 +485,7 @@ def test_gram_semisimple_complex_pair(poly4_model):
 def test_gram_missing_real_eig_raises(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
     with pytest.raises(InconsistencyError):
-        riesz_gram(n3_bound_model, sol, sol_m, *decompose_pair(sol, sol_m), real_eigs=[10.0])
+        riesz_gram(sol, sol_m, *decompose_pair(sol, sol_m), real_eigs=[10.0])
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +544,7 @@ def test_spectra_agree_on_shared_components(m2_model):
 
 def test_adjoint_similarity_via_overlap(poly4_model):
     c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
-    om_m = overlap_operator(poly4_model, sol_m.contour, sol_m, sol)
+    om_m = overlap_operator(sol_m, sol)
     metric = om_m.metric()
     lhs = sol.effective.conj().T
     rhs = metric @ sol_m.effective @ np.linalg.inv(metric)
@@ -574,8 +579,9 @@ def test_embedded_real_eigenvalue_criterion(embedded_real_model):
     sol = solve_fixed_point(model, c)
     dec = eigen_decompose(sol.effective)
     # the engineered level survives inside the interval, exactly real
-    i = dec.find(0.5, 1e-9)
+    i = dec.find(0.5)
     lam = dec.eigenvalues[i]
+    assert abs(lam - 0.5) <= 1e-9
     assert abs(lam.imag) <= 1e-12
     assert dec.pole_orders[i] == 1
     u, s, _ = np.linalg.svd(dec.projections[i])

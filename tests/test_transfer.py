@@ -95,7 +95,6 @@ def test_sheet_classification(friedrichs_std):
     ev = transfer(friedrichs_std, c, 1.0 + 0.4j)
     assert ev.sheet_tag == (1,)
     assert ev.location == LOCATION_INSIDE
-    assert ev.reliable
 
 
 def test_guard_band_rejection(friedrichs_std):
