@@ -14,7 +14,7 @@ import os
 import tempfile
 
 import resonances as rs
-from resonances.cli import load_config, run_sweep
+from resonances.cli import EXIT_CODES, load_config, run_sweep, sweep_csv
 
 model = rs.friedrichs_model(1.0, beta_sq=3.0 / (16.0 * math.pi))
 grid = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
@@ -33,9 +33,10 @@ with tempfile.TemporaryDirectory() as tmp:
             "sweep": {"parameter": "beta", "grid": grid},
         }, fh)
     config = load_config(config_path)
-    code, artifact, csv_text = run_sweep(config)
+    artifact = run_sweep(config)
+    csv_text = sweep_csv(artifact["rows"])
 
-print("exit code:", code)
+print("exit code:", EXIT_CODES[artifact["status"]])
 print(csv_text)
 out = os.path.join(os.path.dirname(__file__), "sweep_trajectory.csv")
 with open(out, "w") as fh:

@@ -41,7 +41,7 @@ z_solver = complex(sol.effective[0, 0])
 print(f"iterations                 = {sol.iterations}")
 print(f"resonance (solver)         = {z_solver:.15g}")
 print(f"a-posteriori bound         = {sol.a_posteriori_bound:.3e}")
-print(f"fixed-point residual       = {sol.fixed_point_residual:.3e}")
+print(f"fixed-point residual       = {rs.fixed_point_residual(sol):.3e}")
 
 print("\n== closed-form cross-check ==")
 params = rs.params_from_model(model, nu=1)

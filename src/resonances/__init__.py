@@ -69,6 +69,7 @@ from .solver import (
     adjoint_equation_residual,
     adjoint_self_energy_of_operator,
     contour_independence,
+    fixed_point_residual,
     refine_fixed_point,
     self_energy_of_operator,
     solve_fixed_point,

@@ -5,12 +5,19 @@ for sweeps) with fixed field ordering, fixed summation orders, and floats
 formatted at 17 significant digits, so identical inputs produce
 byte-identical artifacts.
 
-Exit codes: 0 pass, 1 identity failure, 2 inadmissible certificate,
-3 nonconvergence, 4 config or model error. Exit 4 also covers every other
-``ResonanceError``: ``StructuralModelError``, ``UnsupportedModelError``,
-``DomainError``, ``GeometryError``, ``ClusteringError``, ``PairingError``,
+Every command validates the model first; the pipelines then return an
+artifact, and ``main`` alone turns failures into artifacts and takes the
+exit code from the artifact status through ``EXIT_CODES``: ok 0,
+identity-failure 1, inadmissible 2, nonconvergence 3, invalid-model and
+unsupported-model 4. An inadmissible certificate and a fixed-point solve
+that does not converge write their artifacts with the certificate (the
+latter also with the step norms). Errors that write no artifact: an
+``IdentityFailureError`` exits 1, a ``NonconvergenceError`` of the
+closed-form root finders exits 3, and every other ``ResonanceError`` exits
+4 (``StructuralModelError``, ``UnsupportedModelError``, ``DomainError``,
+``GeometryError``, ``ClusteringError``, ``PairingError``,
 ``ContractionViolationError``, ``InconsistencyError``, ``GuardBandError``
-and ``ResolventSingularityError``.
+and ``ResolventSingularityError``).
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .model import SpectralModel, model_from_json_dict, spectral_norm, validate_model
-from .solver import solve_fixed_point
+from .solver import fixed_point_residual, solve_fixed_point
 from .transfer import adjoint_symmetry_residual
 
 EXIT_OK = 0
@@ -44,6 +51,14 @@ EXIT_IDENTITY_FAILURE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_CONFIG_ERROR = 4
+EXIT_CODES = {
+    "ok": EXIT_OK,
+    "identity-failure": EXIT_IDENTITY_FAILURE,
+    "inadmissible": EXIT_INADMISSIBLE,
+    "nonconvergence": EXIT_NONCONVERGENCE,
+    "invalid-model": EXIT_CONFIG_ERROR,
+    "unsupported-model": EXIT_CONFIG_ERROR,
+}
 
 DEFAULT_TOLERANCES = {"quad_tol": 1e-10, "solve_tol": 1e-10, "id_tol": 1e-6}
 
@@ -151,7 +166,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         command=data.get("command"),
         model=model,
-        contour_json=data.get("contour", data.get("contour_spec")),
+        contour_json=data.get("contour"),
         quad_tol=float(tol["quad_tol"]),
         solve_tol=float(tol["solve_tol"]),
         id_tol=float(tol["id_tol"]),
@@ -178,13 +193,6 @@ def _certificate_dict(cert: ct.SolvabilityCertificate) -> dict:
         "admissible": cert.admissible,
         "r_min": cert.r_min,
         "r_max": cert.r_max,
-    }
-
-
-def _inadmissible(exc: InadmissibleCertificateError) -> tuple[int, dict]:
-    return EXIT_INADMISSIBLE, {
-        "status": "inadmissible",
-        "certificate": _certificate_dict(exc.certificate),
     }
 
 
@@ -215,28 +223,13 @@ def _tag_eigenvalues(model: SpectralModel, sol, dec) -> list:
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def run_solve(config: RunConfig) -> tuple[int, dict]:
+def run_solve(config: RunConfig) -> dict:
     """Solve once; emit certificate, solution matrices, tagged eigenvalues."""
     model = config.model
-    report = validate_model(model)
-    if not report.ok:
-        return EXIT_CONFIG_ERROR, {
-            "status": "invalid-model",
-            "violations": [str(v) for v in report.violations],
-        }
-    contour = _build_contour(config)
-    try:
-        sol = solve_fixed_point(model, contour, config.solve_tol, config.max_iter)
-    except InadmissibleCertificateError as exc:
-        return _inadmissible(exc)
-    except NonconvergenceError as exc:
-        return EXIT_NONCONVERGENCE, {
-            "status": "nonconvergence",
-            "certificate": _certificate_dict(ct.solvability_certificate(model, contour)),
-            "step_norms": [float(v) for v in exc.history],
-        }
+    sol = solve_fixed_point(model, _build_contour(config), config.solve_tol, config.max_iter)
+    residual = fixed_point_residual(sol)
     dec = sp.eigen_decompose(sol.effective)
-    artifact = {
+    return {
         "status": "ok",
         "certificate": _certificate_dict(sol.certificate),
         "solution": {
@@ -250,11 +243,10 @@ def run_solve(config: RunConfig) -> tuple[int, dict]:
         },
         "eigenvalues": _tag_eigenvalues(model, sol, dec),
         "residuals": {
-            "fixed_point": sol.fixed_point_residual,
+            "fixed_point": residual,
             "projector_sum": dec.projector_sum_defect,
         },
     }
-    return EXIT_OK, artifact
 
 
 def _verify_rows(config: RunConfig) -> list[dict]:
@@ -348,28 +340,12 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     return rows
 
 
-def run_verify(config: RunConfig) -> tuple[int, dict]:
-    """Run the identity suite; exit 0 iff every row passes its threshold."""
-    model = config.model
-    report = validate_model(model)
-    if not report.ok:
-        return EXIT_CONFIG_ERROR, {
-            "status": "invalid-model",
-            "violations": [str(v) for v in report.violations],
-        }
-    try:
-        rows = _verify_rows(config)
-    except InadmissibleCertificateError as exc:
-        return _inadmissible(exc)
-    except NonconvergenceError as exc:
-        return EXIT_NONCONVERGENCE, {
-            "status": "nonconvergence",
-            "step_norms": [float(v) for v in exc.history],
-        }
+def run_verify(config: RunConfig) -> dict:
+    """Run the identity suite; status ok iff every row passes its threshold."""
+    rows = _verify_rows(config)
     all_pass = all(r["pass"] for r in rows)
-    code = EXIT_OK if all_pass else EXIT_IDENTITY_FAILURE
-    return code, {"status": "ok" if all_pass else "identity-failure",
-                  "identities": rows, "all_pass": all_pass}
+    return {"status": "ok" if all_pass else "identity-failure",
+            "identities": rows, "all_pass": all_pass}
 
 
 def _sweep_model(config: RunConfig, value: float) -> SpectralModel:
@@ -416,12 +392,16 @@ def _sweep_point(config: RunConfig, value: float) -> list[dict]:
     return rows
 
 
-def run_sweep(config: RunConfig) -> tuple[int, dict, str]:
+def run_sweep(config: RunConfig) -> dict:
     """Re-solve across the parameter grid; rows ordered by grid index."""
     if config.sweep is None:
         raise StructuralModelError("sweep command requires a 'sweep' config block")
     grid = [float(g) for g in config.sweep["grid"]]
-    rows = [r for value in grid for r in _sweep_point(config, value)]
+    return {"status": "ok", "rows": [r for value in grid for r in _sweep_point(config, value)]}
+
+
+def sweep_csv(rows: list[dict]) -> str:
+    """The CSV of a sweep artifact's rows, one line per row."""
     header = ["parameter", "eig_index", "re_lambda", "im_lambda", "tag",
               "r_min", "iterations", "status"]
     lines = [",".join(header)]
@@ -440,17 +420,16 @@ def run_sweep(config: RunConfig) -> tuple[int, dict, str]:
                 str(r["iterations"]),
                 "ok",
             ]))
-    csv_text = "\n".join(lines) + "\n"
-    return EXIT_OK, {"status": "ok", "rows": rows}, csv_text
+    return "\n".join(lines) + "\n"
 
 
-def run_oracle(config: RunConfig) -> tuple[int, dict]:
+def run_oracle(config: RunConfig) -> dict:
     """Closed-form roots, bound states, asymptotics, and solver comparison."""
     model = config.model
     try:
         params = fr.params_from_model(model)
     except UnsupportedModelError as exc:
-        return EXIT_CONFIG_ERROR, {"status": "unsupported-model", "reason": str(exc)}
+        return {"status": "unsupported-model", "reason": str(exc)}
     nus = [int(v) for v in config.oracle.get("nu", [1, -1])]
     roots = []
     for nu in nus:
@@ -479,11 +458,8 @@ def run_oracle(config: RunConfig) -> tuple[int, dict]:
         }
     comparison = None
     if config.contour_json is not None:
-        try:
-            sol = solve_fixed_point(model, _build_contour(config), config.solve_tol,
-                                    config.max_iter)
-        except InadmissibleCertificateError as exc:
-            return _inadmissible(exc)
+        sol = solve_fixed_point(model, _build_contour(config), config.solve_tol,
+                                config.max_iter)
         nu_match = sol.multi_index[0]
         root = fr.resonance_root(params.with_sheet(nu_match))
         solver_root = complex(sol.effective[0, 0])
@@ -493,7 +469,7 @@ def run_oracle(config: RunConfig) -> tuple[int, dict]:
             "oracle": _complex_pair(root.z),
             "difference": abs(solver_root - root.z),
         }
-    return EXIT_OK, {
+    return {
         "status": "ok",
         "parameters": {"a": params.a, "lambda1": params.lambda1, "beta": params.beta},
         "resonances": roots,
@@ -533,26 +509,31 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
+    csv_text = None
     try:
         config = load_config(args.config)
         if config.command is not None and config.command != args.command:
             raise StructuralModelError(
                 f"config command {config.command!r} does not match {args.command!r}")
-        csv_text = None
-        if args.command == "solve":
-            code, artifact = run_solve(config)
-        elif args.command == "verify":
-            code, artifact = run_verify(config)
-        elif args.command == "sweep":
-            code, artifact, csv_text = run_sweep(config)
+        report = validate_model(config.model)
+        if not report.ok:
+            artifact = {"status": "invalid-model",
+                        "violations": [str(v) for v in report.violations]}
         else:
-            code, artifact = run_oracle(config)
+            run = {"solve": run_solve, "verify": run_verify,
+                   "sweep": run_sweep, "oracle": run_oracle}[args.command]
+            artifact = run(config)
+            if args.command == "sweep":
+                csv_text = sweep_csv(artifact["rows"])
     except InadmissibleCertificateError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INADMISSIBLE
+        artifact = {"status": "inadmissible", "certificate": _certificate_dict(exc.certificate)}
     except NonconvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NONCONVERGENCE
+        if exc.certificate is None:       # a closed-form root finder: no artifact
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_NONCONVERGENCE
+        artifact = {"status": "nonconvergence",
+                    "certificate": _certificate_dict(exc.certificate),
+                    "step_norms": [float(v) for v in exc.history]}
     except IdentityFailureError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IDENTITY_FAILURE
@@ -563,10 +544,9 @@ def main(argv=None) -> int:
     json_path = args.out or config.json_path
     csv_path = args.csv or config.csv_path
     _write_outputs(artifact, json_path, csv_text, csv_path, args.quiet)
-    if artifact.get("status") not in ("ok",) and code == EXIT_OK:
-        code = EXIT_CONFIG_ERROR
+    code = EXIT_CODES[artifact["status"]]
     if code != EXIT_OK:
-        sys.stderr.write(f"status: {artifact.get('status', 'error')}\n")
+        sys.stderr.write(f"status: {artifact['status']}\n")
     return code
 
 

@@ -57,11 +57,16 @@ class InadmissibleCertificateError(ResonanceError):
 
 
 class NonconvergenceError(ResonanceError):
-    """Iteration failed to converge; carries the step or value history."""
+    """Iteration failed to converge; carries the step or value history.
 
-    def __init__(self, message, history=()):
+    A fixed-point solve also attaches its solvability certificate; the
+    closed-form root finders leave ``certificate`` as None.
+    """
+
+    def __init__(self, message, history=(), certificate=None):
         super().__init__(message)
         self.history = tuple(history)
+        self.certificate = certificate
 
 
 class ContractionViolationError(ResonanceError):

@@ -18,6 +18,10 @@ import numpy as np
 from .errors import DomainError, NonconvergenceError, UnsupportedModelError
 from .model import SpectralModel, spectral_norm
 
+_ROOT_FTOL = 1e-12          # |f| at which Newton stops, for resonances and bound states
+_NEWTON_MAX_STEPS = 100
+_SCAN_POINTS = 200          # determinant sign scan points on each side of [0, a]
+
 
 def _bisect(f, lo: float, hi: float) -> float:
     """Root of f in [lo, hi], where f must change sign, to the last float.
@@ -130,8 +134,7 @@ def symmetric_angle_root(beta_tilde_sq: float, nu: int) -> float | None:
     return _bisect(g, lo, hi)
 
 
-def resonance_root(params: FriedrichsParams, tol: float = 1e-12,
-                   max_steps: int = 100) -> ResonanceRoot:
+def resonance_root(params: FriedrichsParams) -> ResonanceRoot:
     """Newton root of the sheet-nu transfer function (nu != 0 required).
 
     Started at lambda1 plus a small displacement into the half plane of the
@@ -142,9 +145,9 @@ def resonance_root(params: FriedrichsParams, tol: float = 1e-12,
         raise DomainError("resonance_root requires a nonzero sheet index")
     z = complex(params.lambda1, math.copysign(params.a / 10.0, params.nu))
     trajectory = [z]
-    for it in range(1, max_steps + 1):
+    for it in range(1, _NEWTON_MAX_STEPS + 1):
         f = transfer_closed(params, z)
-        if abs(f) <= tol:
+        if abs(f) <= _ROOT_FTOL:
             break
         df = _transfer_derivative(params, z)
         if df == 0.0:
@@ -153,7 +156,8 @@ def resonance_root(params: FriedrichsParams, tol: float = 1e-12,
         trajectory.append(z)
     else:
         raise NonconvergenceError(
-            f"Newton did not reach |f| <= {tol} in {max_steps} steps", trajectory)
+            f"Newton did not reach |f| <= {_ROOT_FTOL} in {_NEWTON_MAX_STEPS} steps",
+            trajectory)
 
     angle_residual = None
     if abs(params.a - 2.0 * params.lambda1) <= 1e-12 * params.a:
@@ -197,7 +201,7 @@ def _physical_transfer_real(params: FriedrichsParams, x: float) -> float:
     return params.lambda1 - x + b2 * (math.log(abs(x)) - math.log(abs(x - params.a)))
 
 
-def bound_states(params: FriedrichsParams, ftol: float = 1e-12) -> BoundStates:
+def bound_states(params: FriedrichsParams) -> BoundStates:
     """The two physical-sheet roots: one below zero, one above a.
 
     Requires the internal level inside (0, a), where both endpoint integrals
@@ -218,7 +222,7 @@ def bound_states(params: FriedrichsParams, ftol: float = 1e-12) -> BoundStates:
         hi = -1e-300
     z0 = _bisect(f, lo, hi)
     for _ in range(4):
-        if abs(f(z0)) <= ftol:
+        if abs(f(z0)) <= _ROOT_FTOL:
             break
         z0 -= f(z0) / (-1.0 + b2 * (1.0 / z0 - 1.0 / (z0 - a)))
 
@@ -234,7 +238,7 @@ def bound_states(params: FriedrichsParams, ftol: float = 1e-12) -> BoundStates:
             raise NonconvergenceError("could not bracket the upper bound state", (t_hi,))
     t = _bisect(g, t_lo, t_hi)
     for _ in range(8):
-        if abs(g(t)) <= ftol:
+        if abs(g(t)) <= _ROOT_FTOL:
             break
         t -= g(t) / (-1.0 + b2 * (1.0 / (a + t) - 1.0 / t))
     return BoundStates(z0, a + t, t, abs(f(z0)), abs(g(t)))
@@ -269,15 +273,14 @@ def _gauss_nodes(a: float, panels: int, points: int):
             (halves[:, None] * w[None, :]).reshape(-1))
 
 
-def _quadratic_form_matrix(model: SpectralModel, weight, panels: int = 64,
-                           points: int = 16) -> np.ndarray:
+def _quadratic_form_matrix(model: SpectralModel, weight) -> np.ndarray:
     """Composite Gauss-Legendre integral of weight(mu)*density(mu) on (0, a)."""
-    mus, ws = _gauss_nodes(model.intervals[0].hi, panels, points)
+    mus, ws = _gauss_nodes(model.intervals[0].hi, 64, 16)
     n = model.dim
     return ((ws * weight(mus)) @ model.coupling(mus).reshape(-1, n * n)).reshape(n, n)
 
 
-def no_spectrum_outside(model: SpectralModel, grid: int = 4001) -> OutsideSpectrumReport:
+def no_spectrum_outside(model: SpectralModel) -> OutsideSpectrumReport:
     """Check the endpoint-integral hypothesis that confines the spectrum.
 
     Evaluates the largest eigenvalues of the two endpoint-weighted coupling
@@ -329,8 +332,8 @@ def no_spectrum_outside(model: SpectralModel, grid: int = 4001) -> OutsideSpectr
         return float(np.linalg.det(0.5 * (m + m.conj().T)).real)
 
     span = max(a, abs(lam_min), abs(lam_max)) * 4.0 + a
-    below = np.linspace(-span, -1e-9 * a, max(grid // 20, 100))
-    above = np.linspace(a + 1e-9 * a, a + span, max(grid // 20, 100))
+    below = np.linspace(-span, -1e-9 * a, _SCAN_POINTS)
+    above = np.linspace(a + 1e-9 * a, a + span, _SCAN_POINTS)
     roots_below = _sign_changes([det_at(x) for x in below])
     roots_above = _sign_changes([det_at(x) for x in above])
     return OutsideSpectrumReport(status, v1_0, v1_a, lam_min, lam_max,

@@ -75,7 +75,6 @@ class Solution:
     certificate: SolvabilityCertificate
     contour: Contour
     step_norms: tuple[float, ...]
-    fixed_point_residual: float
 
     @property
     def multi_index(self) -> tuple[int, ...]:
@@ -84,7 +83,8 @@ class Solution:
 
 def _iterate(model: SpectralModel, contour: Contour, q: float,
              tol: float, max_iter: int, r_escape: float | None,
-             stop_abs: float | None = None, x0: np.ndarray | None = None):
+             stop_abs: float | None = None, x0: np.ndarray | None = None,
+             cert: SolvabilityCertificate | None = None):
     n = model.dim
     a1 = model.a1
     x = np.zeros((n, n), dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
@@ -114,12 +114,11 @@ def _iterate(model: SpectralModel, contour: Contour, q: float,
         prev_step = step
     raise NonconvergenceError(
         f"no convergence within {max_iter} iterations "
-        f"(last step {steps[-1]:.3e}, threshold {threshold:.3e})", steps)
+        f"(last step {steps[-1]:.3e}, threshold {threshold:.3e})", steps, cert)
 
 
 def _solution(model: SpectralModel, contour: Contour, cert: SolvabilityCertificate,
               x: np.ndarray, steps: list[float], bound: float) -> Solution:
-    residual = spectral_norm(x - self_energy_of_operator(model, contour, model.a1 + x))
     return Solution(
         model=model,
         correction=x,
@@ -130,8 +129,13 @@ def _solution(model: SpectralModel, contour: Contour, cert: SolvabilityCertifica
         certificate=cert,
         contour=contour,
         step_norms=tuple(steps),
-        fixed_point_residual=residual,
     )
+
+
+def fixed_point_residual(sol: Solution) -> float:
+    """Norm of ``X - F(X)`` at the solution; costs one more evaluation of F."""
+    return spectral_norm(sol.correction
+                         - self_energy_of_operator(sol.model, sol.contour, sol.effective))
 
 
 def solve_fixed_point(model: SpectralModel, contour: Contour,
@@ -140,16 +144,17 @@ def solve_fixed_point(model: SpectralModel, contour: Contour,
     """Solve the fixed-point equation by plain iteration from zero.
 
     Requires an admissible certificate; refuses otherwise with the
-    certificate attached. Stops when the step norm guarantees an a-posteriori
-    error at most ``tol``; the geometric decay of the step norms is checked
-    against the certified contraction factor on every iteration, and an
-    iterate escaping the larger certified ball aborts the solve.
+    certificate attached, and attaches it to a ``NonconvergenceError`` too.
+    Stops when the step norm guarantees an a-posteriori error at most
+    ``tol``; the geometric decay of the step norms is checked against the
+    certified contraction factor on every iteration, and an iterate
+    escaping the larger certified ball aborts the solve.
     """
     cert = solvability_certificate(model, contour)
     if not cert.admissible:
         raise InadmissibleCertificateError(cert)
     q = cert.contraction_factor()
-    x, steps = _iterate(model, contour, q, tol, max_iter, cert.r_max)
+    x, steps = _iterate(model, contour, q, tol, max_iter, cert.r_max, cert=cert)
     bound = 0.0 if q == 0.0 else q / (1.0 - q) * steps[-1]
     x_norm = spectral_norm(x)
     if x_norm > cert.r_min + bound + 1e-12 * (1.0 + cert.r_min):
@@ -175,9 +180,7 @@ def refine_fixed_point(model: SpectralModel, contour: Contour, x0: np.ndarray,
     return _solution(model, contour, cert, x, steps, steps[-1])
 
 
-def contour_independence(sol: Solution, other: Contour,
-                         tol: float = DEFAULT_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER) -> float:
+def contour_independence(sol: Solution, other: Contour) -> float:
     """Norm distance between the solution and an independent re-solve.
 
     The second contour must carry the same multi-index. When it is
@@ -191,15 +194,15 @@ def contour_independence(sol: Solution, other: Contour,
         raise PairingError(
             f"multi-index mismatch: {other.multi_index} vs {sol.multi_index}")
     try:
-        resolved = solve_fixed_point(sol.model, other, tol, max_iter)
+        resolved = solve_fixed_point(sol.model, other)
     except InadmissibleCertificateError as exc:
         cert = exc.certificate
     else:
         return spectral_norm(resolved.correction - sol.correction)
     r0_estimate = sol.certificate.r_min + sol.a_posteriori_bound
     if cert.d0 > r0_estimate:
-        x, _ = _iterate(sol.model, other, 0.0, tol, max_iter, None, stop_abs=tol,
-                        x0=sol.correction)
+        x, _ = _iterate(sol.model, other, 0.0, DEFAULT_TOL, DEFAULT_MAX_ITER, None,
+                        stop_abs=DEFAULT_TOL, x0=sol.correction)
         return spectral_norm(x - sol.correction)
     raise InadmissibleCertificateError(
         cert, "second contour is neither admissible nor separated beyond the "

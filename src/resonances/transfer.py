@@ -43,7 +43,7 @@ def _weighted_sum(coeff: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return left @ b.reshape(p * k, -1)
 
 
-def locate(model: SpectralModel, contour: Contour, z: complex) -> str:
+def locate(contour: Contour, z: complex) -> str:
     """Classify z relative to the region bounded by contour and intervals."""
     if contour.distance(z) <= contour.guard:
         return LOCATION_GUARD_BAND

@@ -1,10 +1,13 @@
 """Shared model fixtures for the test suite."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resonances
 from resonances import (
     CouplingFunction,
     Interval,
@@ -16,6 +19,13 @@ from resonances import (
 )
 
 BETA_SQ_STD = 3.0 / (16.0 * math.pi)
+
+
+def child_env() -> dict:
+    """Environment in which a child interpreter imports the package under test."""
+    src = str(Path(resonances.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

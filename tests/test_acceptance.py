@@ -198,7 +198,7 @@ def test_criterion_7_contraction_property(poly4_model, m2_model, n3_bound_model)
         for prev, cur in zip(sol.step_norms[:-1], sol.step_norms[1:]):
             if prev > floor and cur > floor:
                 ok = ok and cur <= q * prev * (1.0 + 1e-6)
-        ok = ok and sol.fixed_point_residual <= 2.0 * solve_tol
+        ok = ok and rs.fixed_point_residual(sol) <= 2.0 * solve_tol
     report(7, "contraction property", ok)
 
 

@@ -2,15 +2,13 @@
 
 import json
 import math
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import resonances as rs
 from resonances.cli import main
-from conftest import BETA_SQ_STD
+from conftest import BETA_SQ_STD, child_env
 
 
 def write_config(tmp_path, name, command, model, contour=None, **extra):
@@ -26,13 +24,6 @@ def write_config(tmp_path, name, command, model, contour=None, **extra):
 
 
 SEMI = {"shape": "semicircle", "l": [1], "panels": 6, "points": 16}
-
-
-def child_env() -> dict:
-    """Environment in which a child interpreter imports the package under test."""
-    src = str(Path(rs.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="module")
@@ -199,13 +190,28 @@ def test_config_errors_exit_4(tmp_path, std_model):
 
 
 def test_invalid_model_exit_4(tmp_path):
-    model = rs.SpectralModel(np.array([[5.0]]), [rs.Interval(0.0, 1.0, 0.6)],
-                             [(0.5, np.array([[0.1]]))])
-    cfg = write_config(tmp_path, "invalid", "solve", model, SEMI)
-    out = tmp_path / "invalid_out.json"
-    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 4
-    art = json.loads(out.read_text())
-    assert art["status"] == "invalid-model"
+    """Every command validates first; an invalid model writes no CSV."""
+    discrete_inside = rs.SpectralModel(np.array([[5.0]]), [rs.Interval(0.0, 1.0, 0.6)],
+                                       [(0.5, np.array([[0.1]]))])
+    # a complex level: the oracle must not drop its imaginary part
+    complex_level = rs.SpectralModel(np.array([[1.0 + 0.5j]]), [rs.Interval(0.0, 2.0, 4.0)],
+                                     (), rs.CouplingFunction.constant_vector([0.2]))
+    sweep = {"parameter": "beta", "grid": [0.1, 0.2]}
+    cases = [(discrete_inside, command, SEMI)
+             for command in ("solve", "verify", "sweep", "oracle")]
+    cases += [(complex_level, command, SEMI) for command in ("solve", "sweep", "oracle")]
+    cases.append((complex_level, "oracle", None))
+    for k, (model, command, contour) in enumerate(cases):
+        cfg = write_config(tmp_path, f"invalid{k}", command, model, contour, sweep=sweep)
+        out = tmp_path / f"invalid{k}_out.json"
+        csv = tmp_path / f"invalid{k}.csv"
+        code = main([command, "--config", cfg, "--out", str(out), "--csv", str(csv), "--quiet"])
+        assert code == 4, (k, command)
+        art = json.loads(out.read_text())
+        assert art["status"] == "invalid-model"
+        assert art["violations"]
+        assert not csv.exists()
+    assert "hermitian-internal-matrix" in art["violations"][0]
 
 
 def test_byte_identical_artifacts(tmp_path, std_model):

@@ -95,26 +95,42 @@ def test_contour_spec_from_json(m2_model):
     assert c3.pieces[1].spec == rs.Rectangle(depth=0.25)
 
 
-def test_cli_nonconvergence_exit_3(tmp_path):
+def test_cli_nonconvergence_exit_3(tmp_path, monkeypatch, capsys):
     model = rs.friedrichs_model(1.0, beta_sq=3.0 / (16.0 * math.pi))
     model_path = tmp_path / "model.json"
     model_path.write_text(rs.model_dumps(model))
-    for max_iter in (1, 3):
-        cfg = tmp_path / "cfg.json"
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.json"
+
+    def run(command, max_iter):
+        out.unlink(missing_ok=True)
         cfg.write_text(json.dumps({
-            "command": "solve",
+            "command": command,
             "model_path": str(model_path),
             "contour": {"shape": "semicircle", "l": [1], "panels": 6, "points": 16},
             "max_iter": max_iter,
         }))
-        out = tmp_path / "out.json"
-        code = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
-        assert code == 3
+        return main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+
+    for command, max_iter in (("solve", 1), ("solve", 3), ("verify", 1), ("oracle", 1)):
+        assert run(command, max_iter) == 3
         art = json.loads(out.read_text())
+        assert list(art) == ["status", "certificate", "step_norms"]
         assert art["status"] == "nonconvergence"
         assert len(art["step_norms"]) == max_iter
         assert art["certificate"]["admissible"] is True
         assert art["certificate"]["d0"] == 1.0
+
+    # a closed-form root finder that fails carries no certificate: exit 3,
+    # reported on stderr only
+    def no_root(params):
+        raise rs.NonconvergenceError("Newton derivative vanished", [1.0])
+
+    monkeypatch.setattr(rs.friedrichs, "resonance_root", no_root)
+    capsys.readouterr()
+    assert run("oracle", 200) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: Newton derivative vanished\n"
 
 
 def test_closed_form_vanishes_with_coupling():

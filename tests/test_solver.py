@@ -20,6 +20,7 @@ from resonances import (
     adjoint_self_energy_of_operator,
     build_contour,
     contour_independence,
+    fixed_point_residual,
     friedrichs_model,
     mirrored,
     params_from_model,
@@ -71,7 +72,7 @@ def test_contraction_ratio_and_residual(poly4_model, n3_bound_model):
         for prev, cur in zip(sol.step_norms[:-1], sol.step_norms[1:]):
             if prev > floor and cur > floor:
                 assert cur <= q * prev * (1.0 + 1e-6)
-        assert sol.fixed_point_residual <= 2.0 * 1e-10
+        assert fixed_point_residual(sol) <= 2.0 * 1e-10
         assert spectral_norm(sol.correction) <= cert.r_min + sol.a_posteriori_bound
 
 

@@ -89,9 +89,9 @@ def test_coincidence_outside_region(poly4_model):
 
 def test_sheet_classification(friedrichs_std):
     c = build_contour(friedrichs_std, Semicircle(), [1])
-    assert locate(friedrichs_std, c, 1.0 + 0.4j) == LOCATION_INSIDE
-    assert locate(friedrichs_std, c, 1.0 - 0.4j) == LOCATION_OUTSIDE
-    assert locate(friedrichs_std, c, 5.0) == LOCATION_OUTSIDE
+    assert locate(c, 1.0 + 0.4j) == LOCATION_INSIDE
+    assert locate(c, 1.0 - 0.4j) == LOCATION_OUTSIDE
+    assert locate(c, 5.0) == LOCATION_OUTSIDE
     ev = transfer(friedrichs_std, c, 1.0 + 0.4j)
     assert ev.sheet_tag == (1,)
     assert ev.location == LOCATION_INSIDE
