@@ -3,7 +3,7 @@
 Sweeps the coupling constant of the single-level model from zero up past
 the admissibility threshold. The resonance starts as the embedded real
 level, moves into the upper half plane, and the final grid point is refused
-by the certificate. Writes the same CSV the command-line tool produces.
+by the certificate. Prints the same CSV the command-line tool produces.
 
 Run:  python3 demos/parameter_sweep.py
 """
@@ -38,10 +38,6 @@ with tempfile.TemporaryDirectory() as tmp:
 
 print("exit code:", EXIT_CODES[artifact["status"]])
 print(csv_text)
-out = os.path.join(os.path.dirname(__file__), "sweep_trajectory.csv")
-with open(out, "w") as fh:
-    fh.write(csv_text)
-print(f"CSV written to {out}")
 print(f"admissibility threshold for beta is "
       f"{math.sqrt(1.0 / (4.0 * math.pi)):.6f}; the last grid point "
       "exceeds it and is reported as inadmissible.")

@@ -92,16 +92,14 @@ from .spectral import (
     overlap_operator,
     residue_at,
     riesz_gram,
-    self_energy_derivative,
     transfer_residue,
     verify_projection_equations,
 )
 from .transfer import (
-    TransferEvaluation,
     adjoint_symmetry_residual,
     locate,
-    self_energy,
-    transfer,
+    self_energy_many,
+    transfer_many,
 )
 
 __version__ = "0.1.0"

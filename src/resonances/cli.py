@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .model import SpectralModel, model_from_json_dict, spectral_norm, validate_model
-from .solver import fixed_point_residual, solve_fixed_point
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, fixed_point_residual, solve_fixed_point
 from .transfer import adjoint_symmetry_residual
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ EXIT_CODES = {
     "unsupported-model": EXIT_CONFIG_ERROR,
 }
 
-DEFAULT_TOLERANCES = {"quad_tol": 1e-10, "solve_tol": 1e-10, "id_tol": 1e-6}
+DEFAULT_TOLERANCES = {"quad_tol": ct.DEFAULT_QUAD_TOL, "solve_tol": DEFAULT_TOL, "id_tol": 1e-6}
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +126,10 @@ class RunConfig:
     solve_tol: float
     id_tol: float
     sweep: dict | None
-    oracle: dict
+    oracle_nu: tuple[int, ...]
     json_path: str | None
     csv_path: str | None
-    max_iter: int = 200
+    max_iter: int
 
     @property
     def algebraic_tol(self) -> float:
@@ -137,45 +137,52 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    """Read a JSON config; a missing or malformed field raises ``StructuralModelError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise StructuralModelError(f"cannot read config {path}: {exc}") from exc
-    if "model" in data:
-        model = model_from_json_dict(data["model"])
-    elif "model_path" in data:
-        mp = data["model_path"]
-        if not os.path.isabs(mp):
-            mp = os.path.join(os.path.dirname(os.path.abspath(path)), mp)
-        try:
-            with open(mp, "r", encoding="utf-8") as fh:
-                model = model_from_json_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StructuralModelError(f"cannot read model {mp}: {exc}") from exc
-    else:
-        raise StructuralModelError("config requires 'model' or 'model_path'")
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(data.get("tolerances", {}))
-    sweep = data.get("sweep")
-    if sweep is not None:
-        grid = sweep.get("grid")
-        if not grid or not all(math.isfinite(float(g)) for g in grid):
-            raise StructuralModelError("sweep grid must be nonempty and finite")
-    output = data.get("output", {})
-    return RunConfig(
-        command=data.get("command"),
-        model=model,
-        contour_json=data.get("contour"),
-        quad_tol=float(tol["quad_tol"]),
-        solve_tol=float(tol["solve_tol"]),
-        id_tol=float(tol["id_tol"]),
-        sweep=sweep,
-        oracle=data.get("oracle", {}),
-        json_path=output.get("json_path"),
-        csv_path=output.get("csv_path"),
-        max_iter=int(data.get("max_iter", 200)),
-    )
+    try:
+        if "model" in data:
+            model = model_from_json_dict(data["model"])
+        elif "model_path" in data:
+            mp = data["model_path"]
+            if not os.path.isabs(mp):
+                mp = os.path.join(os.path.dirname(os.path.abspath(path)), mp)
+            try:
+                with open(mp, "r", encoding="utf-8") as fh:
+                    model = model_from_json_dict(json.load(fh))
+            except (OSError, json.JSONDecodeError) as exc:
+                raise StructuralModelError(f"cannot read model {mp}: {exc}") from exc
+        else:
+            raise StructuralModelError("config requires 'model' or 'model_path'")
+        tol = dict(DEFAULT_TOLERANCES)
+        tol.update(data.get("tolerances", {}))
+        sweep = data.get("sweep")
+        if sweep is not None:
+            grid = sweep.get("grid")
+            if not grid or not all(math.isfinite(float(g)) for g in grid):
+                raise StructuralModelError("sweep grid must be nonempty and finite")
+        max_iter = int(data.get("max_iter", DEFAULT_MAX_ITER))
+        if max_iter < 1:
+            raise StructuralModelError(f"max_iter must be at least 1, got {max_iter}")
+        output = data.get("output", {})
+        return RunConfig(
+            command=data.get("command"),
+            model=model,
+            contour_json=data.get("contour"),
+            quad_tol=float(tol["quad_tol"]),
+            solve_tol=float(tol["solve_tol"]),
+            id_tol=float(tol["id_tol"]),
+            sweep=sweep,
+            oracle_nu=tuple(int(v) for v in data.get("oracle", {}).get("nu", (1, -1))),
+            json_path=output.get("json_path"),
+            csv_path=output.get("csv_path"),
+            max_iter=max_iter,
+        )
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise StructuralModelError(f"malformed config {path}: {exc}") from exc
 
 
 def _build_contour(config: RunConfig, model: SpectralModel | None = None) -> ct.Contour:
@@ -322,8 +329,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     pn = sp.verify_projection_equations(fine, sol, dec)
     add("projection-equations", pn.max_residual, id_tol)
 
-    add("adjoint-symmetry",
-        max(adjoint_symmetry_residual(model, base, base_m, z) for z in zs), alg_tol)
+    add("adjoint-symmetry", np.max(adjoint_symmetry_residual(model, base, base_m, zs)), alg_tol)
 
     e_l = np.sort_complex(np.linalg.eigvals(sol.effective))
     e_m = np.sort_complex(np.conj(np.linalg.eigvals(sol_m.effective)))
@@ -430,9 +436,8 @@ def run_oracle(config: RunConfig) -> dict:
         params = fr.params_from_model(model)
     except UnsupportedModelError as exc:
         return {"status": "unsupported-model", "reason": str(exc)}
-    nus = [int(v) for v in config.oracle.get("nu", [1, -1])]
     roots = []
-    for nu in nus:
+    for nu in config.oracle_nu:
         if nu == 0:
             continue
         root = fr.resonance_root(params.with_sheet(nu))

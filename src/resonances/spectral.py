@@ -34,12 +34,7 @@ from .errors import (
 )
 from .model import SpectralModel, spectral_norm
 from .solver import Solution
-from .transfer import (
-    _resolvents,
-    _weighted_sum,
-    transfer,
-    transfer_many,
-)
+from .transfer import _resolvents, _weighted_sum, self_energy_many, transfer_many
 
 DEFAULT_NILPOTENT_TOL = 1e-8
 _ENCLOSURE_PAD = 0.45  # enclosure circle pad, as a fraction of the separation
@@ -524,7 +519,7 @@ def transfer_residue(sol_l: Solution, dec_l: SpectralDecomposition,
     if dec_l.algebraic[i] == 1:
         u, s, vh = np.linalg.svd(transfer_many(model, contour, [lam_i])[0])
         left, right = u[:, -1], vh[-1].conj()
-        slope = self_energy_derivative(model, contour, lam_i, 1) - np.eye(model.dim)
+        slope = self_energy_many(model, contour, [lam_i], 1)[0] - np.eye(model.dim)
         value = -np.outer(right, left.conj()) / (left.conj() @ slope @ right)
         return TransferResidue(value, circle, None, float(s[-1] / max(s[0], scale)))
     value, delta, _ = _trapezoid_residue(
@@ -562,17 +557,6 @@ def residue_at(sol_l: Solution, sol_minus_l: Solution,
 # Projection and nilpotent equations
 # ---------------------------------------------------------------------------
 
-def self_energy_derivative(model: SpectralModel, contour: Contour,
-                           lam: complex, k: int) -> np.ndarray:
-    """k-th derivative of the self-energy at lam via the power-law sums."""
-    lam = complex(lam)
-    sign = (-1.0) ** k * math.factorial(k)
-    points, weights, values = _quadrature(model, contour)
-    coeff = sign * weights / (lam - points) ** (k + 1)
-    n = model.dim
-    return (coeff @ values.reshape(-1, n * n)).reshape(n, n)
-
-
 @dataclass(frozen=True)
 class ProjectionEquationRow:
     eigenvalue: complex
@@ -600,37 +584,40 @@ def verify_projection_equations(contour: Contour, sol: Solution,
     """Residuals of the projection and nilpotent equations for every cluster.
 
     The equations are evaluated on ``contour``, which ``verify`` takes at
-    twice the order of the contour of ``sol``. Each cluster is checked against the identity expressing the transfer
-    function times the projection through the nilpotent and the self-energy
-    derivatives, plus the shifted variants obtained by multiplying with
-    nilpotent powers. The decomposition is also reconstructed into a matrix
-    and compared with the effective operator, including the ball condition
-    that makes the reconstruction unique.
+    twice the order of the contour of ``sol``. Each cluster is checked
+    against the identity expressing the transfer function times the
+    projection through the nilpotent and the self-energy derivatives, plus
+    the shifted variants obtained by multiplying with nilpotent powers. The
+    decomposition is also reconstructed into a matrix and compared with the
+    effective operator, including the ball condition that makes the
+    reconstruction unique.
     """
     rows = []
     model = sol.model
     n = model.dim
+    lams = np.array(dec.eigenvalues)
+    m1s = transfer_many(model, contour, lams)
+    derivs = {k: self_energy_many(model, contour, lams, k) for k in range(1, max(dec.pole_orders))}
     recon = np.zeros((n, n), dtype=complex)
     for i in range(dec.count):
         lam = dec.eigenvalues[i]
         p = dec.projections[i]
         nil = dec.nilpotents[i]
         order = dec.pole_orders[i]
-        m1 = transfer(model, contour, lam).matrix
+        m1 = m1s[i]
         acc = m1 @ p - nil
         powers = [np.eye(n, dtype=complex)]
         for _ in range(max(order - 1, 0)):
             powers.append(powers[-1] @ nil)
         for k in range(1, order):
-            acc += self_energy_derivative(model, contour, lam, k) @ powers[k] / math.factorial(k)
+            acc += derivs[k][i] @ powers[k] / math.factorial(k)
         proj_res = spectral_norm(acc)
         nil_res = []
         for pp in range(1, order):
             acc2 = m1 @ powers[order - pp]
             acc2 -= powers[order - pp] @ nil
             for k in range(1, pp):
-                acc2 += (self_energy_derivative(model, contour, lam, k)
-                         @ powers[order - pp + k]) / math.factorial(k)
+                acc2 += (derivs[k][i] @ powers[order - pp + k]) / math.factorial(k)
             nil_res.append(spectral_norm(acc2))
         rows.append(ProjectionEquationRow(lam, proj_res, tuple(nil_res)))
         recon += lam * p + nil

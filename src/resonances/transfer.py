@@ -2,20 +2,26 @@
 
 The continued transfer function is the internal matrix minus the spectral
 parameter plus the self-energy term, where the self-energy integral runs
-over the discrete remainder and the deformation contour. Points closer to
-the integration set than a guard band are rejected rather than extrapolated
-because the quadrature error grows like the inverse distance.
+over the discrete remainder and the deformation contour. Evaluation takes a
+batch of points: ``self_energy_many`` is the one sum of the self-energy, or
+of its k-th derivative, over the integration data, and ``transfer_many``
+adds the internal matrix and the spectral parameter. Points closer to the
+integration set than a guard band are rejected, for every derivative order,
+rather than extrapolated because the quadrature error grows like the
+inverse distance. ``locate`` says on which sheet a point's value lives:
+inside the region bounded by the contour and the intervals, the sheet of
+the contour's multi-index; outside it, the physical sheet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .contour import Contour, _quadrature, is_mirror_pair
 from .errors import GuardBandError, PairingError, ResolventSingularityError
-from .model import SpectralModel, spectral_norm
+from .model import SpectralModel
 
 LOCATION_INSIDE = "inside"
 LOCATION_OUTSIDE = "outside"
@@ -50,15 +56,14 @@ def locate(contour: Contour, z: complex) -> str:
     return LOCATION_INSIDE if contour.region_contains(z) else LOCATION_OUTSIDE
 
 
-def self_energy(model: SpectralModel, contour: Contour, z: complex) -> np.ndarray:
-    """Continued self-energy at z: the resolvent-weighted coupling integral."""
-    return self_energy_many(model, contour, [z])[0]
+def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray,
+                     k: int = 0) -> np.ndarray:
+    """k-th derivative of the continued self-energy over a batch of points, shape (P, n, n).
 
-
-def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray) -> np.ndarray:
-    """Vectorized self-energy over a batch of points, shape (P, n, n).
-
-    Raises ``GuardBandError`` for the first point within the guard band.
+    The self-energy is the resolvent-weighted coupling integral, the sum of
+    ``w / (z - mu)`` times the coupling values over the integration data; its
+    k-th derivative weighs them by ``(-1)^k k! w / (z - mu)^(k+1)``. Raises
+    ``GuardBandError`` for the first point within the guard band, whatever k.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     points, weights, values = _quadrature(model, contour)
@@ -66,33 +71,11 @@ def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray) -> 
     near = np.flatnonzero(dist <= contour.guard)
     if near.size:
         raise GuardBandError(complex(zs[near[0]]), float(dist[near[0]]), contour.guard)
-    coeff = weights[None, :] / (zs[:, None] - points[None, :])
+    coeff = weights[None, :] / (zs[:, None] - points[None, :]) ** (k + 1)
+    if k:
+        coeff *= (-1) ** k * math.factorial(k)
     n = model.dim
     return (coeff @ values.reshape(-1, n * n)).reshape(-1, n, n)
-
-
-@dataclass(frozen=True)
-class TransferEvaluation:
-    """Transfer function value with its sheet bookkeeping."""
-
-    z: complex
-    matrix: np.ndarray
-    sheet_tag: tuple[int, ...] | str
-    location: str
-
-
-def transfer(model: SpectralModel, contour: Contour, z: complex) -> TransferEvaluation:
-    """Evaluate the continued transfer function and classify the point.
-
-    Inside the region bounded by the contour and the intervals the value
-    lives on the sheet labelled by the contour's multi-index; outside it
-    coincides with the physical-sheet transfer function.
-    """
-    z = complex(z)
-    matrix = transfer_many(model, contour, [z])[0]
-    location = LOCATION_INSIDE if contour.region_contains(z) else LOCATION_OUTSIDE
-    tag = contour.multi_index if location == LOCATION_INSIDE else "physical"
-    return TransferEvaluation(z, matrix, tag, location)
 
 
 def transfer_many(model: SpectralModel, contour: Contour, zs: np.ndarray) -> np.ndarray:
@@ -104,16 +87,16 @@ def transfer_many(model: SpectralModel, contour: Contour, zs: np.ndarray) -> np.
 
 
 def adjoint_symmetry_residual(model: SpectralModel, contour_l: Contour,
-                              contour_minus_l: Contour, z: complex) -> float:
-    """Defect of the conjugate-adjoint symmetry between mirror sheets.
+                              contour_minus_l: Contour, zs: np.ndarray) -> np.ndarray:
+    """Defect of the conjugate-adjoint symmetry between mirror sheets, per point.
 
-    Returns the norm of the difference between the adjoint of the mirror
-    transfer function at conj(z) and the transfer function at z; both sides
-    are computed independently.
+    Returns, for each z of the batch, the norm of the difference between the
+    adjoint of the mirror transfer function at conj(z) and the transfer
+    function at z; both sides are computed independently.
     """
     if not is_mirror_pair(contour_l, contour_minus_l):
         raise PairingError("contours are not a mirror pair")
-    z = complex(z)
-    left = transfer(model, contour_minus_l, np.conj(z)).matrix.conj().T
-    right = transfer(model, contour_l, z).matrix
-    return spectral_norm(left - right)
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    left = transfer_many(model, contour_minus_l, zs.conj()).conj().transpose(0, 2, 1)
+    right = transfer_many(model, contour_l, zs)
+    return np.linalg.norm(left - right, 2, axis=(1, 2))

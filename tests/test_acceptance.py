@@ -165,8 +165,8 @@ def test_criterion_6_zero_coupling_suite(zero_model):
     c, sol, sol_m = solve_pair(zero_model, rs.Semicircle(), [1])
     ok = ok and rs.spectral_norm(sol.correction) <= 1e-14
     z = 0.4 - 0.7j
-    ev = rs.transfer(zero_model, c, z)
-    ok = ok and rs.spectral_norm(ev.matrix - (zero_model.a1 - z * np.eye(2))) == 0.0
+    m = rs.transfer_many(zero_model, c, [z])[0]
+    ok = ok and rs.spectral_norm(m - (zero_model.a1 - z * np.eye(2))) == 0.0
     f = rs.factorize(sol, 0.55 + 0.2j)
     ok = ok and f.residual <= 1e-14
     om = rs.overlap_operator(sol, sol_m)

@@ -178,7 +178,7 @@ def test_oracle_unsupported_model(tmp_path):
     assert art["status"] == "unsupported-model"
 
 
-def test_config_errors_exit_4(tmp_path, std_model):
+def test_config_errors_exit_4(tmp_path, std_model, capsys):
     missing = tmp_path / "missing.json"
     assert main(["solve", "--config", str(missing), "--quiet"]) == 4
     bad = tmp_path / "bad.json"
@@ -187,6 +187,24 @@ def test_config_errors_exit_4(tmp_path, std_model):
     # command mismatch between config and argv
     cfg = write_config(tmp_path, "mismatch", "verify", std_model, SEMI)
     assert main(["solve", "--config", cfg, "--quiet"]) == 4
+    # malformed fields: one stderr line each, never a traceback
+    malformed = [
+        ("solve", {"tolerances": {"quad_tol": "x"}}),
+        ("solve", {"tolerances": [1]}),
+        ("solve", {"max_iter": "x"}),
+        ("solve", {"max_iter": 0}),
+        ("sweep", {"sweep": {"parameter": "beta", "grid": ["a"]}}),
+        ("sweep", {"sweep": {"parameter": "beta", "grid": [None]}}),
+        ("sweep", {"sweep": [1, 2]}),
+        ("solve", {"output": [1]}),
+        ("oracle", {"oracle": {"nu": ["a"]}}),
+    ]
+    capsys.readouterr()
+    for k, (command, extra) in enumerate(malformed):
+        cfg = write_config(tmp_path, f"malformed{k}", command, std_model, SEMI, **extra)
+        assert main([command, "--config", cfg, "--quiet"]) == 4, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
 
 
 def test_invalid_model_exit_4(tmp_path):

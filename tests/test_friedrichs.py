@@ -20,8 +20,8 @@ from resonances import (
     no_spectrum_outside,
     params_from_model,
     resonance_root,
-    self_energy,
     self_energy_closed,
+    self_energy_many,
     symmetric_angle_root,
     transfer_closed,
 )
@@ -65,10 +65,9 @@ def test_sheet_consistency_exact():
 def test_quadrature_cross_check(friedrichs_std):
     c = build_contour(friedrichs_std, Flat(), [1], order=(12, 16))
     p = params_from_model(friedrichs_std, 0)
-    for z in (3.0, -0.7, 1.0 + 1.5j, 0.5 - 2.0j):
-        quad = self_energy(friedrichs_std, c, z)[0, 0]
-        closed = self_energy_closed(p, z)
-        assert abs(quad - closed) <= 1e-9
+    zs = (3.0, -0.7, 1.0 + 1.5j, 0.5 - 2.0j)
+    for z, quad in zip(zs, self_energy_many(friedrichs_std, c, zs)[:, 0, 0]):
+        assert abs(quad - self_energy_closed(p, z)) <= 1e-9
 
 
 def test_symmetric_resonance_two_root_finders():

@@ -25,7 +25,7 @@ from resonances import (
     solvability_certificate,
     solve_fixed_point,
     spectral_norm,
-    transfer,
+    transfer_many,
     transfer_residue,
     verify_projection_equations,
 )
@@ -565,7 +565,7 @@ def test_transfer_invertible_on_half_separation_curve(poly4_model):
             continue
         if c.distance(z) < 1e-6:
             continue
-        m = transfer(poly4_model, c, z).matrix
+        m = transfer_many(poly4_model, c, [z])[0]
         smin = np.linalg.svd(m, compute_uv=False)[-1]
         assert smin >= margin * 0.999
         checked += 1
