@@ -38,12 +38,12 @@ coupling = rs.CouplingFunction.polynomial([
 model = rs.SpectralModel(a1, [rs.Interval(0.0, 4.0, 2.6)], (), coupling)
 
 contour = rs.build_contour(model, rs.Semicircle(), [1])
-cert = rs.solvability_certificate(model, contour)
+cert = rs.solvability_certificate(contour)
 print(f"certificate: d0={cert.d0:.4f} v0={cert.v0:.4f} "
       f"r_min={cert.r_min:.4f} admissible={cert.admissible}")
 
-sol = rs.solve_fixed_point(model, contour)
-sol_m = rs.solve_fixed_point(model, rs.mirrored(model, contour))
+sol = rs.solve_fixed_point(contour)
+sol_m = rs.solve_fixed_point(rs.mirrored(contour))
 print(f"solved in {sol.iterations} iterations; resonances:")
 for ev in np.sort_complex(np.linalg.eigvals(sol.effective)):
     print(f"  {ev:.12f}")

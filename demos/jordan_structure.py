@@ -42,13 +42,13 @@ coupling = rs.CouplingFunction.polynomial([
 interval = rs.Interval(0.0, 1.0, 0.6)
 seed_model = rs.SpectralModel(np.eye(4), [interval], (), coupling)
 contour = rs.build_contour(seed_model, rs.Semicircle(), [1])
-x_exact = rs.self_energy_of_operator(seed_model, contour, h)
+x_exact = rs.self_energy_of_operator(contour, h)
 model = rs.SpectralModel(h - x_exact, [interval], (), coupling)
 contour = rs.build_contour(model, rs.Semicircle(), [1])
 print("internal matrix set to (target - self-energy of target); "
       "the target is then an exact fixed point")
 
-resolved = rs.refine_fixed_point(model, contour, np.zeros((4, 4)),
+resolved = rs.refine_fixed_point(contour, np.zeros((4, 4)),
                                  tol=1e-12, max_iter=400)
 print(f"re-solve from zero: {resolved.iterations} iterations, "
       f"distance to target {np.linalg.norm(resolved.effective - h, 2):.3e}")

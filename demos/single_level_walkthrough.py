@@ -28,7 +28,7 @@ print(f"validation: {'clean' if report.empty else report}")
 
 print("\n== solvability certificate on the half-circle contour ==")
 contour = rs.build_contour(model, rs.Semicircle(), [1])
-cert = rs.solvability_certificate(model, contour)
+cert = rs.solvability_certificate(contour)
 print(f"separation distance  d0    = {cert.d0:.15g}   (exact closest point)")
 print(f"coupling variation   v0    = {cert.v0:.15g}   (pi * beta^2 * R)")
 print(f"admissible (v0 < d0^2/4)   = {cert.admissible}")
@@ -36,7 +36,7 @@ print(f"ball radii                 = [{cert.r_min:.15g}, {cert.r_max:.15g}]")
 print(f"admissibility would flip at beta^2 = {1.0 / (4.0 * math.pi):.15g}")
 
 print("\n== contraction solve ==")
-sol = rs.solve_fixed_point(model, contour)
+sol = rs.solve_fixed_point(contour)
 z_solver = complex(sol.effective[0, 0])
 print(f"iterations                 = {sol.iterations}")
 print(f"resonance (solver)         = {z_solver:.15g}")
@@ -50,7 +50,7 @@ print(f"resonance (closed form)    = {root.z:.15g}")
 print(f"|solver - closed form|     = {abs(z_solver - root.z):.3e}")
 print(f"angle-equation residual    = {root.angle_residual:.3e}")
 
-mirror = rs.solve_fixed_point(model, rs.mirrored(model, contour))
+mirror = rs.solve_fixed_point(rs.mirrored(contour))
 print(f"mirror sheet conjugate gap = "
       f"{abs(np.conj(complex(mirror.effective[0, 0])) - z_solver):.3e}")
 

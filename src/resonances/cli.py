@@ -97,9 +97,10 @@ def _render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        simple = all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj)
-        if simple:
-            return "[" + ", ".join(_render_json(v) for v in obj) + "]"
+        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
+            # floats (numpy float64 included) straight to _fmt_float: one pass
+            return "[" + ", ".join(_fmt_float(v) if isinstance(v, float) else _render_json(v)
+                                   for v in obj) + "]"
         items = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot render {type(obj)!r}")
@@ -203,14 +204,14 @@ def _certificate_dict(cert: ct.SolvabilityCertificate) -> dict:
     }
 
 
-def _tag_eigenvalues(model: SpectralModel, sol, dec) -> list:
+def _tag_eigenvalues(sol, dec) -> list:
     real_band = max(10.0 * sol.a_posteriori_bound, 1e-9 * dec.scale)
     rows = []
     for i in range(dec.count):
         lam = dec.eigenvalues[i]
         tag = "real" if abs(lam.imag) <= real_band else "complex"
         interval = None
-        for k, iv in enumerate(model.intervals):
+        for k, iv in enumerate(sol.model.intervals):
             if iv.strip_contains(lam) or (tag == "real" and iv.contains_real(lam.real)):
                 interval = k
                 break
@@ -232,8 +233,7 @@ def _tag_eigenvalues(model: SpectralModel, sol, dec) -> list:
 
 def run_solve(config: RunConfig) -> dict:
     """Solve once; emit certificate, solution matrices, tagged eigenvalues."""
-    model = config.model
-    sol = solve_fixed_point(model, _build_contour(config), config.solve_tol, config.max_iter)
+    sol = solve_fixed_point(_build_contour(config), config.solve_tol, config.max_iter)
     residual = fixed_point_residual(sol)
     dec = sp.eigen_decompose(sol.effective)
     return {
@@ -241,14 +241,14 @@ def run_solve(config: RunConfig) -> dict:
         "certificate": _certificate_dict(sol.certificate),
         "solution": {
             "multi_index": list(sol.multi_index),
-            "n": model.dim,
+            "n": sol.model.dim,
             "correction": _matrix_pairs(sol.correction),
             "effective": _matrix_pairs(sol.effective),
             "iterations": sol.iterations,
             "last_step_norm": sol.last_step_norm,
             "a_posteriori_bound": sol.a_posteriori_bound,
         },
-        "eigenvalues": _tag_eigenvalues(model, sol, dec),
+        "eigenvalues": _tag_eigenvalues(sol, dec),
         "residuals": {
             "fixed_point": residual,
             "projector_sum": dec.projector_sum_defect,
@@ -257,16 +257,15 @@ def run_solve(config: RunConfig) -> dict:
 
 
 def _verify_rows(config: RunConfig) -> list[dict]:
-    model = config.model
     base = _build_contour(config)
-    base_m = ct.mirrored(model, base)
-    fine = ct.double_order(model, base)
-    fine_m = ct.mirrored(model, fine)
+    base_m = ct.mirrored(base)
+    fine = ct.double_order(base)
+    fine_m = ct.mirrored(fine)
 
-    sol = solve_fixed_point(model, base, config.solve_tol, config.max_iter)
-    sol_m = solve_fixed_point(model, base_m, config.solve_tol, config.max_iter)
-    sol2 = solve_fixed_point(model, fine, config.solve_tol, config.max_iter)
-    sol2_m = solve_fixed_point(model, fine_m, config.solve_tol, config.max_iter)
+    sol = solve_fixed_point(base, config.solve_tol, config.max_iter)
+    sol_m = solve_fixed_point(base_m, config.solve_tol, config.max_iter)
+    sol2 = solve_fixed_point(fine, config.solve_tol, config.max_iter)
+    sol2_m = solve_fixed_point(fine_m, config.solve_tol, config.max_iter)
 
     id_tol = config.id_tol
     alg_tol = config.algebraic_tol
@@ -283,7 +282,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
         })
 
     cert = sol.certificate
-    eigs_a1 = model.a1_eigenvalues()
+    eigs_a1 = config.model.a1_eigenvalues()
 
     def sample_points(count: int) -> np.ndarray:
         pts = []
@@ -329,7 +328,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     pn = sp.verify_projection_equations(fine, sol, dec)
     add("projection-equations", pn.max_residual, id_tol)
 
-    add("adjoint-symmetry", np.max(adjoint_symmetry_residual(model, base, base_m, zs)), alg_tol)
+    add("adjoint-symmetry", np.max(adjoint_symmetry_residual(base, base_m, zs)), alg_tol)
 
     e_l = np.sort_complex(np.linalg.eigvals(sol.effective))
     e_m = np.sort_complex(np.conj(np.linalg.eigvals(sol_m.effective)))
@@ -372,16 +371,15 @@ def _sweep_model(config: RunConfig, value: float) -> SpectralModel:
 
 
 def _sweep_point(config: RunConfig, value: float) -> list[dict]:
-    model = _sweep_model(config, value)
-    contour = _build_contour(config, model)
+    contour = _build_contour(config, _sweep_model(config, value))
     try:
-        sol = solve_fixed_point(model, contour, config.solve_tol, config.max_iter)
+        sol = solve_fixed_point(contour, config.solve_tol, config.max_iter)
     except InadmissibleCertificateError:
         return [{"parameter": value, "status": "inadmissible"}]
     except NonconvergenceError:
         return [{"parameter": value, "status": "nonconvergence"}]
     dec = sp.eigen_decompose(sol.effective)
-    tags = _tag_eigenvalues(model, sol, dec)
+    tags = _tag_eigenvalues(sol, dec)
     rows = []
     order = sorted(range(dec.count), key=lambda i: (tags[i]["re"], tags[i]["im"]))
     for rank, i in enumerate(order):
@@ -463,8 +461,7 @@ def run_oracle(config: RunConfig) -> dict:
         }
     comparison = None
     if config.contour_json is not None:
-        sol = solve_fixed_point(model, _build_contour(config), config.solve_tol,
-                                config.max_iter)
+        sol = solve_fixed_point(_build_contour(config), config.solve_tol, config.max_iter)
         nu_match = sol.multi_index[0]
         root = fr.resonance_root(params.with_sheet(nu_match))
         solver_root = complex(sol.effective[0, 0])

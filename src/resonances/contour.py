@@ -171,8 +171,8 @@ class Contour:
     Besides the curve nodes and weights it carries the integration data of
     every self-energy sum: the discrete remainder points first (weight 1,
     value the weight matrix), then the quadrature nodes (their weights, the
-    coupling density at the node). ``sources`` holds the model's coupling
-    and remainder objects the data was computed from.
+    coupling density at the node). ``model`` is the model the data was
+    computed from; every sum over the contour is a sum for that model.
     """
 
     multi_index: tuple[int, ...]
@@ -186,7 +186,7 @@ class Contour:
     quad_points: np.ndarray = field(repr=False)
     quad_weights: np.ndarray = field(repr=False)
     quad_values: np.ndarray = field(repr=False)
-    sources: tuple = field(repr=False)
+    model: SpectralModel = field(repr=False)
 
     @property
     def tail_variation_bound(self) -> float:
@@ -212,7 +212,7 @@ class Contour:
         its shape. The remainder points head ``quad_points``.
         """
         z = np.asarray(z, dtype=complex)
-        v = z[..., None] - self.quad_points[:len(self.sources) - 1]
+        v = z[..., None] - self.quad_points[:len(self.model.discrete)]
         found = [np.hypot(v.real, v.imag).min(axis=-1, initial=math.inf)]
         found += [s.distance_to(z) for piece in self.pieces for s in piece.sections]
         d = np.min(found, axis=0)
@@ -422,40 +422,27 @@ def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,
         quad_points=quad_points,
         quad_weights=quad_weights,
         quad_values=quad_values,
-        sources=(model.coupling, *model.discrete),
+        model=model,
     )
 
 
-def _quadrature(model: SpectralModel, contour: Contour):
-    """(points, weights, values) of the contour's integration data.
-
-    Raises ``PairingError`` unless the contour was built from this model's
-    coupling and remainder objects (checked by identity, so models that
-    differ only in the internal matrix share a contour).
-    """
-    own = (model.coupling, *model.discrete)
-    if len(own) != len(contour.sources) or any(a is not b for a, b in zip(own, contour.sources)):
-        raise PairingError(
-            "contour was built for a different coupling or discrete remainder")
-    return contour.quad_points, contour.quad_weights, contour.quad_values
-
-
-def mirrored(model: SpectralModel, contour: Contour) -> Contour:
+def mirrored(contour: Contour) -> Contour:
     """The mirror contour: multi-index negated, curves conjugated."""
     neg = tuple(-v for v in contour.multi_index)
-    return build_contour(model, [p.spec for p in contour.pieces], neg,
+    return build_contour(contour.model, [p.spec for p in contour.pieces], neg,
                          (contour.panels, contour.points), contour.quad_tol)
 
 
-def double_order(model: SpectralModel, contour: Contour) -> Contour:
+def double_order(contour: Contour) -> Contour:
     """Same contour rebuilt with twice as many panels per section."""
-    return build_contour(model, [p.spec for p in contour.pieces], contour.multi_index,
+    return build_contour(contour.model, [p.spec for p in contour.pieces], contour.multi_index,
                          (2 * contour.panels, contour.points), contour.quad_tol)
 
 
 def is_mirror_pair(a: Contour, b: Contour) -> bool:
-    """Negated multi-indices and exactly conjugate integration data."""
-    return (a.multi_index == tuple(-v for v in b.multi_index)
+    """One model, negated multi-indices and exactly conjugate integration data."""
+    return (a.model is b.model
+            and a.multi_index == tuple(-v for v in b.multi_index)
             and np.array_equal(a.quad_points, np.conj(b.quad_points))
             and np.array_equal(a.quad_weights, np.conj(b.quad_weights)))
 
@@ -464,25 +451,24 @@ def is_mirror_pair(a: Contour, b: Contour) -> bool:
 # Variation, separation distance, certificate
 # ---------------------------------------------------------------------------
 
-def variation(model: SpectralModel, contour: Contour) -> float:
+def variation(contour: Contour) -> float:
     """Total coupling budget along the discrete remainder and the contour.
 
     Discretization of the sum of the discrete weight norms and the integral
     of the density norm against arc length; the truncation tail bound of any
     unbounded piece is added conservatively.
     """
-    _, weights, values = _quadrature(model, contour)
-    norms = np.linalg.norm(values, 2, axis=(1, 2))
-    return float(np.sum(np.abs(weights) * norms)) + contour.tail_variation_bound
+    norms = np.linalg.norm(contour.quad_values, 2, axis=(1, 2))
+    return float(np.sum(np.abs(contour.quad_weights) * norms)) + contour.tail_variation_bound
 
 
-def separation_distance(model: SpectralModel, contour: Contour) -> float:
+def separation_distance(contour: Contour) -> float:
     """Distance from the internal spectrum to the remainder plus contour.
 
     Uses exact closest-point formulas for the segment and arc sections of
     every curve family, so no sampling slack is needed.
     """
-    return float(contour.distance(model.a1_eigenvalues()).min(initial=math.inf))
+    return float(contour.distance(contour.model.a1_eigenvalues()).min(initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -505,15 +491,24 @@ class SolvabilityCertificate:
         return self.v0 / (self.d0 - self.r_min) ** 2
 
 
-def solvability_certificate(model: SpectralModel, contour: Contour) -> SolvabilityCertificate:
+def solvability_certificate(*args: SpectralModel | Contour) -> SolvabilityCertificate:
     """Compute the separation/variation certificate for a contour.
 
     Admissible when the variation is strictly below a quarter of the squared
     separation distance; the two ball radii are the roots of the associated
     quadratic. Inadmissibility is data, not an error.
+
+    Takes the contour alone. The older form ``(model, contour)``, which
+    ``bench/test_bench.py`` still calls, is accepted only when ``model`` is
+    the contour's own model, and raises ``PairingError`` otherwise.
     """
-    d0 = separation_distance(model, contour)
-    v0 = variation(model, contour)
+    if len(args) not in (1, 2):
+        raise TypeError(f"solvability_certificate takes a contour, got {len(args)} arguments")
+    contour = args[-1]
+    if len(args) == 2 and args[0] is not contour.model:
+        raise PairingError("contour was built for a different model")
+    d0 = separation_distance(contour)
+    v0 = variation(contour)
     omega = d0 * d0 - 4.0 * v0
     admissible = omega > 0.0 and d0 > 0.0
     if admissible:
@@ -553,7 +548,7 @@ def scan_contours(model: SpectralModel, l, family: Sequence, order=DEFAULT_ORDER
     count = 0
     for spec in family:
         contour = build_contour(model, spec, l, order, quad_tol)
-        cert = solvability_certificate(model, contour)
+        cert = solvability_certificate(contour)
         certs.append(cert)
         if cert.admissible:
             count += 1

@@ -6,8 +6,9 @@ every ball between the two certified radii, the iteration starts at zero,
 and the standard a-posteriori bound controls the distance to the true fixed
 point at termination.
 
-A ``Solution`` records the model, contour and certificate (computed once
-per solve) it was solved with, and the identities read them from it.
+A ``Solution`` records the contour (which carries the model) and the
+certificate (computed once per solve) it was solved with, and the
+identities read them from it.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import (
-    Contour,
-    SolvabilityCertificate,
-    _quadrature,
-    is_mirror_pair,
-    solvability_certificate,
-)
+from .contour import Contour, SolvabilityCertificate, is_mirror_pair, solvability_certificate
 from .errors import (
     ContractionViolationError,
     InadmissibleCertificateError,
@@ -38,56 +33,60 @@ DEFAULT_MAX_ITER = 200
 _RATIO_SLACK = 1e-6
 
 
-def self_energy_of_operator(model: SpectralModel, contour: Contour,
-                            y: np.ndarray) -> np.ndarray:
+def self_energy_of_operator(contour: Contour, y: np.ndarray) -> np.ndarray:
     """Self-energy applied to an operator argument.
 
     Sums the coupling data against the resolvent of ``y`` at every discrete
     point and quadrature node. On an eigenvector of ``y`` this action
     reduces to the scalar self-energy at the eigenvalue.
     """
-    points, weights, values = _quadrature(model, contour)
-    inv = _resolvents(np.asarray(y, dtype=complex), points)
-    return _weighted_sum(weights, values, inv)
+    inv = _resolvents(np.asarray(y, dtype=complex), contour.quad_points)
+    return _weighted_sum(contour.quad_weights, contour.quad_values, inv)
 
 
-def adjoint_self_energy_of_operator(model: SpectralModel, contour: Contour,
-                                    y: np.ndarray) -> np.ndarray:
+def adjoint_self_energy_of_operator(contour: Contour, y: np.ndarray) -> np.ndarray:
     """Left-resolvent variant: integrates resolvent times coupling data."""
-    points, weights, values = _quadrature(model, contour)
-    inv = _resolvents(np.asarray(y, dtype=complex), points)
-    return _weighted_sum(weights, inv, values)
+    inv = _resolvents(np.asarray(y, dtype=complex), contour.quad_points)
+    return _weighted_sum(contour.quad_weights, inv, contour.quad_values)
 
 
 @dataclass(frozen=True, eq=False)
 class Solution:
     """Fixed point of the contraction map with its diagnostics.
 
-    Also records the model, contour and certificate it was solved with.
+    Also records the contour (which carries the model) and the certificate
+    it was solved with.
     """
 
-    model: SpectralModel
+    contour: Contour
+    certificate: SolvabilityCertificate
     correction: np.ndarray          # X
     effective: np.ndarray           # internal matrix plus X
-    iterations: int
-    last_step_norm: float
-    a_posteriori_bound: float
-    certificate: SolvabilityCertificate
-    contour: Contour
     step_norms: tuple[float, ...]
+    a_posteriori_bound: float
+
+    @property
+    def model(self) -> SpectralModel:
+        return self.contour.model
 
     @property
     def multi_index(self) -> tuple[int, ...]:
         return self.contour.multi_index
 
+    @property
+    def iterations(self) -> int:
+        return len(self.step_norms)
 
-def _iterate(model: SpectralModel, contour: Contour, q: float,
-             tol: float, max_iter: int, r_escape: float | None,
-             stop_abs: float | None = None, x0: np.ndarray | None = None,
-             cert: SolvabilityCertificate | None = None):
-    n = model.dim
-    a1 = model.a1
-    x = np.zeros((n, n), dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
+    @property
+    def last_step_norm(self) -> float:
+        return self.step_norms[-1]
+
+
+def _iterate(contour: Contour, q: float, tol: float, max_iter: int,
+             r_escape: float | None, stop_abs: float | None = None,
+             x0: np.ndarray | None = None, cert: SolvabilityCertificate | None = None):
+    a1 = contour.model.a1
+    x = np.zeros_like(a1) if x0 is None else np.asarray(x0, dtype=complex)
     scale = spectral_norm(a1) + 1.0
     floor = 10.0 * np.finfo(float).eps * scale
     threshold = stop_abs if stop_abs is not None else (
@@ -95,7 +94,7 @@ def _iterate(model: SpectralModel, contour: Contour, q: float,
     steps: list[float] = []
     prev_step = None
     for it in range(1, max_iter + 1):
-        x_next = self_energy_of_operator(model, contour, a1 + x)
+        x_next = self_energy_of_operator(contour, a1 + x)
         step = spectral_norm(x_next - x)
         steps.append(step)
         x_norm = spectral_norm(x_next)
@@ -117,29 +116,13 @@ def _iterate(model: SpectralModel, contour: Contour, q: float,
         f"(last step {steps[-1]:.3e}, threshold {threshold:.3e})", steps, cert)
 
 
-def _solution(model: SpectralModel, contour: Contour, cert: SolvabilityCertificate,
-              x: np.ndarray, steps: list[float], bound: float) -> Solution:
-    return Solution(
-        model=model,
-        correction=x,
-        effective=model.a1 + x,
-        iterations=len(steps),
-        last_step_norm=steps[-1],
-        a_posteriori_bound=bound,
-        certificate=cert,
-        contour=contour,
-        step_norms=tuple(steps),
-    )
-
-
 def fixed_point_residual(sol: Solution) -> float:
     """Norm of ``X - F(X)`` at the solution; costs one more evaluation of F."""
     return spectral_norm(sol.correction
-                         - self_energy_of_operator(sol.model, sol.contour, sol.effective))
+                         - self_energy_of_operator(sol.contour, sol.effective))
 
 
-def solve_fixed_point(model: SpectralModel, contour: Contour,
-                      tol: float = DEFAULT_TOL,
+def solve_fixed_point(contour: Contour, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> Solution:
     """Solve the fixed-point equation by plain iteration from zero.
 
@@ -150,22 +133,21 @@ def solve_fixed_point(model: SpectralModel, contour: Contour,
     certified contraction factor on every iteration, and an iterate
     escaping the larger certified ball aborts the solve.
     """
-    cert = solvability_certificate(model, contour)
+    cert = solvability_certificate(contour)
     if not cert.admissible:
         raise InadmissibleCertificateError(cert)
     q = cert.contraction_factor()
-    x, steps = _iterate(model, contour, q, tol, max_iter, cert.r_max, cert=cert)
+    x, steps = _iterate(contour, q, tol, max_iter, cert.r_max, cert=cert)
     bound = 0.0 if q == 0.0 else q / (1.0 - q) * steps[-1]
     x_norm = spectral_norm(x)
     if x_norm > cert.r_min + bound + 1e-12 * (1.0 + cert.r_min):
         raise ContractionViolationError(
             f"final norm {x_norm:.6e} exceeds the certified radius "
             f"{cert.r_min:.6e} plus bound {bound:.3e}")
-    return _solution(model, contour, cert, x, steps, bound)
+    return Solution(contour, cert, x, contour.model.a1 + x, tuple(steps), bound)
 
 
-def refine_fixed_point(model: SpectralModel, contour: Contour, x0: np.ndarray,
-                       tol: float = 1e-12,
+def refine_fixed_point(contour: Contour, x0: np.ndarray, tol: float = 1e-12,
                        max_iter: int = DEFAULT_MAX_ITER) -> Solution:
     """Picard refinement from a given starting matrix, without a certificate.
 
@@ -175,35 +157,35 @@ def refine_fixed_point(model: SpectralModel, contour: Contour, x0: np.ndarray,
     purely as data. The a-posteriori bound is not a guarantee here; it
     reports the final step norm.
     """
-    cert = solvability_certificate(model, contour)
-    x, steps = _iterate(model, contour, 0.0, tol, max_iter, None, stop_abs=tol, x0=x0)
-    return _solution(model, contour, cert, x, steps, steps[-1])
+    cert = solvability_certificate(contour)
+    x, steps = _iterate(contour, 0.0, tol, max_iter, None, stop_abs=tol, x0=x0)
+    return Solution(contour, cert, x, contour.model.a1 + x, tuple(steps), steps[-1])
 
 
 def contour_independence(sol: Solution, other: Contour) -> float:
     """Norm distance between the solution and an independent re-solve.
 
-    The second contour must carry the same multi-index. When it is
-    admissible a fresh independent solve runs from zero. When it is merely
-    separated beyond the first solution's certified radius, the existing
-    solution is refined on the second contour (it already satisfies that
-    equation up to quadrature agreement) and the difference is reported
-    without claiming uniqueness there.
+    The second contour must belong to the solution's model and carry the
+    same multi-index. When it is admissible a fresh independent solve runs
+    from zero. When it is merely separated beyond the first solution's
+    certified radius, the existing solution is refined on the second contour
+    (it already satisfies that equation up to quadrature agreement) and the
+    difference is reported without claiming uniqueness there.
     """
-    if tuple(other.multi_index) != sol.multi_index:
+    if other.model is not sol.model or other.multi_index != sol.multi_index:
         raise PairingError(
-            f"multi-index mismatch: {other.multi_index} vs {sol.multi_index}")
+            f"second contour (multi-index {other.multi_index}) is not on the solution's "
+            f"model and multi-index {sol.multi_index}")
     try:
-        resolved = solve_fixed_point(sol.model, other)
+        resolved = solve_fixed_point(other)
     except InadmissibleCertificateError as exc:
         cert = exc.certificate
     else:
         return spectral_norm(resolved.correction - sol.correction)
     r0_estimate = sol.certificate.r_min + sol.a_posteriori_bound
     if cert.d0 > r0_estimate:
-        x, _ = _iterate(sol.model, other, 0.0, DEFAULT_TOL, DEFAULT_MAX_ITER, None,
-                        stop_abs=DEFAULT_TOL, x0=sol.correction)
-        return spectral_norm(x - sol.correction)
+        refined = refine_fixed_point(other, sol.correction, DEFAULT_TOL)
+        return spectral_norm(refined.correction - sol.correction)
     raise InadmissibleCertificateError(
         cert, "second contour is neither admissible nor separated beyond the "
               "certified solution radius")
@@ -218,7 +200,6 @@ def adjoint_equation_residual(sol_l: Solution, sol_minus_l: Solution) -> float:
     """
     if not is_mirror_pair(sol_l.contour, sol_minus_l.contour):
         raise PairingError("solutions do not live on mirror contours")
-    model = sol_l.model
     x_adj = sol_minus_l.correction.conj().T
-    rhs = adjoint_self_energy_of_operator(model, sol_l.contour, model.a1 + x_adj)
+    rhs = adjoint_self_energy_of_operator(sol_l.contour, sol_l.model.a1 + x_adj)
     return spectral_norm(x_adj - rhs)

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .contour import Contour, _quadrature, is_mirror_pair
+from .contour import Contour, is_mirror_pair
 from .errors import (
     ClusteringError,
     GeometryError,
@@ -32,7 +32,7 @@ from .errors import (
     PairingError,
     UnsupportedModelError,
 )
-from .model import SpectralModel, spectral_norm
+from .model import spectral_norm
 from .solver import Solution
 from .transfer import _resolvents, _weighted_sum, self_energy_many, transfer_many
 
@@ -298,12 +298,12 @@ def factorize(sol: Solution, z: complex | np.ndarray) -> Factorization:
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
-    model, contour, h = sol.model, sol.contour, sol.effective
-    eye = np.eye(model.dim)
-    points, weights, values = _quadrature(model, contour)
+    contour, h = sol.contour, sol.effective
+    eye = np.eye(h.shape[0])
+    points, weights, values = contour.quad_points, contour.quad_weights, contour.quad_values
     inv = _resolvents(h, points)
     w1 = np.stack([eye - _weighted_sum(weights / (points - zk), values, inv) for zk in flat])
-    m1 = transfer_many(model, contour, flat)
+    m1 = transfer_many(contour, flat)
     shifted = h[None, :, :] - flat[:, None, None] * eye
     residual = np.linalg.norm(m1 - w1 @ shifted, 2, axis=(1, 2))
     if zs.ndim == 0:
@@ -347,10 +347,10 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
     """
     if not is_mirror_pair(sol_l.contour, sol_minus_l.contour):
         raise PairingError("solutions do not live on mirror contours")
-    points, weights, values = _quadrature(sol_l.model, sol_l.contour)
-    left_inv = _resolvents(sol_minus_l.effective.conj().T, points)
-    right_inv = _resolvents(sol_l.effective, points)
-    out = _weighted_sum(weights, left_inv @ values, right_inv)
+    contour = sol_l.contour
+    left_inv = _resolvents(sol_minus_l.effective.conj().T, contour.quad_points)
+    right_inv = _resolvents(sol_l.effective, contour.quad_points)
+    out = _weighted_sum(contour.quad_weights, left_inv @ contour.quad_values, right_inv)
     cert = sol_l.certificate
     bound = cert.v0 / (cert.d0 / 2.0) ** 2 if cert.d0 > 0 else math.inf
     norm = spectral_norm(out)
@@ -394,11 +394,11 @@ def _check_circle_geometry(contour: Contour, circles: tuple[Circle, ...],
                 raise GeometryError("integration circles overlap")
 
 
-def _minv_batch(model: SpectralModel, contour: Contour, scale: float):
+def _minv_batch(contour: Contour, scale: float):
     limit = 1e-10 * scale
 
     def f(zs):
-        mats = transfer_many(model, contour, zs)
+        mats = transfer_many(contour, zs)
         try:
             inv = np.linalg.inv(mats)
         except np.linalg.LinAlgError:
@@ -458,7 +458,7 @@ def contour_moment(sol_l: Solution, sol_minus_l: Solution, gamma,
     _check_circle_geometry(contour, circles, np.concatenate([eigs, eigs_m]))
     scale = max(spectral_norm(sol_l.effective), 1.0)
     value, delta, pts = _trapezoid_residue(
-        _minv_batch(sol_l.model, contour, scale), circles, moment,
+        _minv_batch(contour, scale), circles, moment,
         atol=1e-13 * (1.0 + scale))
     return MomentResult(value, delta, pts, circles)
 
@@ -502,7 +502,7 @@ def transfer_residue(sol_l: Solution, dec_l: SpectralDecomposition,
     contour by the guard band; that circle is checked and reported on both
     paths.
     """
-    model, contour, scale = sol_l.model, sol_l.contour, dec_l.scale
+    contour, scale = sol_l.contour, dec_l.scale
     i = dec_l.find(complex(lam))
     lam_i = dec_l.eigenvalues[i]
 
@@ -517,13 +517,13 @@ def transfer_residue(sol_l: Solution, dec_l: SpectralDecomposition,
     circle = Circle(lam_i, radius)
     _check_circle_geometry(contour, (circle,), np.array([lam_i]))
     if dec_l.algebraic[i] == 1:
-        u, s, vh = np.linalg.svd(transfer_many(model, contour, [lam_i])[0])
+        u, s, vh = np.linalg.svd(transfer_many(contour, [lam_i])[0])
         left, right = u[:, -1], vh[-1].conj()
-        slope = self_energy_many(model, contour, [lam_i], 1)[0] - np.eye(model.dim)
+        slope = self_energy_many(contour, [lam_i], 1)[0] - np.eye(contour.model.dim)
         value = -np.outer(right, left.conj()) / (left.conj() @ slope @ right)
         return TransferResidue(value, circle, None, float(s[-1] / max(s[0], scale)))
     value, delta, _ = _trapezoid_residue(
-        _minv_batch(model, contour, scale), (circle,),
+        _minv_batch(contour, scale), (circle,),
         atol=1e-13 * (1.0 + scale))
     return TransferResidue(value, circle, delta, None)
 
@@ -583,21 +583,23 @@ def verify_projection_equations(contour: Contour, sol: Solution,
                                 dec: SpectralDecomposition) -> ProjectionReport:
     """Residuals of the projection and nilpotent equations for every cluster.
 
-    The equations are evaluated on ``contour``, which ``verify`` takes at
-    twice the order of the contour of ``sol``. Each cluster is checked
-    against the identity expressing the transfer function times the
-    projection through the nilpotent and the self-energy derivatives, plus
-    the shifted variants obtained by multiplying with nilpotent powers. The
-    decomposition is also reconstructed into a matrix and compared with the
-    effective operator, including the ball condition that makes the
-    reconstruction unique.
+    The equations are evaluated on ``contour``, which must belong to the
+    model of ``sol`` (``verify`` takes it at twice the order of the contour
+    of ``sol``). Each cluster is checked against the identity expressing the
+    transfer function times the projection through the nilpotent and the
+    self-energy derivatives, plus the shifted variants obtained by
+    multiplying with nilpotent powers. The decomposition is also
+    reconstructed into a matrix and compared with the effective operator,
+    including the ball condition that makes the reconstruction unique.
     """
-    rows = []
     model = sol.model
+    if contour.model is not model:
+        raise PairingError("contour was built for a different model than the solution")
+    rows = []
     n = model.dim
     lams = np.array(dec.eigenvalues)
-    m1s = transfer_many(model, contour, lams)
-    derivs = {k: self_energy_many(model, contour, lams, k) for k in range(1, max(dec.pole_orders))}
+    m1s = transfer_many(contour, lams)
+    derivs = {k: self_energy_many(contour, lams, k) for k in range(1, max(dec.pole_orders))}
     recon = np.zeros((n, n), dtype=complex)
     for i in range(dec.count):
         lam = dec.eigenvalues[i]

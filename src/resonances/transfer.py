@@ -19,9 +19,8 @@ import math
 
 import numpy as np
 
-from .contour import Contour, _quadrature, is_mirror_pair
+from .contour import Contour, is_mirror_pair
 from .errors import GuardBandError, PairingError, ResolventSingularityError
-from .model import SpectralModel
 
 LOCATION_INSIDE = "inside"
 LOCATION_OUTSIDE = "outside"
@@ -56,8 +55,7 @@ def locate(contour: Contour, z: complex) -> str:
     return LOCATION_INSIDE if contour.region_contains(z) else LOCATION_OUTSIDE
 
 
-def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray,
-                     k: int = 0) -> np.ndarray:
+def self_energy_many(contour: Contour, zs: np.ndarray, k: int = 0) -> np.ndarray:
     """k-th derivative of the continued self-energy over a batch of points, shape (P, n, n).
 
     The self-energy is the resolvent-weighted coupling integral, the sum of
@@ -66,37 +64,37 @@ def self_energy_many(model: SpectralModel, contour: Contour, zs: np.ndarray,
     ``GuardBandError`` for the first point within the guard band, whatever k.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    points, weights, values = _quadrature(model, contour)
     dist = contour.distance(zs)
     near = np.flatnonzero(dist <= contour.guard)
     if near.size:
         raise GuardBandError(complex(zs[near[0]]), float(dist[near[0]]), contour.guard)
-    coeff = weights[None, :] / (zs[:, None] - points[None, :]) ** (k + 1)
+    coeff = contour.quad_weights / (zs[:, None] - contour.quad_points) ** (k + 1)
     if k:
         coeff *= (-1) ** k * math.factorial(k)
-    n = model.dim
-    return (coeff @ values.reshape(-1, n * n)).reshape(-1, n, n)
+    n = contour.model.dim
+    return (coeff @ contour.quad_values.reshape(-1, n * n)).reshape(-1, n, n)
 
 
-def transfer_many(model: SpectralModel, contour: Contour, zs: np.ndarray) -> np.ndarray:
+def transfer_many(contour: Contour, zs: np.ndarray) -> np.ndarray:
     """Vectorized transfer matrices over a batch of points, shape (P, n, n)."""
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    se = self_energy_many(model, contour, zs)
-    eye = np.eye(model.dim)
-    return model.a1[None, :, :] - zs[:, None, None] * eye[None, :, :] + se
+    se = self_energy_many(contour, zs)
+    model = contour.model
+    return model.a1[None, :, :] - zs[:, None, None] * np.eye(model.dim)[None, :, :] + se
 
 
-def adjoint_symmetry_residual(model: SpectralModel, contour_l: Contour,
-                              contour_minus_l: Contour, zs: np.ndarray) -> np.ndarray:
+def adjoint_symmetry_residual(contour_l: Contour, contour_minus_l: Contour,
+                              zs: np.ndarray) -> np.ndarray:
     """Defect of the conjugate-adjoint symmetry between mirror sheets, per point.
 
     Returns, for each z of the batch, the norm of the difference between the
     adjoint of the mirror transfer function at conj(z) and the transfer
-    function at z; both sides are computed independently.
+    function at z; both sides are computed independently. The contours must
+    be a mirror pair of one model.
     """
     if not is_mirror_pair(contour_l, contour_minus_l):
         raise PairingError("contours are not a mirror pair")
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    left = transfer_many(model, contour_minus_l, zs.conj()).conj().transpose(0, 2, 1)
-    right = transfer_many(model, contour_l, zs)
+    left = transfer_many(contour_minus_l, zs.conj()).conj().transpose(0, 2, 1)
+    right = transfer_many(contour_l, zs)
     return np.linalg.norm(left - right, 2, axis=(1, 2))

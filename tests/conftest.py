@@ -150,7 +150,7 @@ def build_defective4():
     interval = Interval(0.0, 1.0, 0.6)
     seed_model = SpectralModel(np.eye(4), [interval], (), coupling)
     contour = build_contour(seed_model, Semicircle(), [1])
-    x_exact = self_energy_of_operator(seed_model, contour, h)
+    x_exact = self_energy_of_operator(contour, h)
     a1 = h - x_exact
     model = SpectralModel(a1, [interval], (), coupling)
     contour = build_contour(model, Semicircle(), [1])

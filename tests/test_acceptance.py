@@ -22,8 +22,8 @@ def report(num, name, ok):
 
 def solve_pair(model, spec, l, tol=1e-10):
     c = rs.build_contour(model, spec, l)
-    sol = rs.solve_fixed_point(model, c, tol)
-    sol_m = rs.solve_fixed_point(model, rs.mirrored(model, c), tol)
+    sol = rs.solve_fixed_point(c, tol)
+    sol_m = rs.solve_fixed_point(rs.mirrored(c), tol)
     return c, sol, sol_m
 
 
@@ -31,7 +31,7 @@ def test_criterion_1_certificate_reproduction():
     t0 = time.perf_counter()
     model = rs.friedrichs_model(1.0, beta_sq=BETA_SQ_STD)
     c = rs.build_contour(model, rs.Semicircle(), [1])
-    cert = rs.solvability_certificate(model, c)
+    cert = rs.solvability_certificate(c)
     ok = (cert.d0 == 1.0
           and abs(cert.v0 - 3.0 / 16.0) <= 1e-10
           and abs(cert.r_min - 0.25) <= 1e-10
@@ -40,7 +40,7 @@ def test_criterion_1_certificate_reproduction():
     def admissible(beta_sq):
         m = rs.friedrichs_model(1.0, beta_sq=beta_sq)
         cc = rs.build_contour(m, rs.Semicircle(), [1])
-        return rs.solvability_certificate(m, cc).admissible
+        return rs.solvability_certificate(cc).admissible
 
     lo, hi = 0.9 / (4.0 * math.pi), 1.1 / (4.0 * math.pi)
     assert admissible(lo) and not admissible(hi)
@@ -66,11 +66,11 @@ def test_criterion_2_oracle_cross_validation():
         beta_sq = (0.1 + 0.8 * rng.random()) * r / (4.0 * math.pi)
         model = rs.friedrichs_model(r, beta_sq=beta_sq)
         c = rs.build_contour(model, rs.Semicircle(), [1])
-        sol = rs.solve_fixed_point(model, c, tol=1e-12)
+        sol = rs.solve_fixed_point(c, tol=1e-12)
         params = rs.params_from_model(model, 1)
         root = rs.resonance_root(params)
         ok = ok and abs(complex(sol.effective[0, 0]) - root.z) <= 1e-8
-        sol_m = rs.solve_fixed_point(model, rs.mirrored(model, c), tol=1e-12)
+        sol_m = rs.solve_fixed_point(rs.mirrored(c), tol=1e-12)
         root_m = rs.resonance_root(params.with_sheet(-1))
         ok = ok and abs(complex(sol_m.effective[0, 0]) - root_m.z) <= 1e-8
         ok = ok and abs(root_m.z - np.conj(root.z)) <= 1e-10
@@ -85,8 +85,8 @@ def test_criterion_3_factorization(poly4_model):
     models = [rs.friedrichs_model(1.0, beta_sq=BETA_SQ_STD), poly4_model]
     for model in models:
         c = rs.build_contour(model, rs.Semicircle(), [1])
-        cert = rs.solvability_certificate(model, c)
-        sol = rs.solve_fixed_point(model, c)
+        cert = rs.solvability_certificate(c)
+        sol = rs.solve_fixed_point(c)
         bound = rs.left_factor_inverse_bound(cert)
         eigs = model.a1_eigenvalues()
         count = 0
@@ -145,7 +145,7 @@ def test_criterion_5_symmetry_suite(m2_model, n3_bound_model):
     reals = []
     for l in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         c = rs.build_contour(m2_model, rs.Semicircle(radius=0.4), list(l))
-        sol = rs.solve_fixed_point(m2_model, c)
+        sol = rs.solve_fixed_point(c)
         sel = [e for e in np.linalg.eigvals(sol.effective)
                if abs(e.imag) <= 1e-9 and e.real > 3.5]
         ok = ok and len(sel) == 1
@@ -153,9 +153,9 @@ def test_criterion_5_symmetry_suite(m2_model, n3_bound_model):
     ok = ok and (max(r.real for r in reals) - min(r.real for r in reals)) <= 1e-9
     # contour independence across two admissible shapes
     c1 = rs.build_contour(n3_bound_model, rs.Semicircle(), [1])
-    sol1 = rs.solve_fixed_point(n3_bound_model, c1)
+    sol1 = rs.solve_fixed_point(c1)
     c2 = rs.build_contour(n3_bound_model, rs.Rectangle(depth=0.5), [1])
-    ok = ok and rs.solvability_certificate(n3_bound_model, c2).admissible
+    ok = ok and rs.solvability_certificate(c2).admissible
     ok = ok and rs.contour_independence(sol1, c2) <= 1e-8
     report(5, "symmetry and invariance", ok)
 
@@ -165,7 +165,7 @@ def test_criterion_6_zero_coupling_suite(zero_model):
     c, sol, sol_m = solve_pair(zero_model, rs.Semicircle(), [1])
     ok = ok and rs.spectral_norm(sol.correction) <= 1e-14
     z = 0.4 - 0.7j
-    m = rs.transfer_many(zero_model, c, [z])[0]
+    m = rs.transfer_many(c, [z])[0]
     ok = ok and rs.spectral_norm(m - (zero_model.a1 - z * np.eye(2))) == 0.0
     f = rs.factorize(sol, 0.55 + 0.2j)
     ok = ok and f.residual <= 1e-14
@@ -191,8 +191,8 @@ def test_criterion_7_contraction_property(poly4_model, m2_model, n3_bound_model)
     ]
     for model, spec, l in cases:
         c = rs.build_contour(model, spec, l)
-        cert = rs.solvability_certificate(model, c)
-        sol = rs.solve_fixed_point(model, c, solve_tol)
+        cert = rs.solvability_certificate(c)
+        sol = rs.solve_fixed_point(c, solve_tol)
         q = cert.contraction_factor()
         floor = 100.0 * np.finfo(float).eps * (rs.spectral_norm(model.a1) + 1.0)
         for prev, cur in zip(sol.step_norms[:-1], sol.step_norms[1:]):
@@ -213,7 +213,7 @@ def test_criterion_8_riesz_gram_and_defective(n3_bound_model, defective4):
     ok = ok and g.gram_defect <= 1e-6 and g.real_block_defect <= 1e-6
 
     model, contour, h, x_exact, j = defective4
-    sol_d = rs.refine_fixed_point(model, contour, x_exact, tol=1e-11)
+    sol_d = rs.refine_fixed_point(contour, x_exact, tol=1e-11)
     dec_d = rs.eigen_decompose(sol_d.effective, cluster_tol=1e-4)
     ok = ok and sorted(zip(dec_d.algebraic, dec_d.geometric, dec_d.pole_orders)) == [
         (1, 1, 1), (1, 1, 1), (2, 1, 2)]

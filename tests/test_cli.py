@@ -83,9 +83,9 @@ def test_verify_passes(tmp_path, std_model, monkeypatch):
         decomposed.append(h1)
         return decompose(h1, *args, **kwargs)
 
-    def counting_certificate(model, c):
+    def counting_certificate(c):
         certified.append(c)
-        return certify(model, c)
+        return certify(c)
 
     monkeypatch.setattr(spectral, "eigen_decompose", counting)
     for module in (contour, solver, spectral):

@@ -63,28 +63,28 @@ def test_rectangle_sections(m2_model):
 
 def test_variation_semicircle_value(friedrichs_std):
     c = build_contour(friedrichs_std, Semicircle(), [1])
-    v = variation(friedrichs_std, c)
+    v = variation(c)
     assert abs(v - math.pi * BETA_SQ_STD) <= 1e-12
 
 
 def test_variation_zero_coupling(zero_model):
     c = build_contour(zero_model, Semicircle(), [1])
-    assert variation(zero_model, c) == 0.0
+    assert variation(c) == 0.0
 
 
 def test_variation_mirror_symmetry(poly4_model, m2_model):
     for model, l, spec in ((poly4_model, [1], Semicircle()),
                            (m2_model, [1, -1], Semicircle(radius=0.4))):
         c = build_contour(model, spec, l)
-        cm = mirrored(model, c)
-        v, vm = variation(model, c), variation(model, cm)
+        cm = mirrored(c)
+        v, vm = variation(c), variation(cm)
         assert abs(v - vm) <= 1e-10 * v
 
 
 def test_variation_self_convergence(poly4_model):
     c = build_contour(poly4_model, Semicircle(), [1])
-    c2 = double_order(poly4_model, c)
-    v, v2 = variation(poly4_model, c), variation(poly4_model, c2)
+    c2 = double_order(c)
+    v, v2 = variation(c), variation(c2)
     assert abs(v - v2) <= c.quad_tol * max(1.0, v)
 
 
@@ -93,17 +93,17 @@ def test_variation_discrete_part():
                           [(3.0, np.array([[0.04]]))],
                           CouplingFunction.zero(1))
     c = build_contour(model, Semicircle(), [1])
-    assert abs(variation(model, c) - 0.04) <= 1e-15
+    assert abs(variation(c) - 0.04) <= 1e-15
 
 
 def test_separation_exact_semicircle(friedrichs_std):
     c = build_contour(friedrichs_std, Semicircle(), [1])
-    assert separation_distance(friedrichs_std, c) == 1.0
+    assert separation_distance(c) == 1.0
 
 
 def test_separation_flat_through_embedded_eigenvalue(friedrichs_std):
     c = build_contour(friedrichs_std, Flat(), [1])
-    assert separation_distance(friedrichs_std, c) == 0.0
+    assert separation_distance(c) == 0.0
 
 
 def test_separation_discrete_point_reduces():
@@ -111,15 +111,15 @@ def test_separation_discrete_point_reduces():
     iv = [Interval(0.0, 1.0, 0.6)]
     model = SpectralModel(a1, iv)
     c = build_contour(model, Semicircle(), [1])
-    d_before = separation_distance(model, c)
+    d_before = separation_distance(c)
     model2 = SpectralModel(a1, iv, [(5.5, np.zeros((1, 1)))])
     c2 = build_contour(model2, Semicircle(), [1])
-    assert separation_distance(model2, c2) == 0.5 < d_before
+    assert separation_distance(c2) == 0.5 < d_before
 
 
 def test_certificate_values_symmetric_model(friedrichs_std):
     c = build_contour(friedrichs_std, Semicircle(), [1])
-    cert = solvability_certificate(friedrichs_std, c)
+    cert = solvability_certificate(c)
     assert cert.admissible
     assert cert.d0 == 1.0
     assert abs(cert.v0 - 3.0 / 16.0) <= 1e-10
@@ -133,7 +133,7 @@ def test_certificate_values_symmetric_model(friedrichs_std):
 
 def test_certificate_zero_coupling(zero_model):
     c = build_contour(zero_model, Semicircle(), [1])
-    cert = solvability_certificate(zero_model, c)
+    cert = solvability_certificate(c)
     assert cert.admissible
     assert cert.v0 == 0.0
     assert cert.r_min == 0.0
@@ -147,7 +147,7 @@ def test_admissibility_threshold():
     for factor, expect in ((0.999999, True), (1.000001, False)):
         model = friedrichs_model(1.0, beta_sq=factor * thr)
         c = build_contour(model, Semicircle(), [1])
-        assert solvability_certificate(model, c).admissible is expect
+        assert solvability_certificate(c).admissible is expect
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,7 +200,7 @@ def test_scan_mirror_agreement(friedrichs_std):
 
 def test_mirror_nodes_exactly_conjugate(m2_model):
     c = build_contour(m2_model, Semicircle(radius=0.4), [1, -1])
-    cm = mirrored(m2_model, c)
+    cm = mirrored(c)
     assert is_mirror_pair(c, cm)
     assert np.array_equal(cm.nodes, np.conj(c.nodes))
     assert np.array_equal(cm.weights, np.conj(c.weights))
@@ -210,8 +210,8 @@ def test_mirror_pair_by_integration_data(friedrichs_std):
     # pairing reads the integration data, not how the curve was specified
     c = build_contour(friedrichs_std, Semicircle(), [1])
     explicit = build_contour(friedrichs_std, Semicircle(center=1.0, radius=1.0), [1])
-    assert is_mirror_pair(c, mirrored(friedrichs_std, explicit))
-    assert not is_mirror_pair(c, double_order(friedrichs_std, mirrored(friedrichs_std, c)))
+    assert is_mirror_pair(c, mirrored(explicit))
+    assert not is_mirror_pair(c, double_order(mirrored(c)))
     extra = SpectralModel(friedrichs_std.a1, friedrichs_std.intervals,
                           [(3.0, np.array([[0.01]]))], friedrichs_std.coupling)
     assert not is_mirror_pair(c, build_contour(extra, Semicircle(), [-1]))
@@ -324,9 +324,9 @@ def test_unbounded_rectangle_with_decay():
     c = build_contour(model, Rectangle(depth=0.3), [1], quad_tol=1e-8)
     assert c.tail_variation_bound > 0.0
     assert c.tail_variation_bound <= 1e-3 * 1e-8 * 1.01
-    cert = solvability_certificate(model, c)
+    cert = solvability_certificate(c)
     assert cert.admissible
     # self-convergence of the graded ray quadrature
-    c2 = double_order(model, c)
-    v, v2 = variation(model, c), variation(model, c2)
+    c2 = double_order(c)
+    v, v2 = variation(c), variation(c2)
     assert abs(v - v2) <= 1e-8 * max(1.0, v)

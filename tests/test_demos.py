@@ -1,5 +1,6 @@
-"""The demos run to completion against the package under test."""
+"""The demos and the README quick start run against the package under test."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from conftest import child_env
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
+README = DEMO_DIR.parent / "README.md"
 
 
 def _demo_files() -> dict:
@@ -26,3 +28,11 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert _demo_files() == before
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's library quick start runs and prints the oracle difference."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    assert float(capsys.readouterr().out) <= 1e-8

@@ -66,7 +66,7 @@ def test_quadrature_cross_check(friedrichs_std):
     c = build_contour(friedrichs_std, Flat(), [1], order=(12, 16))
     p = params_from_model(friedrichs_std, 0)
     zs = (3.0, -0.7, 1.0 + 1.5j, 0.5 - 2.0j)
-    for z, quad in zip(zs, self_energy_many(friedrichs_std, c, zs)[:, 0, 0]):
+    for z, quad in zip(zs, self_energy_many(c, zs)[:, 0, 0]):
         assert abs(quad - self_energy_closed(p, z)) <= 1e-9
 
 
@@ -196,12 +196,12 @@ def test_oracle_keystone_cross_validation():
     for r, b2 in pairs:
         model = friedrichs_model(r, beta_sq=b2)
         c = rs.build_contour(model, Semicircle(), [1])
-        sol = rs.solve_fixed_point(model, c, tol=1e-12)
+        sol = rs.solve_fixed_point(c, tol=1e-12)
         p = params_from_model(model, 1)
         root = resonance_root(p)
         err = abs(complex(sol.effective[0, 0]) - root.z)
         assert err <= max(1e-8, sol.a_posteriori_bound)
-        sol_m = rs.solve_fixed_point(model, rs.mirrored(model, c), tol=1e-12)
+        sol_m = rs.solve_fixed_point(rs.mirrored(c), tol=1e-12)
         root_m = resonance_root(p.with_sheet(-1))
         assert abs(complex(sol_m.effective[0, 0]) - root_m.z) <= max(
             1e-8, sol_m.a_posteriori_bound)

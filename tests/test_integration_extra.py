@@ -23,12 +23,12 @@ def test_discrete_remainder_full_identity_flow(discrete_model):
     model = discrete_model
     assert rs.validate_model(model).empty
     c = rs.build_contour(model, rs.Semicircle(), [1])
-    cert = rs.solvability_certificate(model, c)
+    cert = rs.solvability_certificate(c)
     assert abs(cert.v0 - (0.02 + 0.01 * math.pi * 0.5)) <= 1e-12
     assert cert.d0 == 0.5
     assert cert.admissible
-    sol = rs.solve_fixed_point(model, c)
-    sol_m = rs.solve_fixed_point(model, rs.mirrored(model, c))
+    sol = rs.solve_fixed_point(c)
+    sol_m = rs.solve_fixed_point(rs.mirrored(c))
     om = rs.overlap_operator(sol, sol_m)
     assert om.norm < om.norm_bound_check
     gamma = rs.enclosure_circles(sol)
@@ -45,8 +45,8 @@ def test_discrete_remainder_full_identity_flow(discrete_model):
 def test_discrete_point_inside_gamma_rejected(discrete_model):
     model = discrete_model
     c = rs.build_contour(model, rs.Semicircle(), [1])
-    sol = rs.solve_fixed_point(model, c)
-    sol_m = rs.solve_fixed_point(model, rs.mirrored(model, c))
+    sol = rs.solve_fixed_point(c)
+    sol_m = rs.solve_fixed_point(rs.mirrored(c))
     with pytest.raises(rs.GeometryError):
         rs.contour_moment(sol, sol_m, rs.Circle(-1.0 + 0.0j, 1.5), 0)
 
@@ -63,17 +63,17 @@ def unbounded_model():
 def test_unbounded_interval_end_to_end(unbounded_model):
     model = unbounded_model
     c = rs.build_contour(model, rs.Rectangle(depth=0.3), [1], quad_tol=1e-8)
-    cert = rs.solvability_certificate(model, c)
+    cert = rs.solvability_certificate(c)
     assert cert.admissible
-    sol = rs.solve_fixed_point(model, c)
+    sol = rs.solve_fixed_point(c)
     lam = complex(sol.effective[0, 0])
     assert lam.imag > 0.0  # resonance in the selected half plane
     assert abs(lam - 3.0) <= cert.r_min + sol.a_posteriori_bound
-    sol_m = rs.solve_fixed_point(model, rs.mirrored(model, c))
+    sol_m = rs.solve_fixed_point(rs.mirrored(c))
     assert abs(np.conj(complex(sol_m.effective[0, 0])) - lam) <= 1e-9
     # independent contour (deeper rectangle) gives the same correction
     c2 = rs.build_contour(model, rs.Rectangle(depth=0.2), [1], quad_tol=1e-8)
-    if rs.solvability_certificate(model, c2).admissible:
+    if rs.solvability_certificate(c2).admissible:
         assert rs.contour_independence(sol, c2) <= 1e-7
 
 

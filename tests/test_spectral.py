@@ -34,8 +34,8 @@ from resonances.model import coupling_density
 
 def solve_pair(model, spec, l):
     c = build_contour(model, spec, l)
-    sol = solve_fixed_point(model, c)
-    sol_m = solve_fixed_point(model, mirrored(model, c))
+    sol = solve_fixed_point(c)
+    sol_m = solve_fixed_point(mirrored(c))
     return c, sol, sol_m
 
 
@@ -106,7 +106,7 @@ def test_decompose_similarity_six():
 
 def test_decompose_real_isolated_semisimple(n3_bound_model):
     c = build_contour(n3_bound_model, Semicircle(), [1])
-    sol = solve_fixed_point(n3_bound_model, c)
+    sol = solve_fixed_point(c)
     dec = eigen_decompose(sol.effective)
     real = [i for i, ev in enumerate(dec.eigenvalues) if abs(ev.imag) < 1e-9]
     assert len(real) == 1
@@ -140,9 +140,9 @@ def test_eigenvector_path_matches_residue_path(monkeypatch, friedrichs_std, zero
     mats = []
     for model in (friedrichs_std, zero_model, poly4_model, n3_bound_model,
                   embedded_real_model):
-        mats.append(solve_fixed_point(model, build_contour(model, Semicircle(), [1])).effective)
+        mats.append(solve_fixed_point(build_contour(model, Semicircle(), [1])).effective)
     mats.append(solve_fixed_point(
-        m2_model, build_contour(m2_model, Semicircle(radius=0.4), [1, -1])).effective)
+        build_contour(m2_model, Semicircle(radius=0.4), [1, -1])).effective)
     rng = np.random.default_rng(43)
     for n in (2, 5, 8):
         for _ in range(3):
@@ -199,7 +199,7 @@ def test_trapezoid_residue_evaluates_each_point_once():
 
 def test_factorize_zero_coupling(zero_model):
     c = build_contour(zero_model, Semicircle(), [1])
-    sol = solve_fixed_point(zero_model, c)
+    sol = solve_fixed_point(c)
     f = factorize(sol, 0.45 + 0.21j)
     assert spectral_norm(f.left_factor - np.eye(2)) == 0.0
     assert f.residual <= 1e-14
@@ -209,8 +209,8 @@ def test_factorize_random_points(friedrichs_std, poly4_model):
     rng = np.random.default_rng(31)
     for model in (friedrichs_std, poly4_model):
         c = build_contour(model, Semicircle(), [1])
-        cert = solvability_certificate(model, c)
-        sol = solve_fixed_point(model, c)
+        cert = solvability_certificate(c)
+        sol = solve_fixed_point(c)
         bound = left_factor_inverse_bound(cert)
         eigs = model.a1_eigenvalues()
         zs, single = [], []
@@ -349,7 +349,7 @@ def test_keldysh_residue_matches_trapezoid(poly4_model):
         res = transfer_residue(sol, dec, lam)
         assert res.delta is None
         assert res.singular_ratio <= 1e-10
-        ref, delta, _ = _trapezoid_residue(_minv_batch(poly4_model, c, scale), (res.circle,),
+        ref, delta, _ = _trapezoid_residue(_minv_batch(c, scale), (res.circle,),
                                            atol=1e-13 * (1.0 + scale))
         assert delta <= 1e-10
         assert spectral_norm(res.matrix - ref) <= 1e-10
@@ -359,7 +359,7 @@ def test_multiple_eigenvalue_takes_trapezoid_residue(defective4):
     from resonances import refine_fixed_point
 
     model, contour, h, x_exact, j = defective4
-    sol = refine_fixed_point(model, contour, x_exact, tol=1e-11)
+    sol = refine_fixed_point(contour, x_exact, tol=1e-11)
     dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
     for i, lam in enumerate(dec.eigenvalues):
         res = transfer_residue(sol, dec, lam)
@@ -375,7 +375,7 @@ def test_minv_batch_rejects_singular_transfer(zero_model):
 
     # zero coupling: T(z) = A1 - z exactly, singular at the levels 0.3 and 0.7
     c = build_contour(zero_model, Semicircle(), [1])
-    f = _minv_batch(zero_model, c, 1.0)
+    f = _minv_batch(c, 1.0)
     zs = np.array([0.45 + 0.1j, 0.5 - 0.2j])
     assert np.array_equal(f(zs), np.linalg.inv(zero_model.a1 - zs[:, None, None] * np.eye(2)))
     for bad in (0.3 + 0.0j, 0.7 + 1e-12j):
@@ -425,7 +425,7 @@ def test_projection_equations_defective(defective4):
     from resonances import refine_fixed_point
 
     model, contour, h, x_exact, j = defective4
-    sol = refine_fixed_point(model, contour, x_exact, tol=1e-11)
+    sol = refine_fixed_point(contour, x_exact, tol=1e-11)
     assert spectral_norm(sol.effective - h) <= 1e-10
     dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
     orders = sorted(zip(dec.algebraic, dec.geometric, dec.pole_orders))
@@ -441,7 +441,7 @@ def test_defective_resolve_recovers_structure(defective4):
 
     model, contour, h, x_exact, j = defective4
     n = model.dim
-    resolved = refine_fixed_point(model, contour, np.zeros((n, n)), tol=1e-12,
+    resolved = refine_fixed_point(contour, np.zeros((n, n)), tol=1e-12,
                                   max_iter=400)
     assert spectral_norm(resolved.effective - h) <= 1e-8
     dec = eigen_decompose(resolved.effective, cluster_tol=1e-4)
@@ -496,7 +496,7 @@ def test_spectrum_in_certified_vicinity(poly4_model, m2_model):
     for model, spec, l in ((poly4_model, Semicircle(), [1]),
                            (m2_model, Semicircle(radius=0.4), [1, -1])):
         c = build_contour(model, spec, l)
-        sol = solve_fixed_point(model, c)
+        sol = solve_fixed_point(c)
         eigs_a1 = model.a1_eigenvalues()
         for ev in np.linalg.eigvals(sol.effective):
             dist = min(abs(ev - a) for a in eigs_a1)
@@ -506,7 +506,7 @@ def test_spectrum_in_certified_vicinity(poly4_model, m2_model):
 def test_complex_spectrum_half_planes(m2_model):
     for l in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         c = build_contour(m2_model, Semicircle(radius=0.4), list(l))
-        sol = solve_fixed_point(m2_model, c)
+        sol = solve_fixed_point(c)
         for ev in np.linalg.eigvals(sol.effective):
             if abs(ev.imag) <= 1e-9:
                 continue
@@ -519,7 +519,7 @@ def test_spectra_agree_on_shared_components(m2_model):
     sols = {}
     for l in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         c = build_contour(m2_model, Semicircle(radius=0.4), list(l))
-        sols[l] = np.linalg.eigvals(solve_fixed_point(m2_model, c).effective)
+        sols[l] = np.linalg.eigvals(solve_fixed_point(c).effective)
 
     def eig_in_interval(eigs, k):
         iv = m2_model.intervals[k]
@@ -553,7 +553,7 @@ def test_adjoint_similarity_via_overlap(poly4_model):
 
 def test_transfer_invertible_on_half_separation_curve(poly4_model):
     c = build_contour(poly4_model, Semicircle(), [1])
-    cert = solvability_certificate(poly4_model, c)
+    cert = solvability_certificate(c)
     margin = (cert.d0 / 2.0) * (1.0 - cert.v0 / (cert.d0 ** 2 / 4.0))
     eigs = poly4_model.a1_eigenvalues()
     rng = np.random.default_rng(41)
@@ -565,7 +565,7 @@ def test_transfer_invertible_on_half_separation_curve(poly4_model):
             continue
         if c.distance(z) < 1e-6:
             continue
-        m = transfer_many(poly4_model, c, [z])[0]
+        m = transfer_many(c, [z])[0]
         smin = np.linalg.svd(m, compute_uv=False)[-1]
         assert smin >= margin * 0.999
         checked += 1
@@ -574,9 +574,9 @@ def test_transfer_invertible_on_half_separation_curve(poly4_model):
 def test_embedded_real_eigenvalue_criterion(embedded_real_model):
     model = embedded_real_model
     c = build_contour(model, Semicircle(), [1])
-    cert = solvability_certificate(model, c)
+    cert = solvability_certificate(c)
     assert cert.admissible
-    sol = solve_fixed_point(model, c)
+    sol = solve_fixed_point(c)
     dec = eigen_decompose(sol.effective)
     # the engineered level survives inside the interval, exactly real
     i = dec.find(0.5)
