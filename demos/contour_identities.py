@@ -64,13 +64,13 @@ print(f"  adjoint-mirror defect {np.linalg.norm(om.matrix.conj().T - om_m.matrix
 print("\nresolvent moments of the inverse transfer function")
 metric_inv = np.linalg.inv(om.metric())
 gamma = rs.enclosure_circles(sol)
-m0 = rs.contour_moment(sol, sol_m, gamma, 0)
-m1 = rs.contour_moment(sol, sol_m, gamma, 1)
-print(f"  moment 0 vs inverse metric:      {np.linalg.norm(m0.matrix - metric_inv, 2):.3e}")
+moments = rs.contour_moment(sol, sol_m, gamma)
+m0, m1 = moments.m0, moments.m1
+print(f"  moment 0 vs inverse metric:      {np.linalg.norm(m0 - metric_inv, 2):.3e}")
 print(f"  moment 1 vs metric-adjoint form: "
-      f"{np.linalg.norm(m1.matrix - metric_inv @ sol_m.effective.conj().T, 2):.3e}")
+      f"{np.linalg.norm(m1 - metric_inv @ sol_m.effective.conj().T, 2):.3e}")
 print(f"  moment 1 vs effective form:      "
-      f"{np.linalg.norm(m1.matrix - sol.effective @ metric_inv, 2):.3e}")
+      f"{np.linalg.norm(m1 - sol.effective @ metric_inv, 2):.3e}")
 
 print("\nresidue product identities per resonance")
 dec = rs.eigen_decompose(sol.effective)

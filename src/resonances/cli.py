@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .errors import (
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import SpectralModel, model_from_json_dict, spectral_norm, validate_model
+from .model import (SpectralModel, _matrix_pairs, _reject_unknown_keys, model_from_json_dict,
+                    spectral_norm, validate_model)
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, fixed_point_residual, solve_fixed_point
 from .transfer import adjoint_symmetry_residual
 
@@ -61,6 +62,11 @@ EXIT_CODES = {
 }
 
 DEFAULT_TOLERANCES = {"quad_tol": ct.DEFAULT_QUAD_TOL, "solve_tol": DEFAULT_TOL, "id_tol": 1e-6}
+# the keys each config block is read for; the contour's are checked where it is parsed
+_CONFIG_KEYS = {"config": ("command", "model", "model_path", "contour", "tolerances",
+                           "max_iter", "sweep", "oracle", "output"),
+                "tolerances": tuple(DEFAULT_TOLERANCES), "sweep": ("parameter", "grid"),
+                "oracle": ("nu",), "output": ("json_path", "csv_path")}
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +76,7 @@ DEFAULT_TOLERANCES = {"quad_tol": ct.DEFAULT_QUAD_TOL, "solve_tol": DEFAULT_TOL,
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         return '"%s"' % x
-    s = format(float(x), ".17g")
-    return s
+    return format(float(x), ".17g")
 
 
 def _render_json(obj, indent: int = 0) -> str:
@@ -94,24 +99,24 @@ def _render_json(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        # rows of floats, such as the [re, im] pairs of a matrix, in one pass
+        items = ["[" + ", ".join(map(_fmt_float, row)) + "]" for row in obj.tolist()]
+    elif isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
             # floats (numpy float64 included) straight to _fmt_float: one pass
             return "[" + ", ".join(_fmt_float(v) if isinstance(v, float) else _render_json(v)
                                    for v in obj) + "]"
-        items = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot render {type(obj)!r}")
+        items = [_render_json(v, indent + 1) for v in obj]
+    else:
+        raise TypeError(f"cannot render {type(obj)!r}")
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(f"{pad}  {v}" for v in items) + "\n" + pad + "]"
 
 
 def _complex_pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def _matrix_pairs(m: np.ndarray) -> list:
-    return [_complex_pair(v) for v in np.asarray(m, dtype=complex).reshape(-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +143,19 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Read a JSON config; a missing or malformed field raises ``StructuralModelError``."""
+    """Read a JSON config; a missing, malformed or unknown field raises ``StructuralModelError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise StructuralModelError(f"cannot read config {path}: {exc}") from exc
     try:
+        for block, allowed in _CONFIG_KEYS.items():
+            fields = data if block == "config" else data.get(block)
+            if fields is not None:
+                _reject_unknown_keys(fields, allowed, block)
+        if "model" in data and "model_path" in data:
+            raise StructuralModelError("config takes 'model' or 'model_path', not both")
         if "model" in data:
             model = model_from_json_dict(data["model"])
         elif "model_path" in data:
@@ -193,17 +204,6 @@ def _build_contour(config: RunConfig, model: SpectralModel | None = None) -> ct.
     return ct.build_contour(model or config.model, specs, l, order, config.quad_tol)
 
 
-def _certificate_dict(cert: ct.SolvabilityCertificate) -> dict:
-    return {
-        "d0": cert.d0,
-        "v0": cert.v0,
-        "omega": cert.omega,
-        "admissible": cert.admissible,
-        "r_min": cert.r_min,
-        "r_max": cert.r_max,
-    }
-
-
 def _tag_eigenvalues(sol, dec) -> list:
     real_band = max(10.0 * sol.a_posteriori_bound, 1e-9 * dec.scale)
     rows = []
@@ -238,7 +238,7 @@ def run_solve(config: RunConfig) -> dict:
     dec = sp.eigen_decompose(sol.effective)
     return {
         "status": "ok",
-        "certificate": _certificate_dict(sol.certificate),
+        "certificate": asdict(sol.certificate),
         "solution": {
             "multi_index": list(sol.multi_index),
             "n": sol.model.dim,
@@ -302,13 +302,12 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     omega2 = sp.overlap_operator(sol2, sol2_m)
     metric2_inv = np.linalg.inv(omega2.metric())
     gamma = sp.enclosure_circles(sol)
-    m0 = sp.contour_moment(sol, sol_m, gamma, 0)
-    add("resolvent-moment-0", spectral_norm(m0.matrix - metric2_inv), id_tol)
+    moments = sp.contour_moment(sol, sol_m, gamma)
+    add("resolvent-moment-0", spectral_norm(moments.m0 - metric2_inv), id_tol)
 
-    m1 = sp.contour_moment(sol, sol_m, gamma, 1)
     h2_adj = sol2_m.effective.conj().T
-    r1 = spectral_norm(m1.matrix - metric2_inv @ h2_adj)
-    r2 = spectral_norm(m1.matrix - sol2.effective @ metric2_inv)
+    r1 = spectral_norm(moments.m1 - metric2_inv @ h2_adj)
+    r2 = spectral_norm(moments.m1 - sol2.effective @ metric2_inv)
     add("resolvent-moment-1", max(r1, r2), id_tol)
 
     dec = sp.eigen_decompose(sol.effective)
@@ -405,25 +404,13 @@ def run_sweep(config: RunConfig) -> dict:
 
 
 def sweep_csv(rows: list[dict]) -> str:
-    """The CSV of a sweep artifact's rows, one line per row."""
-    header = ["parameter", "eig_index", "re_lambda", "im_lambda", "tag",
-              "r_min", "iterations", "status"]
-    lines = [",".join(header)]
+    """The CSV of a sweep artifact's rows, one line per row, floats at 17 digits."""
+    lines = ["parameter,eig_index,re_lambda,im_lambda,tag,r_min,iterations,status"]
+    columns = ("eig_index", "re", "im", "tag", "r_min", "iterations")
     for r in rows:
-        if r["status"] != "ok":
-            lines.append(",".join([
-                format(r["parameter"], ".17g"), "", "", "", "", "", "", r["status"]]))
-        else:
-            lines.append(",".join([
-                format(r["parameter"], ".17g"),
-                str(r["eig_index"]),
-                format(r["re"], ".17g"),
-                format(r["im"], ".17g"),
-                r["tag"],
-                format(r["r_min"], ".17g"),
-                str(r["iterations"]),
-                "ok",
-            ]))
+        fields = [r[k] if r["status"] == "ok" else "" for k in columns]
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                              for v in (r["parameter"], *fields, r["status"])))
     return "\n".join(lines) + "\n"
 
 
@@ -528,13 +515,13 @@ def main(argv=None) -> int:
             if args.command == "sweep":
                 csv_text = sweep_csv(artifact["rows"])
     except InadmissibleCertificateError as exc:
-        artifact = {"status": "inadmissible", "certificate": _certificate_dict(exc.certificate)}
+        artifact = {"status": "inadmissible", "certificate": asdict(exc.certificate)}
     except NonconvergenceError as exc:
         if exc.certificate is None:       # a closed-form root finder: no artifact
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_NONCONVERGENCE
         artifact = {"status": "nonconvergence",
-                    "certificate": _certificate_dict(exc.certificate),
+                    "certificate": asdict(exc.certificate),
                     "step_norms": [float(v) for v in exc.history]}
     except IdentityFailureError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -25,7 +25,7 @@ from .errors import (
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import Interval, SpectralModel
+from .model import Interval, SpectralModel, _reject_unknown_keys
 
 DEFAULT_ORDER = (6, 16)
 DEFAULT_QUAD_TOL = 1e-10
@@ -141,7 +141,6 @@ class Section:
 class Piece:
     """Contour piece for one interval: spec, smooth sections, diagnostics."""
 
-    interval_index: int
     half_plane: int
     spec: CurveSpec
     sections: tuple[Section, ...]
@@ -363,7 +362,7 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
         defect = math.nan
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return Piece(k, lk, spec, tuple(sections), nodes, weights, defect, tail_bound, region)
+    return Piece(lk, spec, tuple(sections), nodes, weights, defect, tail_bound, region)
 
 
 def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,
@@ -473,7 +472,10 @@ def separation_distance(contour: Contour) -> float:
 
 @dataclass(frozen=True)
 class SolvabilityCertificate:
-    """Admission ticket for the contraction fixed-point solver."""
+    """Admission ticket for the contraction fixed-point solver.
+
+    The CLI artifacts list the fields in this order.
+    """
 
     d0: float
     v0: float
@@ -529,7 +531,6 @@ class ContourScan:
     max_separation: float | None
     best_contour: Contour | None
     admissible_count: int
-    certificates: tuple[SolvabilityCertificate, ...]
 
 
 def scan_contours(model: SpectralModel, l, family: Sequence, order=DEFAULT_ORDER,
@@ -541,7 +542,6 @@ def scan_contours(model: SpectralModel, l, family: Sequence, order=DEFAULT_ORDER
     and the contour achieving the smallest radius. With no admissible member
     the result has ``found=False``; which is data, not an error.
     """
-    certs = []
     best_r = math.inf
     best_d = -math.inf
     best_contour = None
@@ -549,7 +549,6 @@ def scan_contours(model: SpectralModel, l, family: Sequence, order=DEFAULT_ORDER
     for spec in family:
         contour = build_contour(model, spec, l, order, quad_tol)
         cert = solvability_certificate(contour)
-        certs.append(cert)
         if cert.admissible:
             count += 1
             best_d = max(best_d, cert.d0)
@@ -557,16 +556,22 @@ def scan_contours(model: SpectralModel, l, family: Sequence, order=DEFAULT_ORDER
                 best_r = cert.r_min
                 best_contour = contour
     if count == 0:
-        return ContourScan(False, None, None, None, 0, tuple(certs))
-    return ContourScan(True, best_r, best_d, best_contour, count, tuple(certs))
+        return ContourScan(False, None, None, None, 0)
+    return ContourScan(True, best_r, best_d, best_contour, count)
 
 
 # ---------------------------------------------------------------------------
 # JSON curve specs
 # ---------------------------------------------------------------------------
 
-def _spec_from_json(data: dict) -> CurveSpec:
+_SPEC_KEYS = {"semicircle": ("center", "radius"), "rectangle": ("depth", "extent"), "flat": ()}
+
+
+def _spec_from_json(data: dict, where: str, extra=()) -> CurveSpec:
     shape = data.get("shape")
+    if shape not in _SPEC_KEYS:
+        raise StructuralModelError(f"unknown contour shape {shape!r}")
+    _reject_unknown_keys(data, ("shape", *_SPEC_KEYS[shape], *extra), where)
     if shape == "semicircle":
         return Semicircle(center=data.get("center"), radius=data.get("radius"))
     if shape == "rectangle":
@@ -574,21 +579,25 @@ def _spec_from_json(data: dict) -> CurveSpec:
             raise StructuralModelError("rectangle spec requires a depth")
         return Rectangle(depth=float(data["depth"]),
                          extent=data.get("extent"))
-    if shape == "flat":
-        return Flat()
-    raise StructuralModelError(f"unknown contour shape {shape!r}")
+    return Flat()
 
 
 def contour_spec_from_json(data: dict):
-    """Parse {"shape": ..., "l": [...], "panels": p, "points": q} ."""
+    """Parse {"shape": ..., "l": [...], "panels": p, "points": q} .
+
+    A "pieces" list, one spec per interval, replaces the top-level spec. A
+    key that nothing reads raises ``StructuralModelError``.
+    """
+    order_keys = ("l", "panels", "points")
     try:
         l = [int(v) for v in data["l"]]
         panels = int(data.get("panels", DEFAULT_ORDER[0]))
         points = int(data.get("points", DEFAULT_ORDER[1]))
         if "pieces" in data:
-            specs = [_spec_from_json(p) for p in data["pieces"]]
+            _reject_unknown_keys(data, order_keys + ("pieces",), "contour")
+            specs = [_spec_from_json(p, "contour piece") for p in data["pieces"]]
         else:
-            specs = _spec_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+            specs = _spec_from_json(data, "contour", order_keys)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralModelError(f"malformed contour spec: {exc}") from exc
     return specs, l, (panels, points)

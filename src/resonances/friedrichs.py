@@ -102,7 +102,6 @@ class ResonanceRoot:
     residual: float
     iterations: int
     angle_residual: float | None
-    trajectory: tuple[complex, ...]
 
 
 def symmetric_angle_root(beta_tilde_sq: float, nu: int) -> float | None:
@@ -144,20 +143,20 @@ def resonance_root(params: FriedrichsParams) -> ResonanceRoot:
     if params.nu == 0:
         raise DomainError("resonance_root requires a nonzero sheet index")
     z = complex(params.lambda1, math.copysign(params.a / 10.0, params.nu))
-    trajectory = [z]
+    history = [z]
     for it in range(1, _NEWTON_MAX_STEPS + 1):
         f = transfer_closed(params, z)
         if abs(f) <= _ROOT_FTOL:
             break
         df = _transfer_derivative(params, z)
         if df == 0.0:
-            raise NonconvergenceError("Newton derivative vanished", trajectory)
+            raise NonconvergenceError("Newton derivative vanished", history)
         z = z - f / df
-        trajectory.append(z)
+        history.append(z)
     else:
         raise NonconvergenceError(
             f"Newton did not reach |f| <= {_ROOT_FTOL} in {_NEWTON_MAX_STEPS} steps",
-            trajectory)
+            history)
 
     angle_residual = None
     if abs(params.a - 2.0 * params.lambda1) <= 1e-12 * params.a:
@@ -166,8 +165,7 @@ def resonance_root(params: FriedrichsParams) -> ResonanceRoot:
         phi = math.atan2(abs(z.imag), r)
         angle_residual = abs(math.tan(phi)
                              - bt2 * (phi - math.pi / 2.0 + math.pi * abs(params.nu)))
-    return ResonanceRoot(z, abs(transfer_closed(params, z)), it, angle_residual,
-                         tuple(trajectory))
+    return ResonanceRoot(z, abs(transfer_closed(params, z)), it, angle_residual)
 
 
 @dataclass(frozen=True)
@@ -251,8 +249,6 @@ class OutsideSpectrumReport:
     status: str  # "holds" | "violated" | "indeterminate"
     v1_at_zero: float | None
     v1_at_a: float | None
-    lambda_min: float
-    lambda_max: float
     roots_below: int
     roots_above: int
 
@@ -336,8 +332,7 @@ def no_spectrum_outside(model: SpectralModel) -> OutsideSpectrumReport:
     above = np.linspace(a + 1e-9 * a, a + span, _SCAN_POINTS)
     roots_below = _sign_changes([det_at(x) for x in below])
     roots_above = _sign_changes([det_at(x) for x in above])
-    return OutsideSpectrumReport(status, v1_0, v1_a, lam_min, lam_max,
-                                 roots_below, roots_above)
+    return OutsideSpectrumReport(status, v1_0, v1_a, roots_below, roots_above)
 
 
 def _sign_changes(vals) -> int:

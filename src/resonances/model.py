@@ -44,6 +44,15 @@ def _norm_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fro * (1.0 - 1e-10) / math.sqrt(mats.shape[-1]), fro * (1.0 + 1e-10)
 
 
+def _hermitian_defect(a: np.ndarray, rtol: float) -> float | None:
+    """norm(a - a^H) if above rtol * max(norm(a), 1e-300), else None; SVDs past the bounds."""
+    defect = a - a.conj().T
+    if _norm_bounds(defect)[1] <= rtol * max(_norm_bounds(a)[0], 1e-300):
+        return None
+    norm = spectral_norm(defect)
+    return norm if norm > rtol * max(spectral_norm(a), 1e-300) else None
+
+
 def _as_complex_matrix(m, name: str) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -268,10 +277,9 @@ class SpectralModel:
 
     def a1_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the internal matrix (real when Hermitian)."""
-        a = self.a1
-        if spectral_norm(a - a.conj().T) <= HERMITIAN_RTOL * max(spectral_norm(a), 1e-300):
-            return np.linalg.eigvalsh(a).astype(complex)
-        vals = np.linalg.eigvals(a)
+        if _hermitian_defect(self.a1, HERMITIAN_RTOL) is None:
+            return np.linalg.eigvalsh(self.a1).astype(complex)
+        vals = np.linalg.eigvals(self.a1)
         return vals[np.lexsort((vals.imag, vals.real))]
 
 
@@ -452,9 +460,8 @@ def validate_model(model: SpectralModel) -> ValidationReport:
     """
     out: list[Violation] = []
 
-    a = model.a1
-    herm_defect = spectral_norm(a - a.conj().T)
-    if herm_defect > HERMITIAN_RTOL * max(spectral_norm(a), 1e-300):
+    herm_defect = _hermitian_defect(model.a1, HERMITIAN_RTOL)
+    if herm_defect is not None:
         out.append(Violation(
             "hermitian-internal-matrix",
             f"a1 deviates from Hermitian by {herm_defect:.3e}"))
@@ -481,13 +488,14 @@ def validate_model(model: SpectralModel) -> ValidationReport:
                     "discrete-point-outside-continuum",
                     f"discrete point inside continuum interval: nu={p.nu} in interval {k}"))
         w = p.weight
-        scale = max(spectral_norm(w), 1e-300)
-        if spectral_norm(w - w.conj().T) > PSD_RTOL * scale:
+        if _hermitian_defect(w, PSD_RTOL) is not None:
             out.append(Violation(
                 "discrete-weight-psd", f"weight {j} is not Hermitian"))
         else:
             ev = np.linalg.eigvalsh(w)
-            if ev.size and ev[0] < -PSD_RTOL * scale:
+            # the lower norm bound screens the threshold; the SVD norm decides
+            if ev.size and (ev[0] < -PSD_RTOL * max(_norm_bounds(w)[0], 1e-300)
+                            and ev[0] < -PSD_RTOL * max(spectral_norm(w), 1e-300)):
                 out.append(Violation(
                     "discrete-weight-psd",
                     f"weight {j} has eigenvalue {ev[0]:.3e} < 0"))
@@ -509,9 +517,17 @@ def validate_model(model: SpectralModel) -> ValidationReport:
 # JSON serialization. Matrices are flat row-major lists of [re, im] pairs.
 # ---------------------------------------------------------------------------
 
-def _matrix_to_json(m: np.ndarray) -> list:
+def _matrix_pairs(m) -> np.ndarray:
+    """The flat row-major [re, im] rows of a matrix or vector, shape (size, 2)."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+    return np.stack((flat.real, flat.imag), axis=1)
+
+
+def _reject_unknown_keys(data: dict, allowed, where: str):
+    """Raise ``StructuralModelError`` naming the first key of ``data`` nothing reads."""
+    for key in data.keys():
+        if key not in allowed:
+            raise StructuralModelError(f"unknown key {key!r} in {where}")
 
 
 def _matrix_from_json(data, name: str) -> np.ndarray:
@@ -551,22 +567,22 @@ def model_to_json_dict(model: SpectralModel) -> dict:
         raise UnsupportedModelError("user-plugin couplings cannot be serialized")
     cj: dict = {"kind": c.kind}
     if c.kind == "constant-vector":
-        cj["row"] = [[float(v.real), float(v.imag)] for v in c.row]
+        cj["row"] = _matrix_pairs(c.row).tolist()
     elif c.kind == "polynomial-matrix":
-        cj["coeffs"] = [_matrix_to_json(m) for m in c.coeffs]
+        cj["coeffs"] = [_matrix_pairs(m).tolist() for m in c.coeffs]
     elif c.kind == "rational-matrix":
-        cj["num"] = [_matrix_to_json(m) for m in c.coeffs]
+        cj["num"] = [_matrix_pairs(m).tolist() for m in c.coeffs]
         cj["den"] = [float(d) for d in c.den]
     if c.decay is not None:
         cj["decay"] = {"theta": c.decay.theta, "coeff": c.decay.coeff}
     return {
-        "a1": _matrix_to_json(model.a1),
+        "a1": _matrix_pairs(model.a1).tolist(),
         "intervals": [
             {"lo": _endpoint_to_json(iv.lo), "hi": _endpoint_to_json(iv.hi), "strip": iv.strip}
             for iv in model.intervals
         ],
         "discrete": [
-            {"nu": p.nu, "k": _matrix_to_json(p.weight)} for p in model.discrete
+            {"nu": p.nu, "k": _matrix_pairs(p.weight).tolist()} for p in model.discrete
         ],
         "coupling": cj,
     }

@@ -52,12 +52,8 @@ class Circle:
     radius: float
 
 
-def _as_circles(gamma) -> tuple[Circle, ...]:
-    return (gamma,) if isinstance(gamma, Circle) else tuple(gamma)
-
-
-def _trapezoid_residue(f_batch, circles, moment: int = 0, atol: float = 0.0):
-    """-(1/2 pi i) * contour integral of z^moment * f(z) dz over circles.
+def _trapezoid_residue(f_batch, circles, atol: float = 0.0):
+    """-(1/2 pi i) * contour integral of f(z) dz over circles.
 
     ``f_batch`` maps an array of points to a stacked array of matrices.
     The trapezoidal rule is spectrally accurate on circles. Level N uses the
@@ -70,10 +66,7 @@ def _trapezoid_residue(f_batch, circles, moment: int = 0, atol: float = 0.0):
         phase = np.exp(2j * math.pi * (np.arange(npts) + offset) / npts)
         for c in circles:
             zs = c.center + c.radius * phase
-            weight = c.radius * phase
-            if moment:
-                weight = weight * zs ** moment
-            total = total + np.einsum("p,pij->ij", weight, f_batch(zs))
+            total = total + np.einsum("p,pij->ij", c.radius * phase, f_batch(zs))
         return total
 
     npts = _TRAPEZOID_START
@@ -367,10 +360,12 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
 
 @dataclass(frozen=True)
 class MomentResult:
-    matrix: np.ndarray
+    """Moments 0 and 1 from one trapezoid run; its delta and nodes per circle."""
+
+    m0: np.ndarray
+    m1: np.ndarray
     delta: float
     points: int
-    circles: tuple[Circle, ...]
 
 
 def _check_circle_geometry(contour: Contour, circles: tuple[Circle, ...],
@@ -439,28 +434,32 @@ def enclosure_circles(sol: Solution) -> tuple[Circle, ...]:
     return tuple(circles)
 
 
-def contour_moment(sol_l: Solution, sol_minus_l: Solution, gamma,
-                   moment: int = 0) -> MomentResult:
-    """Residue-style moment of the inverse transfer function.
+def contour_moment(sol_l: Solution, sol_minus_l: Solution, gamma) -> MomentResult:
+    """Residue-style moments 0 and 1 of the inverse transfer function.
 
     Moment 0 integrates the inverse transfer function on the contour of
     ``sol_l`` around the whole effective spectrum; moment 1 weights the
-    integrand by z. The circles must enclose every effective eigenvalue of
-    both solutions exactly once, avoid the contour and the discrete
-    remainder, and the trapezoidal rule is doubled until stable.
+    integrand by z. Both come from one trapezoid run on the stacked
+    integrand, so each point is evaluated and inverted once. The circles
+    must enclose every effective eigenvalue of both solutions exactly once
+    and avoid the contour and the discrete remainder; the rule is doubled
+    until the stacked moments are stable.
     """
-    if moment not in (0, 1):
-        raise GeometryError("moment must be 0 or 1")
     contour = sol_l.contour
-    circles = _as_circles(gamma)
+    circles = (gamma,) if isinstance(gamma, Circle) else tuple(gamma)
     eigs = np.linalg.eigvals(sol_l.effective)
     eigs_m = np.conj(np.linalg.eigvals(sol_minus_l.effective))
     _check_circle_geometry(contour, circles, np.concatenate([eigs, eigs_m]))
     scale = max(spectral_norm(sol_l.effective), 1.0)
-    value, delta, pts = _trapezoid_residue(
-        _minv_batch(contour, scale), circles, moment,
-        atol=1e-13 * (1.0 + scale))
-    return MomentResult(value, delta, pts, circles)
+    minv = _minv_batch(contour, scale)
+
+    def stacked(zs):
+        inv = minv(zs)
+        return np.concatenate([inv, zs[:, None, None] * inv], axis=1)
+
+    value, delta, pts = _trapezoid_residue(stacked, circles, atol=1e-13 * (1.0 + scale))
+    n = contour.model.dim
+    return MomentResult(value[:n], value[n:], delta, pts)
 
 
 @dataclass(frozen=True)
@@ -636,10 +635,7 @@ def verify_projection_equations(contour: Contour, sol: Solution,
 @dataclass(frozen=True)
 class GramResult:
     gram: np.ndarray
-    labels: tuple[tuple[complex, int], ...]
     real_block: np.ndarray
-    real_labels: tuple[tuple[float, int], ...]
-    overlap_norm: float
 
     @property
     def gram_defect(self) -> float:
@@ -681,16 +677,13 @@ def riesz_gram(sol_l: Solution, sol_minus_l: Solution,
         dec_l.find(complex(lam))
         dec_m.find(complex(np.conj(lam)))
 
-    om = overlap_operator(sol_l, sol_minus_l)
-    metric = om.metric()
+    metric = overlap_operator(sol_l, sol_minus_l).metric()
 
     real_set = [complex(v) for v in real_eigs]
 
     left_cols = []
     right_cols = []
-    labels = []
     real_cols = []
-    real_labels = []
     for i in range(dec_l.count):
         lam = dec_l.eigenvalues[i]
         j = dec_m.find(np.conj(lam))
@@ -718,10 +711,8 @@ def riesz_gram(sol_l: Solution, sol_minus_l: Solution,
         psi_m = psi_m @ np.linalg.inv(a).conj().T
         left_cols.append(psi_l)
         right_cols.append(psi_m)
-        labels.extend((lam, jj) for jj in range(m_i))
         if is_real:
             real_cols.append(psi_l)
-            real_labels.extend((float(lam.real), jj) for jj in range(m_i))
 
     psi_left = np.concatenate(left_cols, axis=1)
     psi_right = np.concatenate(right_cols, axis=1)
@@ -731,4 +722,4 @@ def riesz_gram(sol_l: Solution, sol_minus_l: Solution,
         real_block = (pr.conj().T @ metric @ pr).T
     else:
         real_block = np.zeros((0, 0), dtype=complex)
-    return GramResult(gram, tuple(labels), real_block, tuple(real_labels), om.norm)
+    return GramResult(gram, real_block)

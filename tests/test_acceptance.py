@@ -111,16 +111,15 @@ def test_criterion_4_contour_identities(poly4_model):
         om = rs.overlap_operator(sol, sol_m)
         metric_inv = np.linalg.inv(om.metric())
         gamma = rs.enclosure_circles(sol)
-        m0 = rs.contour_moment(sol, sol_m, gamma, 0)
-        ok = ok and rs.spectral_norm(m0.matrix - metric_inv) <= 1e-6
-        m1 = rs.contour_moment(sol, sol_m, gamma, 1)
+        m = rs.contour_moment(sol, sol_m, gamma)
+        ok = ok and rs.spectral_norm(m.m0 - metric_inv) <= 1e-6
         ok = ok and rs.spectral_norm(
-            m1.matrix - metric_inv @ sol_m.effective.conj().T) <= 1e-6
+            m.m1 - metric_inv @ sol_m.effective.conj().T) <= 1e-6
         ok = ok and rs.spectral_norm(
-            m1.matrix - sol.effective @ metric_inv) <= 1e-6
+            m.m1 - sol.effective @ metric_inv) <= 1e-6
         # order-doubled trapezoid self-convergence: two or more digits
-        for m in (m0, m1):
-            ok = ok and m.delta <= 1e-2 * max(rs.spectral_norm(m.matrix), 1.0)
+        for matrix in (m.m0, m.m1):
+            ok = ok and m.delta <= 1e-2 * max(rs.spectral_norm(matrix), 1.0)
         dec = rs.eigen_decompose(sol.effective)
         dec_m = rs.eigen_decompose(sol_m.effective)
         for lam in dec.eigenvalues:

@@ -198,13 +198,37 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
         ("sweep", {"sweep": [1, 2]}),
         ("solve", {"output": [1]}),
         ("oracle", {"oracle": {"nu": ["a"]}}),
+        ("solve", {"model_path": "other.json", "model": rs.model_to_json_dict(std_model)}),
     ]
     capsys.readouterr()
     for k, (command, extra) in enumerate(malformed):
-        cfg = write_config(tmp_path, f"malformed{k}", command, std_model, SEMI, **extra)
+        cfg = write_config(tmp_path, f"malformed{k}", command, std_model, SEMI)
+        with open(cfg) as fh:
+            config = json.load(fh)
+        with open(cfg, "w") as fh:
+            json.dump(dict(config, **extra), fh)
         assert main([command, "--config", cfg, "--quiet"]) == 4, extra
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
+    # a key that nothing reads is rejected by name, never silently defaulted
+    typos = [
+        ("solve", "solve_tl", SEMI, {"tolerances": {"solve_tl": 1e-3}}),
+        ("solve", "max_iters", SEMI, {"max_iters": 5}),
+        ("solve", "panel", dict(SEMI, panel=1), {}),
+        ("solve", "depth", dict(SEMI, depth=0.3), {}),
+        ("solve", "radius", {"pieces": [{"shape": "rectangle", "depth": 0.3, "radius": 0.5}],
+                             "l": [1]}, {}),
+        ("solve", "shape", {"pieces": [{"shape": "flat"}], "l": [1], "shape": "semicircle"}, {}),
+        ("sweep", "step", SEMI, {"sweep": {"parameter": "beta", "grid": [0.1], "step": 1}}),
+        ("oracle", "sheet", SEMI, {"oracle": {"nu": [1], "sheet": 2}}),
+        ("solve", "json", SEMI, {"output": {"json": "out.json"}}),
+    ]
+    for k, (command, key, contour, extra) in enumerate(typos):
+        cfg = write_config(tmp_path, f"typo{k}", command, std_model, contour, **extra)
+        assert main([command, "--config", cfg, "--quiet"]) == 4, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key ") and repr(key) in err, (extra, err)
+        assert err.count("\n") == 1, (extra, err)
 
 
 def test_invalid_model_exit_4(tmp_path):

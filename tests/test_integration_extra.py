@@ -32,8 +32,8 @@ def test_discrete_remainder_full_identity_flow(discrete_model):
     om = rs.overlap_operator(sol, sol_m)
     assert om.norm < om.norm_bound_check
     gamma = rs.enclosure_circles(sol)
-    m0 = rs.contour_moment(sol, sol_m, gamma, 0)
-    assert rs.spectral_norm(m0.matrix - np.linalg.inv(om.metric())) <= 1e-6
+    m0 = rs.contour_moment(sol, sol_m, gamma).m0
+    assert rs.spectral_norm(m0 - np.linalg.inv(om.metric())) <= 1e-6
     dec = rs.eigen_decompose(sol.effective)
     res = rs.residue_at(sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
                         dec.eigenvalues[0])
@@ -48,7 +48,7 @@ def test_discrete_point_inside_gamma_rejected(discrete_model):
     sol = rs.solve_fixed_point(c)
     sol_m = rs.solve_fixed_point(rs.mirrored(c))
     with pytest.raises(rs.GeometryError):
-        rs.contour_moment(sol, sol_m, rs.Circle(-1.0 + 0.0j, 1.5), 0)
+        rs.contour_moment(sol, sol_m, rs.Circle(-1.0 + 0.0j, 1.5))
 
 
 @pytest.fixture(scope="module")

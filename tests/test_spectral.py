@@ -299,10 +299,9 @@ def test_overlap_positive_on_real_eigenvectors(n3_bound_model):
 def test_moments_zero_coupling(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
     gamma = Circle(0.5 + 0.0j, 0.35)
-    m0 = contour_moment(sol, sol_m, gamma, 0)
-    m1 = contour_moment(sol, sol_m, gamma, 1)
-    assert spectral_norm(m0.matrix - np.eye(2)) <= 1e-12
-    assert spectral_norm(m1.matrix - zero_model.a1) <= 1e-12
+    m = contour_moment(sol, sol_m, gamma)
+    assert spectral_norm(m.m0 - np.eye(2)) <= 1e-12
+    assert spectral_norm(m.m1 - zero_model.a1) <= 1e-12
 
 
 def test_moment_identities(poly4_model):
@@ -310,23 +309,45 @@ def test_moment_identities(poly4_model):
     om = overlap_operator(sol, sol_m)
     metric_inv = np.linalg.inv(om.metric())
     gamma = enclosure_circles(sol)
-    m0 = contour_moment(sol, sol_m, gamma, 0)
-    assert spectral_norm(m0.matrix - metric_inv) <= 1e-6
-    assert m0.delta <= 1e-2 * max(spectral_norm(m0.matrix), 1.0)
-    m1 = contour_moment(sol, sol_m, gamma, 1)
-    r_adj = spectral_norm(m1.matrix - metric_inv @ sol_m.effective.conj().T)
-    r_eff = spectral_norm(m1.matrix - sol.effective @ metric_inv)
+    m = contour_moment(sol, sol_m, gamma)
+    assert spectral_norm(m.m0 - metric_inv) <= 1e-6
+    assert m.delta <= 1e-2 * max(spectral_norm(m.m0), 1.0)
+    r_adj = spectral_norm(m.m1 - metric_inv @ sol_m.effective.conj().T)
+    r_eff = spectral_norm(m.m1 - sol.effective @ metric_inv)
     assert max(r_adj, r_eff) <= 1e-6
+
+
+def test_moments_share_one_pass(poly4_model, monkeypatch):
+    """Both moments come from one run: every point is evaluated exactly once."""
+    from resonances import spectral
+
+    c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
+    gamma = enclosure_circles(sol)
+    evaluated = []
+
+    def spy(contour, zs):
+        evaluated.extend(np.asarray(zs).tolist())
+        return transfer_many(contour, zs)
+
+    monkeypatch.setattr(spectral, "transfer_many", spy)
+    m = contour_moment(sol, sol_m, gamma)
+    assert m.points == 128
+    assert len(evaluated) == len(set(evaluated)) == m.points * len(gamma)
+    monkeypatch.undo()
+    scale = max(spectral_norm(sol.effective), 1.0)
+    m0, _, _ = spectral._trapezoid_residue(spectral._minv_batch(c, scale), gamma,
+                                            atol=1e-13 * (1.0 + scale))
+    assert np.array_equal(m.m0, m0)
 
 
 def test_moment_geometry_errors(poly4_model):
     c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
     with pytest.raises(GeometryError):
         # circle crosses the deformation contour
-        contour_moment(sol, sol_m, Circle(2.0 + 0.0j, 2.5), 0)
+        contour_moment(sol, sol_m, Circle(2.0 + 0.0j, 2.5))
     with pytest.raises(GeometryError):
         # circle too small: excludes eigenvalues
-        contour_moment(sol, sol_m, Circle(1.6 + 0.0j, 0.05), 0)
+        contour_moment(sol, sol_m, Circle(1.6 + 0.0j, 0.05))
 
 
 def test_residue_relations(friedrichs_std, n3_bound_model):
