@@ -42,8 +42,8 @@ from .errors import (
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import (SpectralModel, _matrix_pairs, _reject_unknown_keys, model_from_json_dict,
-                    spectral_norm, validate_model)
+from .model import (CouplingFunction, SpectralModel, _matrix_pairs, _reject_unknown_keys,
+                    model_from_json_dict, spectral_norm, validate_model)
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, fixed_point_residual, solve_fixed_point
 from .transfer import adjoint_symmetry_residual
 
@@ -197,11 +197,15 @@ def load_config(path: str) -> RunConfig:
         raise StructuralModelError(f"malformed config {path}: {exc}") from exc
 
 
-def _build_contour(config: RunConfig, model: SpectralModel | None = None) -> ct.Contour:
+def _contour_spec(config: RunConfig) -> tuple:
+    """The config's parsed contour: (curve specs, multi-index, order)."""
     if config.contour_json is None:
         raise StructuralModelError("config requires a 'contour' spec")
-    specs, l, order = ct.contour_spec_from_json(config.contour_json)
-    return ct.build_contour(model or config.model, specs, l, order, config.quad_tol)
+    return ct.contour_spec_from_json(config.contour_json)
+
+
+def _build_contour(config: RunConfig) -> ct.Contour:
+    return ct.build_contour(config.model, *_contour_spec(config), config.quad_tol)
 
 
 def _tag_eigenvalues(sol, dec) -> list:
@@ -352,25 +356,7 @@ def run_verify(config: RunConfig) -> dict:
             "identities": rows, "all_pass": all_pass}
 
 
-def _sweep_model(config: RunConfig, value: float) -> SpectralModel:
-    from .model import CouplingFunction
-
-    model = config.model
-    parameter = config.sweep.get("parameter", "beta")
-    if parameter != "beta":
-        raise StructuralModelError(f"unsupported sweep parameter {parameter!r}")
-    if model.coupling.kind != "constant-vector":
-        raise UnsupportedModelError(
-            "beta sweep requires the constant-vector coupling")
-    row = np.asarray(model.coupling.row)
-    norm = np.linalg.norm(row)
-    unit = row / norm if norm > 0 else np.eye(1, row.size)[0]
-    coupling = CouplingFunction.constant_vector(unit * value, model.coupling.decay)
-    return SpectralModel(model.a1, model.intervals, model.discrete, coupling)
-
-
-def _sweep_point(config: RunConfig, value: float) -> list[dict]:
-    contour = _build_contour(config, _sweep_model(config, value))
+def _sweep_point(config: RunConfig, contour: ct.Contour, value: float) -> list[dict]:
     try:
         sol = solve_fixed_point(contour, config.solve_tol, config.max_iter)
     except InadmissibleCertificateError:
@@ -400,7 +386,23 @@ def run_sweep(config: RunConfig) -> dict:
     if config.sweep is None:
         raise StructuralModelError("sweep command requires a 'sweep' config block")
     grid = [float(g) for g in config.sweep["grid"]]
-    return {"status": "ok", "rows": [r for value in grid for r in _sweep_point(config, value)]}
+    parameter = config.sweep.get("parameter", "beta")
+    if parameter != "beta":
+        raise StructuralModelError(f"unsupported sweep parameter {parameter!r}")
+    model = config.model
+    if model.coupling.kind != "constant-vector":
+        raise UnsupportedModelError("beta sweep requires the constant-vector coupling")
+    row = np.asarray(model.coupling.row)
+    norm = np.linalg.norm(row)
+    unit = row / norm if norm > 0 else np.eye(1, row.size)[0]
+    specs, l, order = _contour_spec(config)
+    rows = []
+    for value in grid:
+        coupling = CouplingFunction.constant_vector(unit * value, model.coupling.decay)
+        point = SpectralModel(model.a1, model.intervals, model.discrete, coupling)
+        contour = ct.build_contour(point, specs, l, order, config.quad_tol)
+        rows += _sweep_point(config, contour, value)
+    return {"status": "ok", "rows": rows}
 
 
 def sweep_csv(rows: list[dict]) -> str:

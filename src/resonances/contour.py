@@ -61,12 +61,10 @@ class Rectangle:
     """Rectangular displacement at the given depth.
 
     For unbounded intervals the horizontal ray is truncated where the
-    declared coupling decay makes the tail negligible; ``extent`` overrides
-    the truncation length.
+    declared coupling decay makes the tail negligible.
     """
 
     depth: float
-    extent: float | None = None
 
 
 @dataclass(frozen=True)
@@ -227,21 +225,17 @@ def normalize_multi_index(l, m: int) -> tuple[int, ...]:
     return idx
 
 
-def _gl_panelize(section: Section, panels: int, points: int,
-                 breakpoints: np.ndarray | None = None):
-    """Composite Gauss-Legendre nodes/weights along one smooth section."""
+def _gl_panelize(section: Section, breakpoints: np.ndarray, points: int):
+    """Composite Gauss-Legendre nodes/weights along one smooth section.
+
+    ``breakpoints`` cut the section parameter range [0, 1] into panels; every
+    panel's nodes are laid at once.
+    """
     x, w = _gauss_legendre(points)
-    if breakpoints is None:
-        breakpoints = np.linspace(0.0, 1.0, panels + 1)
-    nodes = []
-    weights = []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        u = mid + half * x
-        nodes.append(section.point(u))
-        weights.append(section.velocity(u) * (half * w))
-    return np.concatenate(nodes), np.concatenate(weights)
+    mid = 0.5 * (breakpoints[:-1] + breakpoints[1:])
+    half = 0.5 * (breakpoints[1:] - breakpoints[:-1])
+    u = (mid[:, None] + half[:, None] * x).reshape(-1)
+    return section.point(u), section.velocity(u) * (half[:, None] * w).reshape(-1)
 
 
 def _truncation_length(model: SpectralModel, iv: Interval, quad_tol: float) -> float:
@@ -254,22 +248,40 @@ def _truncation_length(model: SpectralModel, iv: Interval, quad_tol: float) -> f
     return max(t, 1.0)
 
 
-def _ray_breakpoints(length: float, first: float) -> np.ndarray:
-    """Geometric subdivision of [0, 1] suited to a decaying integrand."""
+def _ray_breakpoints(iv: Interval, length: float, panels: int) -> np.ndarray:
+    """Panel breakpoints on [0, 1] along the truncated ray over an unbounded interval.
+
+    Cells double in length, from twice the strip half-width, outward from the
+    interval's finite end, or from the middle of the ray when both ends are
+    infinite; each cell holds ``panels`` equal panels. When the stretch to
+    grade (the ray, or each half of a two-sided one) is no longer than 8
+    strip half-widths, the ray gets ``panels`` equal panels instead.
+    """
+    two_sided = not (math.isfinite(iv.lo) or math.isfinite(iv.hi))
+    span = 0.5 * length if two_sided else length
+    if span <= 8.0 * iv.strip:
+        return np.linspace(0.0, 1.0, panels + 1)
     cuts = [0.0]
     pos = 0.0
-    step = min(first, length)
-    while pos + step < length:
+    step = 2.0 * iv.strip
+    while pos + step < span:
         pos += step
-        cuts.append(pos / length)
+        cuts.append(pos / span)
         step *= 2.0
     cuts.append(1.0)
-    return np.array(cuts)
+    cuts = np.array(cuts)
+    if two_sided:
+        cuts = np.concatenate([0.5 - 0.5 * cuts[:0:-1], 0.5 + 0.5 * cuts])
+    elif math.isfinite(iv.hi):
+        cuts = 1.0 - cuts[::-1]
+    refined = np.linspace(cuts[:-1], cuts[1:], panels + 1, axis=1)[:, :-1]
+    return np.append(refined, 1.0)
 
 
 def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
                  lk: int, panels: int, points: int, quad_tol: float) -> Piece:
-    sections: list[Section] = []
+    uniform = np.linspace(0.0, 1.0, panels + 1)
+    laid: list[tuple[Section, np.ndarray]] = []  # each section with its panel breakpoints
     tail_bound = 0.0
     region: tuple = ("none",)
 
@@ -277,7 +289,7 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
         if not iv.bounded:
             raise UnsupportedModelError(
                 f"flat curve is not available on the unbounded interval {k}")
-        sections.append(Section("segment", complex(iv.lo), complex(iv.hi)))
+        laid.append((Section("segment", complex(iv.lo), complex(iv.hi)), uniform))
         region = ("flat",)
 
     elif isinstance(spec, Semicircle):
@@ -297,11 +309,11 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
                 f"(half-width {iv.strip:.6g}) of interval {k}")
         eps = 1e-14 * (iv.hi - iv.lo)
         if c - r - iv.lo > eps:
-            sections.append(Section("segment", complex(iv.lo), complex(c - r)))
-        sections.append(Section("arc", complex(c - r), complex(c + r),
-                                center=c, radius=r, half_plane=lk))
+            laid.append((Section("segment", complex(iv.lo), complex(c - r)), uniform))
+        laid.append((Section("arc", complex(c - r), complex(c + r),
+                             center=c, radius=r, half_plane=lk), uniform))
         if iv.hi - (c + r) > eps:
-            sections.append(Section("segment", complex(c + r), complex(iv.hi)))
+            laid.append((Section("segment", complex(c + r), complex(iv.hi)), uniform))
         region = ("semicircle", c, r)
 
     elif isinstance(spec, Rectangle):
@@ -312,57 +324,36 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
                 f"(half-width {iv.strip:.6g}) of interval {k}")
         lift = 1j * lk * d
         lo_f, hi_f = math.isfinite(iv.lo), math.isfinite(iv.hi)
-        if lo_f and hi_f:
-            lo, hi = iv.lo, iv.hi
+        if iv.bounded:
+            lo, hi, ray = iv.lo, iv.hi, uniform
         else:
-            t = spec.extent if spec.extent is not None else _truncation_length(model, iv, quad_tol)
-            decay = model.coupling.decay
-            if decay is not None:
-                tail_bound = decay.tail(t)
+            t = _truncation_length(model, iv, quad_tol)
+            tail_bound = (2 - lo_f - hi_f) * model.coupling.decay.tail(t)  # one per cut tail
             lo = iv.lo if lo_f else -t
             hi = iv.hi if hi_f else t
             if lo >= hi:
                 raise GeometryError(f"truncated rectangle is empty on interval {k}")
+            ray = _ray_breakpoints(iv, hi - lo, panels)
         if lo_f:
-            sections.append(Section("segment", complex(lo), lo + lift))
-        sections.append(Section("segment", lo + lift, hi + lift))
+            laid.append((Section("segment", complex(lo), lo + lift), uniform))
+        laid.append((Section("segment", lo + lift, hi + lift), ray))
         if hi_f:
-            sections.append(Section("segment", hi + lift, complex(hi)))
+            laid.append((Section("segment", hi + lift, complex(hi)), uniform))
         region = ("rectangle", iv.lo, iv.hi, d)
 
     else:
         raise StructuralModelError(f"unknown curve spec {spec!r}")
 
-    all_nodes = []
-    all_weights = []
-    for s in sections:
-        breakpoints = None
-        if isinstance(spec, Rectangle) and s.kind == "segment" and not iv.bounded:
-            # geometric grading along long truncated rays
-            length = abs(s.end - s.start)
-            horizontal = abs((s.end - s.start).imag) < 1e-30
-            if horizontal and length > 8.0 * iv.strip:
-                base = _ray_breakpoints(length, 2.0 * iv.strip)
-                if not math.isfinite(iv.hi):
-                    cuts = base
-                else:
-                    cuts = 1.0 - base[::-1]
-                refined = [np.linspace(a, b, panels + 1)[:-1]
-                           for a, b in zip(cuts[:-1], cuts[1:])]
-                breakpoints = np.concatenate(refined + [np.array([1.0])])
-        nodes, weights = _gl_panelize(s, panels, points, breakpoints)
-        all_nodes.append(nodes)
-        all_weights.append(weights)
-    nodes = np.concatenate(all_nodes)
-    weights = np.concatenate(all_weights)
-
+    nodes, weights = (np.concatenate(parts) for parts in
+                      zip(*(_gl_panelize(s, b, points) for s, b in laid)))
     if iv.bounded:
         defect = abs(np.sum(weights) - (iv.hi - iv.lo))
     else:
         defect = math.nan
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return Piece(lk, spec, tuple(sections), nodes, weights, defect, tail_bound, region)
+    sections = tuple(s for s, _ in laid)
+    return Piece(lk, spec, sections, nodes, weights, defect, tail_bound, region)
 
 
 def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,
@@ -564,7 +555,7 @@ def scan_contours(model: SpectralModel, l, family: Sequence, order=DEFAULT_ORDER
 # JSON curve specs
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {"semicircle": ("center", "radius"), "rectangle": ("depth", "extent"), "flat": ()}
+_SPEC_KEYS = {"semicircle": ("center", "radius"), "rectangle": ("depth",), "flat": ()}
 
 
 def _spec_from_json(data: dict, where: str, extra=()) -> CurveSpec:
@@ -577,8 +568,7 @@ def _spec_from_json(data: dict, where: str, extra=()) -> CurveSpec:
     if shape == "rectangle":
         if "depth" not in data:
             raise StructuralModelError("rectangle spec requires a depth")
-        return Rectangle(depth=float(data["depth"]),
-                         extent=data.get("extent"))
+        return Rectangle(depth=float(data["depth"]))
     return Flat()
 
 

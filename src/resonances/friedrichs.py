@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour import Flat, build_contour
 from .errors import DomainError, NonconvergenceError, UnsupportedModelError
 from .model import SpectralModel, spectral_norm
 
@@ -259,23 +260,6 @@ class OutsideSpectrumReport:
         return self.roots_below == 0 and self.roots_above == 0
 
 
-def _gauss_nodes(a: float, panels: int, points: int):
-    """Nodes and weights of composite Gauss-Legendre on (0, a)."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    edges = np.linspace(0.0, a, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    return ((mids[:, None] + halves[:, None] * x[None, :]).reshape(-1),
-            (halves[:, None] * w[None, :]).reshape(-1))
-
-
-def _quadratic_form_matrix(model: SpectralModel, weight) -> np.ndarray:
-    """Composite Gauss-Legendre integral of weight(mu)*density(mu) on (0, a)."""
-    mus, ws = _gauss_nodes(model.intervals[0].hi, 64, 16)
-    n = model.dim
-    return ((ws * weight(mus)) @ model.coupling(mus).reshape(-1, n * n)).reshape(n, n)
-
-
 def no_spectrum_outside(model: SpectralModel) -> OutsideSpectrumReport:
     """Check the endpoint-integral hypothesis that confines the spectrum.
 
@@ -301,14 +285,19 @@ def no_spectrum_outside(model: SpectralModel) -> OutsideSpectrumReport:
     finite0 = k0 <= 1e-12 * scale
     finitea = ka <= 1e-12 * scale
 
-    v1_0 = None
-    v1_a = None
-    if finite0:
-        m0 = _quadratic_form_matrix(model, lambda mu: 1.0 / mu)
-        v1_0 = float(np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))[-1])
-    if finitea:
-        ma = _quadratic_form_matrix(model, lambda mu: 1.0 / (a - mu))
-        v1_a = float(np.linalg.eigvalsh(0.5 * (ma + ma.conj().T))[-1])
+    # the interval itself carries the quadrature of the endpoint integrals
+    # and of the physical self-energy at the scan points
+    flat = build_contour(model, Flat(), [1], (96, 16))
+    n = model.dim
+    mus, ws = flat.quad_points, flat.quad_weights
+    values = flat.quad_values.reshape(-1, n * n)
+
+    def top_eigenvalue(weight: np.ndarray) -> float:
+        m = ((ws * weight) @ values).reshape(n, n)
+        return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
+
+    v1_0 = top_eigenvalue(1.0 / mus) if finite0 else None
+    v1_a = top_eigenvalue(1.0 / (a - mus)) if finitea else None
 
     if not (finite0 and finitea):
         status = "indeterminate"
@@ -317,48 +306,29 @@ def no_spectrum_outside(model: SpectralModel) -> OutsideSpectrumReport:
     else:
         status = "violated"
 
-    # determinant sign scan outside [0, a] on the physical sheet; the node
-    # density values are computed once and reused for every scan point
-    mus, ws = _gauss_nodes(a, 96, 16)
-    stack = model.coupling(mus)
-
-    def det_at(x: float) -> float:
-        se = np.einsum("q,qij->ij", ws / (x - mus), stack)
-        m = model.a1 - x * np.eye(model.dim) + se
-        return float(np.linalg.det(0.5 * (m + m.conj().T)).real)
-
+    # determinant sign scan outside [0, a] on the physical sheet, all points at once
     span = max(a, abs(lam_min), abs(lam_max)) * 4.0 + a
-    below = np.linspace(-span, -1e-9 * a, _SCAN_POINTS)
-    above = np.linspace(a + 1e-9 * a, a + span, _SCAN_POINTS)
-    roots_below = _sign_changes([det_at(x) for x in below])
-    roots_above = _sign_changes([det_at(x) for x in above])
+    xs = np.concatenate([np.linspace(-span, -1e-9 * a, _SCAN_POINTS),
+                         np.linspace(a + 1e-9 * a, a + span, _SCAN_POINTS)])
+    se = ((ws / (xs[:, None] - mus)) @ values).reshape(-1, n, n)
+    m = model.a1 - xs[:, None, None] * np.eye(n) + se
+    dets = np.linalg.det(0.5 * (m + m.conj().transpose(0, 2, 1))).real
+    roots_below, roots_above = (_sign_changes(d) for d in np.split(dets, 2))
     return OutsideSpectrumReport(status, v1_0, v1_a, roots_below, roots_above)
 
 
-def _sign_changes(vals) -> int:
-    count = 0
-    prev = None
-    for v in vals:
-        s = math.copysign(1.0, v) if v != 0.0 else 0.0
-        if prev is not None and s != 0.0 and prev != 0.0 and s != prev:
-            count += 1
-        if s != 0.0:
-            prev = s
-    return count
+def _sign_changes(vals: np.ndarray) -> int:
+    """Sign changes along ``vals``, zeros skipped."""
+    signs = np.sign(vals[vals != 0.0])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def friedrichs_model(r: float = 1.0, beta: float | None = None,
-                     beta_sq: float | None = None, strip: float | None = None) -> SpectralModel:
+def friedrichs_model(r: float = 1.0, *, beta_sq: float) -> SpectralModel:
     """The symmetric single-level model: interval (0, 2R), level R, constant beta."""
     from .model import CouplingFunction, Interval
 
-    if beta is None:
-        if beta_sq is None:
-            raise DomainError("provide beta or beta_sq")
-        beta = math.sqrt(beta_sq)
-    strip = strip if strip is not None else 4.0 * r
-    coupling = CouplingFunction.constant_vector([beta])
-    return SpectralModel(np.array([[r]]), [Interval(0.0, 2.0 * r, strip)], (), coupling)
+    coupling = CouplingFunction.constant_vector([math.sqrt(beta_sq)])
+    return SpectralModel(np.array([[r]]), [Interval(0.0, 2.0 * r, 4.0 * r)], (), coupling)
 
 
 def params_from_model(model: SpectralModel, nu: int = 0) -> FriedrichsParams:

@@ -588,22 +588,34 @@ def model_to_json_dict(model: SpectralModel) -> dict:
     }
 
 
+# the keys each coupling kind is read for, besides "kind" and "decay"
+_COUPLING_KEYS = {"constant-vector": ("row",), "polynomial-matrix": ("coeffs",),
+                  "rational-matrix": ("num", "den")}
+
+
 def model_from_json_dict(data: dict) -> SpectralModel:
+    """The model a JSON dict describes; a key that nothing reads raises ``StructuralModelError``."""
     try:
+        _reject_unknown_keys(data, ("a1", "intervals", "discrete", "coupling"), "model")
         a1 = _matrix_from_json(data["a1"], "a1")
-        intervals = [
-            Interval(_endpoint_from_json(iv["lo"]), _endpoint_from_json(iv["hi"]),
-                     float(iv["strip"]))
-            for iv in data["intervals"]
-        ]
-        discrete = [
-            DiscretePoint(float(p["nu"]), _matrix_from_json(p["k"], "discrete weight"))
-            for p in data.get("discrete", [])
-        ]
+        intervals = []
+        for iv in data["intervals"]:
+            _reject_unknown_keys(iv, ("lo", "hi", "strip"), "interval")
+            intervals.append(Interval(_endpoint_from_json(iv["lo"]),
+                                      _endpoint_from_json(iv["hi"]), float(iv["strip"])))
+        discrete = []
+        for p in data.get("discrete", []):
+            _reject_unknown_keys(p, ("nu", "k"), "discrete point")
+            discrete.append(DiscretePoint(float(p["nu"]),
+                                          _matrix_from_json(p["k"], "discrete weight")))
         cj = data["coupling"]
         kind = cj["kind"]
+        if kind not in _COUPLING_KEYS:
+            raise StructuralModelError(f"unknown coupling kind {kind!r}")
+        _reject_unknown_keys(cj, ("kind", "decay", *_COUPLING_KEYS[kind]), "coupling")
         decay = None
         if cj.get("decay") is not None:
+            _reject_unknown_keys(cj["decay"], ("theta", "coeff"), "decay")
             decay = DecaySpec(float(cj["decay"]["theta"]), float(cj["decay"]["coeff"]))
         if kind == "constant-vector":
             row = np.array([complex(re, im) for re, im in cj["row"]])
@@ -611,19 +623,17 @@ def model_from_json_dict(data: dict) -> SpectralModel:
         elif kind == "polynomial-matrix":
             coupling = CouplingFunction.polynomial(
                 [_matrix_from_json(m, "coefficient") for m in cj["coeffs"]], decay)
-        elif kind == "rational-matrix":
+        else:
             coupling = CouplingFunction.rational(
                 [_matrix_from_json(m, "numerator coefficient") for m in cj["num"]],
                 [float(d) for d in cj["den"]], decay)
-        else:
-            raise StructuralModelError(f"unknown coupling kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralModelError(f"malformed model JSON: {exc}") from exc
     return SpectralModel(a1, intervals, discrete, coupling)
 
 
-def model_dumps(model: SpectralModel, indent: int | None = 2) -> str:
-    return json.dumps(model_to_json_dict(model), indent=indent)
+def model_dumps(model: SpectralModel) -> str:
+    return json.dumps(model_to_json_dict(model), indent=2)
 
 
 def model_loads(text: str) -> SpectralModel:

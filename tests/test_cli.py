@@ -140,6 +140,21 @@ def test_sweep_trajectory(tmp_path, std_model):
     assert grid[-1] > thr > grid[-2]
 
 
+def test_sweep_parses_contour_once(tmp_path, std_model, monkeypatch):
+    calls = []
+    parse = rs.contour.contour_spec_from_json
+
+    def spy(data):
+        calls.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(rs.contour, "contour_spec_from_json", spy)
+    cfg = write_config(tmp_path, "sweep", "sweep", std_model, SEMI,
+                       sweep={"parameter": "beta", "grid": [0.05, 0.1, 0.15]})
+    assert main(["sweep", "--config", cfg, "--quiet"]) == 0
+    assert calls == [SEMI]
+
+
 def test_oracle_conjugate_pair(tmp_path, std_model):
     cfg = write_config(tmp_path, "oracle", "oracle", std_model, SEMI,
                        oracle={"nu": [1, -1]})
@@ -222,6 +237,7 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
         ("sweep", "step", SEMI, {"sweep": {"parameter": "beta", "grid": [0.1], "step": 1}}),
         ("oracle", "sheet", SEMI, {"oracle": {"nu": [1], "sheet": 2}}),
         ("solve", "json", SEMI, {"output": {"json": "out.json"}}),
+        ("solve", "extent", {"shape": "rectangle", "depth": 0.3, "extent": 5.0, "l": [1]}, {}),
     ]
     for k, (command, key, contour, extra) in enumerate(typos):
         cfg = write_config(tmp_path, f"typo{k}", command, std_model, contour, **extra)
@@ -229,6 +245,28 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: unknown key ") and repr(key) in err, (extra, err)
         assert err.count("\n") == 1, (extra, err)
+    # the model file's own keys too: top level, interval, discrete point,
+    # coupling (per kind) and decay
+    base = rs.model_to_json_dict(std_model)
+    point = {"nu": -1.0, "k": [[0.01, 0.0]]}
+    decay = {"theta": 4.0, "coeff": 0.001}
+    model_typos = [
+        ("discrte", {"discrte": base["discrete"]}),
+        ("strp", {"intervals": [{"lo": 0.0, "hi": 2.0, "strp": 4.0}]}),
+        ("weight", {"discrete": [dict(point, weight=[[0.01, 0.0]])]}),
+        ("decy", {"coupling": dict(base["coupling"], decy=decay)}),
+        ("coeffs", {"coupling": dict(base["coupling"], coeffs=[base["coupling"]["row"]])}),
+        ("coef", {"coupling": dict(base["coupling"], decay={"theta": 4.0, "coef": 0.001})}),
+    ]
+    for k, (key, change) in enumerate(model_typos):
+        model_path = tmp_path / f"model_typo{k}.json"
+        model_path.write_text(json.dumps(dict(base, **change)))
+        cfg = tmp_path / f"model_typo{k}_config.json"
+        cfg.write_text(json.dumps({"model_path": str(model_path), "contour": SEMI}))
+        assert main(["solve", "--config", str(cfg), "--quiet"]) == 4, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key ") and repr(key) in err, (key, err)
+        assert err.count("\n") == 1, (key, err)
 
 
 def test_invalid_model_exit_4(tmp_path):

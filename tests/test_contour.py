@@ -23,6 +23,7 @@ from resonances import (
     scan_contours,
     separation_distance,
     solvability_certificate,
+    solve_fixed_point,
     variation,
 )
 from resonances import DecaySpec
@@ -330,3 +331,73 @@ def test_unbounded_rectangle_with_decay():
     c2 = double_order(c)
     v, v2 = variation(c), variation(c2)
     assert abs(v - v2) <= 1e-8 * max(1.0, v)
+
+
+def _per_panel_layout(piece, iv, panels, points):
+    """Nodes and weights of a piece laid one panel at a time.
+
+    Panels are equal in the section parameter, except along a horizontal ray
+    over a one-sided unbounded interval longer than 8 strip half-widths: there
+    cells double from twice the strip half-width outward from the finite end,
+    each split into ``panels`` equal panels.
+    """
+    x, w = np.polynomial.legendre.leggauss(points)
+    nodes, weights = [], []
+    for s in piece.sections:
+        cuts = np.linspace(0.0, 1.0, panels + 1)
+        length = abs(s.end - s.start)
+        if not iv.bounded and s.start.imag == s.end.imag and length > 8.0 * iv.strip:
+            grades, pos, step = [0.0], 0.0, 2.0 * iv.strip
+            while pos + step < length:
+                pos += step
+                grades.append(pos / length)
+                step *= 2.0
+            grades = np.array(grades + [1.0])
+            if math.isfinite(iv.hi):
+                grades = 1.0 - grades[::-1]
+            cuts = np.concatenate([np.linspace(a, b, panels + 1)[:-1]
+                                   for a, b in zip(grades[:-1], grades[1:])] + [[1.0]])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            u = mid + half * x
+            nodes.append(s.point(u))
+            weights.append(s.velocity(u) * (half * w))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def test_panel_layout_matches_per_panel_reference(friedrichs_std):
+    decay = DecaySpec(4.0, 0.001)
+    coupling = CouplingFunction.rational([np.array([[0.001]])], [1.0, 0.0, 0.0, 0.0, 1.0],
+                                         decay=decay)
+    right = SpectralModel(np.array([[3.0]]), [Interval(0.0, math.inf, 0.5)], coupling=coupling)
+    left = SpectralModel(np.array([[-3.0]]), [Interval(-math.inf, 0.0, 0.5)], coupling=coupling)
+    cases = [(friedrichs_std, Semicircle()),
+             (friedrichs_std, Semicircle(center=0.8, radius=0.5)),
+             (friedrichs_std, Rectangle(depth=0.5)),
+             (right, Rectangle(depth=0.3)),
+             (left, Rectangle(depth=0.3))]
+    for model, spec in cases:
+        for order in ((6, 16), (3, 8), (1, 5)):
+            for l in (1, -1):
+                c = build_contour(model, spec, [l], order, quad_tol=1e-8)
+                nodes, weights = _per_panel_layout(c.pieces[0], model.intervals[0], *order)
+                assert np.array_equal(c.nodes, nodes), (spec, order, l)
+                assert np.array_equal(c.weights, weights), (spec, order, l)
+
+
+def test_two_sided_ray_graded_from_the_middle():
+    decay = DecaySpec(4.0, 0.001)
+    coupling = CouplingFunction.rational([np.array([[0.001]])], [1.0, 0.0, 0.0, 0.0, 1.0],
+                                         decay=decay)
+    model = SpectralModel(np.array([[0.0]]), [Interval(-math.inf, math.inf, 0.5)],
+                          coupling=coupling)
+    results = []
+    for order in ((6, 16), (24, 16)):
+        c = build_contour(model, Rectangle(depth=0.3), [1], order, quad_tol=1e-8)
+        piece = c.pieces[0]
+        t = piece.sections[0].end.real
+        assert piece.sections[0].start.real == -t
+        # both truncated tails are counted
+        assert piece.tail_bound == 2.0 * decay.tail(t)
+        results.append(complex(solve_fixed_point(c).effective[0, 0]))
+    assert abs(results[0] - results[1]) <= 1e-12
