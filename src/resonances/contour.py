@@ -500,8 +500,11 @@ def solvability_certificate(*args: SpectralModel | Contour) -> SolvabilityCertif
     contour = args[-1]
     if len(args) == 2 and args[0] is not contour.model:
         raise PairingError("contour was built for a different model")
-    d0 = separation_distance(contour)
-    v0 = variation(contour)
+    return _certificate(separation_distance(contour), variation(contour))
+
+
+def _certificate(d0: float, v0: float) -> SolvabilityCertificate:
+    """The certificate of separation distance ``d0`` and variation ``v0``."""
     omega = d0 * d0 - 4.0 * v0
     admissible = omega > 0.0 and d0 > 0.0
     if admissible:

@@ -6,6 +6,12 @@ every ball between the two certified radii, the iteration starts at zero,
 and the standard a-posteriori bound controls the distance to the true fixed
 point at termination.
 
+There is one iteration loop, and it runs over a stack of rows: contours
+that share their points and weights and differ only in their coupling data,
+such as the grid points of a sweep. Each row keeps its own contraction
+factor, stop threshold, escape radius and contraction checks, and freezes
+when it stops; a single solve is the stack of one row.
+
 A ``Solution`` records the contour (which carries the model) and the
 certificate (computed once per solve) it was solved with, and the
 identities read them from it.
@@ -33,15 +39,20 @@ DEFAULT_MAX_ITER = 200
 _RATIO_SLACK = 1e-6
 
 
-def self_energy_of_operator(contour: Contour, y: np.ndarray) -> np.ndarray:
+def self_energy_of_operator(contour: Contour, y: np.ndarray,
+                            values: np.ndarray | None = None) -> np.ndarray:
     """Self-energy applied to an operator argument.
 
     Sums the coupling data against the resolvent of ``y`` at every discrete
     point and quadrature node. On an eigenvector of ``y`` this action
-    reduces to the scalar self-energy at the eigenvalue.
+    reduces to the scalar self-energy at the eigenvalue. ``y`` may be a
+    stack (G, n, n); ``values`` then holds each row's coupling data on the
+    contour's points and weights, shape (G, P, n, n). By default it is the
+    contour's own.
     """
     inv = _resolvents(np.asarray(y, dtype=complex), contour.quad_points)
-    return _weighted_sum(contour.quad_weights, contour.quad_values, inv)
+    return _weighted_sum(contour.quad_weights,
+                         contour.quad_values if values is None else values, inv)
 
 
 def adjoint_self_energy_of_operator(contour: Contour, y: np.ndarray) -> np.ndarray:
@@ -82,38 +93,94 @@ class Solution:
         return self.step_norms[-1]
 
 
-def _iterate(contour: Contour, q: float, tol: float, max_iter: int,
-             r_escape: float | None, stop_abs: float | None = None,
-             x0: np.ndarray | None = None, cert: SolvabilityCertificate | None = None):
+def _iterate(contour: Contour, values: np.ndarray, q, threshold, r_escape,
+             x0: np.ndarray, max_iter: int, certs) -> tuple:
+    """Picard iteration of G stacked rows on the contour's points and weights.
+
+    Row g iterates ``X <- F(A1 + X)`` with coupling data ``values[g]`` from
+    ``x0[g]``. It freezes when its step falls to ``threshold[g]``, when its
+    iterate leaves the ball of radius ``r_escape[g]``, or when its step
+    ratio exceeds ``q[g]`` > 0. Returns the iterates, the step norms and the
+    fault of each row: None, a ``ContractionViolationError``, or after
+    ``max_iter`` steps a ``NonconvergenceError`` carrying ``certs[g]``.
+    """
     a1 = contour.model.a1
-    x = np.zeros_like(a1) if x0 is None else np.asarray(x0, dtype=complex)
-    scale = spectral_norm(a1) + 1.0
-    floor = 10.0 * np.finfo(float).eps * scale
-    threshold = stop_abs if stop_abs is not None else (
-        math.inf if q == 0.0 else tol * (1.0 - q) / q)
-    steps: list[float] = []
-    prev_step = None
+    x = np.array(x0, dtype=complex)
+    out = np.empty_like(x)
+    floor = 10.0 * np.finfo(float).eps * (spectral_norm(a1) + 1.0)
+    steps: list[list[float]] = [[] for _ in range(len(x))]
+    faults: list = [None] * len(x)
+    rows = np.arange(len(x))            # the rows still iterating
+    prev = [None] * len(x)
     for it in range(1, max_iter + 1):
-        x_next = self_energy_of_operator(contour, a1 + x)
-        step = spectral_norm(x_next - x)
-        steps.append(step)
-        x_norm = spectral_norm(x_next)
-        if r_escape is not None and x_norm > r_escape * (1.0 + 1e-12):
+        x_next = self_energy_of_operator(contour, a1 + x, values)
+        # largest singular values, as spectral_norm takes them, row by row
+        step_now = np.linalg.svd(x_next - x, compute_uv=False)[:, 0].tolist()
+        norm_now = np.linalg.svd(x_next, compute_uv=False)[:, 0].tolist()
+        going = []
+        for g, step, x_norm, last in zip(rows.tolist(), step_now, norm_now, prev):
+            steps[g].append(step)
+            if x_norm > r_escape[g] * (1.0 + 1e-12):
+                faults[g] = ContractionViolationError(
+                    f"iterate norm {x_norm:.6e} escaped the certified ball "
+                    f"of radius {r_escape[g]:.6e} at iteration {it}")
+            elif (last is not None and last > floor and step > floor and q[g] > 0.0
+                  and step > q[g] * last * (1.0 + _RATIO_SLACK)):
+                faults[g] = ContractionViolationError(
+                    f"empirical step ratio {step / last:.6e} exceeds the "
+                    f"certified contraction factor {q[g]:.6e} at iteration {it}")
+            going.append(faults[g] is None and not step <= threshold[g])
+        x, prev = x_next, step_now
+        if not all(going):
+            out[rows] = x
+            if not any(going):
+                return out, steps, faults
+            keep = np.flatnonzero(going)
+            rows, x, values = rows[keep], x[keep], values[keep]
+            prev = [prev[k] for k in keep]
+    out[rows] = x
+    for g in rows:
+        faults[g] = NonconvergenceError(
+            f"no convergence within {max_iter} iterations "
+            f"(last step {steps[g][-1]:.3e}, threshold {threshold[g]:.3e})", steps[g], certs[g])
+    return out, steps, faults
+
+
+def _solve_rows(contours, certs, tol: float, max_iter: int) -> list:
+    """Solve stacked rows from zero in one batched iteration.
+
+    ``contours`` share their points and weights and differ in their model's
+    coupling data; ``certs`` are their admissible certificates. Returns per
+    row its ``Solution`` or its ``NonconvergenceError``, and raises the
+    ``ContractionViolationError`` of the first violating row, as solving
+    the rows one by one in order would.
+    """
+    if not contours:
+        return []
+    q = [cert.contraction_factor() for cert in certs]
+    threshold = [math.inf if qg == 0.0 else tol * (1.0 - qg) / qg for qg in q]
+    # one row borrows its contour's data rather than copying it
+    values = (contours[0].quad_values[None] if len(contours) == 1
+              else np.stack([c.quad_values for c in contours]))
+    x, steps, faults = _iterate(contours[0], values, q, threshold,
+                                [cert.r_max for cert in certs],
+                                np.zeros((len(contours), *contours[0].model.a1.shape)),
+                                max_iter, certs)
+    out = []
+    for contour, cert, qg, xg, steps_g, fault in zip(contours, certs, q, x, steps, faults):
+        if isinstance(fault, NonconvergenceError):
+            out.append(fault)
+            continue
+        if fault is not None:
+            raise fault
+        bound = 0.0 if qg == 0.0 else qg / (1.0 - qg) * steps_g[-1]
+        x_norm = spectral_norm(xg)
+        if x_norm > cert.r_min + bound + 1e-12 * (1.0 + cert.r_min):
             raise ContractionViolationError(
-                f"iterate norm {x_norm:.6e} escaped the certified ball "
-                f"of radius {r_escape:.6e} at iteration {it}")
-        if prev_step is not None and prev_step > floor and step > floor:
-            if q > 0.0 and step > q * prev_step * (1.0 + _RATIO_SLACK):
-                raise ContractionViolationError(
-                    f"empirical step ratio {step / prev_step:.6e} exceeds the "
-                    f"certified contraction factor {q:.6e} at iteration {it}")
-        x = x_next
-        if step <= threshold:
-            return x, steps
-        prev_step = step
-    raise NonconvergenceError(
-        f"no convergence within {max_iter} iterations "
-        f"(last step {steps[-1]:.3e}, threshold {threshold:.3e})", steps, cert)
+                f"final norm {x_norm:.6e} exceeds the certified radius "
+                f"{cert.r_min:.6e} plus bound {bound:.3e}")
+        out.append(Solution(contour, cert, xg, contour.model.a1 + xg, tuple(steps_g), bound))
+    return out
 
 
 def fixed_point_residual(sol: Solution) -> float:
@@ -136,15 +203,10 @@ def solve_fixed_point(contour: Contour, tol: float = DEFAULT_TOL,
     cert = solvability_certificate(contour)
     if not cert.admissible:
         raise InadmissibleCertificateError(cert)
-    q = cert.contraction_factor()
-    x, steps = _iterate(contour, q, tol, max_iter, cert.r_max, cert=cert)
-    bound = 0.0 if q == 0.0 else q / (1.0 - q) * steps[-1]
-    x_norm = spectral_norm(x)
-    if x_norm > cert.r_min + bound + 1e-12 * (1.0 + cert.r_min):
-        raise ContractionViolationError(
-            f"final norm {x_norm:.6e} exceeds the certified radius "
-            f"{cert.r_min:.6e} plus bound {bound:.3e}")
-    return Solution(contour, cert, x, contour.model.a1 + x, tuple(steps), bound)
+    (result,) = _solve_rows([contour], [cert], tol, max_iter)
+    if isinstance(result, NonconvergenceError):
+        raise result
+    return result
 
 
 def refine_fixed_point(contour: Contour, x0: np.ndarray, tol: float = 1e-12,
@@ -158,8 +220,11 @@ def refine_fixed_point(contour: Contour, x0: np.ndarray, tol: float = 1e-12,
     reports the final step norm.
     """
     cert = solvability_certificate(contour)
-    x, steps = _iterate(contour, 0.0, tol, max_iter, None, stop_abs=tol, x0=x0)
-    return Solution(contour, cert, x, contour.model.a1 + x, tuple(steps), steps[-1])
+    x, (steps,), (fault,) = _iterate(contour, contour.quad_values[None], [0.0], [tol],
+                                     [math.inf], np.asarray(x0)[None], max_iter, [None])
+    if fault is not None:
+        raise fault
+    return Solution(contour, cert, x[0], contour.model.a1 + x[0], tuple(steps), steps[-1])
 
 
 def contour_independence(sol: Solution, other: Contour) -> float:

@@ -28,24 +28,28 @@ LOCATION_GUARD_BAND = "on-contour-guard-band"
 
 
 def _resolvents(h: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Stacked inverses of (h - mu) at every point, shape (P, n, n).
+    """Stacked inverses of (h - mu) at every point, shape (..., P, n, n).
 
-    A singular shift raises ``ResolventSingularityError`` naming the point
+    ``h`` is one matrix or a stack of them, with leading axes ``...``. A
+    singular shift raises ``ResolventSingularityError`` naming the point
     whose determinant vanishes (the smallest one, should none be exactly 0).
     """
-    shifted = h[None, :, :] - points[:, None, None] * np.eye(h.shape[0])
+    shifted = h[..., None, :, :] - points[:, None, None] * np.eye(h.shape[-1])
     try:
         return np.linalg.inv(shifted)
     except np.linalg.LinAlgError as exc:
-        worst = int(np.argmin(np.linalg.slogdet(shifted)[1]))
+        worst = int(np.argmin(np.linalg.slogdet(shifted)[1])) % points.size
         raise ResolventSingularityError(points[worst]) from exc
 
 
 def _weighted_sum(coeff: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over q of coeff[q] * a[q] @ b[q], as one matmul on the flattened stacks."""
-    p, n, k = a.shape
-    left = (coeff[:, None, None] * a).transpose(1, 0, 2).reshape(n, p * k)
-    return left @ b.reshape(p * k, -1)
+    """Sum over q of coeff[q] * a[..., q, :, :] @ b[..., q, :, :], as one matmul per stack.
+
+    ``a`` and ``b`` share their leading axes ``...``, which may hold no row.
+    """
+    *lead, p, n, k = a.shape
+    left = (coeff[:, None, None] * a).swapaxes(-3, -2).reshape(*lead, n, p * k)
+    return left @ b.reshape(*lead, p * k, b.shape[-1])
 
 
 def locate(contour: Contour, z: complex) -> str:

@@ -155,6 +155,132 @@ def test_sweep_parses_contour_once(tmp_path, std_model, monkeypatch):
     assert calls == [SEMI]
 
 
+N2_GRID = [0.0, 0.01, 0.03, 0.05, 0.07, 0.08, 0.085, 0.09, 0.2, 0.0, 0.04]
+
+
+@pytest.fixture(scope="module")
+def n2_model():
+    """n=2 constant-vector model with a discrete point; admissible up to beta ~ 0.087."""
+    a1 = np.array([[0.4, 0.05], [0.05, 0.62]], dtype=complex)
+    weight = np.array([[0.02, 0.003 + 0.001j], [0.003 - 0.001j, 0.015]])
+    return rs.SpectralModel(a1, [rs.Interval(0.0, 1.0, 0.6)], [(-2.0, weight)],
+                            rs.CouplingFunction.constant_vector([0.1, 0.05 + 0.02j]))
+
+
+def reference_sweep_rows(config):
+    """Rows of a beta sweep from one contour, one solve and one decomposition per point."""
+    from resonances.cli import _tag_eigenvalues
+
+    model = config.model
+    unit = model.coupling.row / np.linalg.norm(model.coupling.row)
+    spec = rs.contour.contour_spec_from_json(config.contour_json)
+    rows = []
+    for value in config.sweep["grid"]:
+        point = rs.SpectralModel(model.a1, model.intervals, model.discrete,
+                                 rs.CouplingFunction.constant_vector(unit * value,
+                                                                     model.coupling.decay))
+        contour = rs.build_contour(point, *spec, config.quad_tol)
+        try:
+            sol = rs.solve_fixed_point(contour, config.solve_tol, config.max_iter)
+        except rs.InadmissibleCertificateError:
+            rows.append({"parameter": value, "status": "inadmissible"})
+            continue
+        except rs.NonconvergenceError:
+            rows.append({"parameter": value, "status": "nonconvergence"})
+            continue
+        tags = _tag_eigenvalues(sol, rs.eigen_decompose(sol.effective))
+        for rank, t in enumerate(sorted(tags, key=lambda t: (t["re"], t["im"]))):
+            rows.append({"parameter": value, "status": "ok", "eig_index": rank,
+                         "re": t["re"], "im": t["im"], "tag": t["tag"],
+                         "r_min": sol.certificate.r_min, "iterations": sol.iterations})
+    return rows
+
+
+def test_sweep_rows_equal_per_point_solves(tmp_path, n2_model):
+    from resonances.cli import load_config, run_sweep
+
+    cfg = write_config(tmp_path, "n2", "sweep", n2_model, SEMI, max_iter=6,
+                       sweep={"parameter": "beta", "grid": N2_GRID})
+    config = load_config(cfg)
+    rows = run_sweep(config)["rows"]
+    assert rows == reference_sweep_rows(config)
+    # every kind of row: beta = 0, converged, stopped by max_iter, inadmissible
+    status = {r["parameter"]: r["status"] for r in rows}
+    assert status[0.0] == "ok" and status[0.08] == "nonconvergence"
+    assert status[0.2] == "inadmissible" and set(status.values()) == {
+        "ok", "nonconvergence", "inadmissible"}
+
+
+def test_sweep_with_no_admissible_point(tmp_path, std_model, n2_model):
+    for model, grid in ((std_model, [0.4, 0.5]), (n2_model, [0.2, 0.3, 0.5])):
+        cfg = write_config(tmp_path, "none", "sweep", model, SEMI,
+                           sweep={"parameter": "beta", "grid": grid})
+        out = tmp_path / "none_out.json"
+        csv = tmp_path / "none.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--csv", str(csv),
+                     "--quiet"]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert rows == [{"parameter": g, "status": "inadmissible"} for g in grid]
+        assert csv.read_text().count(",inadmissible\n") == len(grid)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_sweep_blocks_do_not_change_output(tmp_path, n2_model, monkeypatch, rows_per_block):
+    from resonances import cli
+
+    cfg = write_config(tmp_path, "n2", "sweep", n2_model, SEMI, max_iter=6,
+                       sweep={"parameter": "beta", "grid": N2_GRID})
+    outputs = []
+    for budget in (cli._SWEEP_BLOCK_ELEMENTS, rows_per_block * (1 + 96) * 4):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_ELEMENTS", budget)
+        out, csv = tmp_path / f"b{budget}.json", tmp_path / f"b{budget}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--csv", str(csv),
+                     "--quiet"]) == 0
+        outputs.append((out.read_bytes(), csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_shares_one_contour(tmp_path, std_model, monkeypatch):
+    calls = []
+    for name in ("build_contour", "separation_distance"):
+        original = getattr(rs.contour, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rs.contour, name, spy)
+    cfg = write_config(tmp_path, "sweep", "sweep", std_model, SEMI,
+                       sweep={"parameter": "beta", "grid": [0.0, 0.05, 0.1, 0.15, 0.4]})
+    assert main(["sweep", "--config", cfg, "--quiet"]) == 0
+    assert sorted(calls) == ["build_contour", "separation_distance"]
+
+
+def test_sweep_contraction_violation_exit_4(tmp_path, std_model, monkeypatch, capsys):
+    # white-box: under-report the variation of planted grid points, so their
+    # certified contraction factor is far below the step ratio they show
+    variation = rs.contour.variation
+    planted = {0.1, 0.2}
+
+    def shrunk(contour):
+        v0 = variation(contour)
+        return 1e-6 * v0 if abs(contour.model.coupling.row[0]) in planted else v0
+
+    monkeypatch.setattr(rs.contour, "variation", shrunk)
+    errors = []
+    for name, grid in (("both", [0.05, 0.1, 0.15, 0.2]), ("first", [0.1])):
+        cfg = write_config(tmp_path, name, "sweep", std_model, SEMI,
+                           sweep={"parameter": "beta", "grid": grid})
+        out = tmp_path / f"{name}_out.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: empirical step ratio ") and err.count("\n") == 1, err
+        errors.append(err)
+    # the first violating point in grid order is the one reported
+    assert errors[0] == errors[1]
+
+
 def test_oracle_conjugate_pair(tmp_path, std_model):
     cfg = write_config(tmp_path, "oracle", "oracle", std_model, SEMI,
                        oracle={"nu": [1, -1]})

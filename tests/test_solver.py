@@ -206,6 +206,26 @@ def test_resolvent_singularity_error(friedrichs_std):
             assert err.value.mu == mu
 
 
+def test_operator_self_energy_stacked_rows(poly4_model):
+    # each row of a stack is its own coupling data and argument; a row equals
+    # the same evaluation alone, bit for bit, and a stack may hold no row
+    c = build_contour(poly4_model, Semicircle(), [1])
+    rng = np.random.default_rng(23)
+    ys = poly4_model.a1 + 0.05 * (rng.standard_normal((3, 4, 4))
+                                  + 1j * rng.standard_normal((3, 4, 4)))
+    values = np.stack([c.quad_values, 2.0 * c.quad_values, 0.0 * c.quad_values])
+    out = self_energy_of_operator(c, ys, values)
+    assert out.shape == (3, 4, 4)
+    assert np.array_equal(out[0], self_energy_of_operator(c, ys[0]))
+    assert np.array_equal(out[1], self_energy_of_operator(c, ys[1], values[1]))
+    assert not out[2].any()
+    assert self_energy_of_operator(c, ys[:0], values[:0]).shape == (0, 4, 4)
+    ys[1] = c.quad_points[5] * np.eye(4)
+    with pytest.raises(ResolventSingularityError) as err:
+        self_energy_of_operator(c, ys, values)
+    assert err.value.mu == c.quad_points[5]
+
+
 def test_contour_rejects_other_coupling(poly4_model):
     # a second contour built for another model is refused, even when that
     # model holds equal data on the same curve
