@@ -12,6 +12,15 @@ such as the grid points of a sweep. Each row keeps its own contraction
 factor, stop threshold, escape radius and contraction checks, and freezes
 when it stops; a single solve is the stack of one row.
 
+``F`` is evaluated through the eigenvectors of its argument. The paper
+defines the operator self-energy ``V1(Y)`` by ``V1(Y) psi = V1(z) psi`` for
+every eigenvector ``psi`` of ``Y`` with eigenvalue ``z``; for
+``Y = V diag(lam) V^-1`` that fixes ``F(Y) = [V1(lam_j) v_j]_j V^-1``, so an
+evaluation needs the scalar self-energy at the n eigenvalues and one
+linear solve. An argument whose eigenbasis has cond(V) above the
+conditioning limit of ``transfer`` is summed against its resolvent at every
+integration point instead.
+
 A ``Solution`` records the contour (which carries the model) and the
 certificate (computed once per solve) it was solved with, and the
 identities read them from it.
@@ -32,7 +41,7 @@ from .errors import (
     PairingError,
 )
 from .model import SpectralModel, spectral_norm
-from .transfer import _resolvents, _weighted_sum
+from .transfer import _eigen_sums, _resolvents, _weighted_sum
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -43,22 +52,42 @@ def self_energy_of_operator(contour: Contour, y: np.ndarray,
                             values: np.ndarray | None = None) -> np.ndarray:
     """Self-energy applied to an operator argument.
 
-    Sums the coupling data against the resolvent of ``y`` at every discrete
-    point and quadrature node. On an eigenvector of ``y`` this action
-    reduces to the scalar self-energy at the eigenvalue. ``y`` may be a
-    stack (G, n, n); ``values`` then holds each row's coupling data on the
-    contour's points and weights, shape (G, P, n, n). By default it is the
-    contour's own.
+    On an eigenvector of ``y`` this action reduces to the scalar
+    self-energy at the eigenvalue, so with ``y = V diag(lam) V^-1`` it is
+    ``[SE(lam_j) v_j]_j V^-1``, the columns' matrix solved against V. An
+    ill-conditioned eigenbasis sums the coupling data against the resolvent
+    of ``y`` at every discrete point and quadrature node instead. ``y`` may
+    be a stack (G, n, n); ``values`` then holds each row's coupling data on
+    the contour's points and weights, shape (G, P, n, n). By default it is
+    the contour's own.
     """
-    inv = _resolvents(np.asarray(y, dtype=complex), contour.quad_points)
-    return _weighted_sum(contour.quad_weights,
-                         contour.quad_values if values is None else values, inv)
+    y = np.asarray(y, dtype=complex)
+    sums = _eigen_sums(contour, y, values)
+    if sums is None:
+        inv = _resolvents(y, contour.quad_points)
+        return _weighted_sum(contour.quad_weights,
+                             contour.quad_values if values is None else values, inv)
+    vecs, se = sums
+    vecs_t = vecs.swapaxes(-1, -2)
+    cols_t = (se @ vecs_t[..., None])[..., 0]       # row j: SE(lam_j) v_j
+    return np.linalg.solve(vecs_t, cols_t).swapaxes(-1, -2)
 
 
 def adjoint_self_energy_of_operator(contour: Contour, y: np.ndarray) -> np.ndarray:
-    """Left-resolvent variant: integrates resolvent times coupling data."""
-    inv = _resolvents(np.asarray(y, dtype=complex), contour.quad_points)
-    return _weighted_sum(contour.quad_weights, inv, contour.quad_values)
+    """Left-resolvent variant: integrates resolvent times coupling data.
+
+    With ``y = V diag(lam) V^-1`` and u_i the rows of V^-1 it is
+    ``V [u_i SE(lam_i)]_i``; an ill-conditioned eigenbasis takes the
+    resolvent at every point, as ``self_energy_of_operator`` does.
+    """
+    y = np.asarray(y, dtype=complex)
+    sums = _eigen_sums(contour, y)
+    if sums is None:
+        inv = _resolvents(y, contour.quad_points)
+        return _weighted_sum(contour.quad_weights, inv, contour.quad_values)
+    vecs, se = sums
+    rows = (np.linalg.inv(vecs)[..., None, :] @ se)[..., 0, :]   # row i: u_i SE(lam_i)
+    return vecs @ rows
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,16 +34,20 @@ from .errors import (
 )
 from .model import spectral_norm
 from .solver import Solution
-from .transfer import _resolvents, _weighted_sum, self_energy_many, transfer_many
+from .transfer import (
+    _EIGVEC_COND_MAX,
+    _eigen_basis,
+    _resolvents,
+    _weighted_sum,
+    self_energy_many,
+    transfer_many,
+)
 
 DEFAULT_NILPOTENT_TOL = 1e-8
 _ENCLOSURE_PAD = 0.45  # enclosure circle pad, as a fraction of the separation
 _TRAPEZOID_START = 64
 _TRAPEZOID_CAP = 16384
 _TRAPEZOID_RTOL = 1e-12
-# largest cond(V) of the eigenvector matrix V for which simple eigenvalues
-# take their projections from V and V^-1 rather than from resolvent residues
-_EIGVEC_COND_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -287,15 +291,32 @@ def factorize(sol: Solution, z: complex | np.ndarray) -> Factorization:
     operator; multiplying it by (effective - z) must reproduce the continued
     transfer function. ``z`` is one point, giving an (n, n) factor and a
     float defect, or an array of points, giving factors and defects stacked
-    in its shape; the resolvent stack is inverted once for all of them.
+    in its shape. With ``effective = V diag(lam) V^-1`` the factor maps v_j
+    to ``v_j - sum_q w_q K_q v_j / ((mu_q - z)(lam_j - mu_q))``, for all
+    points from one product ``K_q V``; an ill-conditioned eigenbasis
+    inverts the resolvent stack instead, once for all points.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
     contour, h = sol.contour, sol.effective
     eye = np.eye(h.shape[0])
     points, weights, values = contour.quad_points, contour.quad_weights, contour.quad_values
-    inv = _resolvents(h, points)
-    w1 = np.stack([eye - _weighted_sum(weights / (points - zk), values, inv) for zk in flat])
+    basis = _eigen_basis(h, points)
+    if basis is None:
+        inv = _resolvents(h, points)
+        w1 = np.stack([eye - _weighted_sum(weights / (points - zk), values, inv)
+                       for zk in flat])
+    else:
+        vecs, inv_dist = basis
+        n = vecs.shape[0]
+        # coeff[z, j, q] = w_q / ((mu_q - z)(lam_j - mu_q)); the products
+        # below are stacked over the points, so a point's factor does not
+        # depend on the other points of the batch
+        coeff = (weights / (points - flat[:, None]))[:, None, :] * inv_dist
+        kv = (values.reshape(-1, n) @ vecs).reshape(-1, n, n)       # [q]: K_q V
+        kv = np.ascontiguousarray(kv.transpose(2, 1, 0))            # [j, i, q]
+        cols_t = (kv @ coeff[..., None])[..., 0]           # [z, j]: column j of point z
+        w1 = eye - np.linalg.solve(vecs.T, cols_t).swapaxes(-1, -2)
     m1 = transfer_many(contour, flat)
     shifted = h[None, :, :] - flat[:, None, None] * eye
     residual = np.linalg.norm(m1 - w1 @ shifted, 2, axis=(1, 2))
@@ -332,7 +353,12 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
     """Integral of mirror-adjoint resolvent, coupling data, and resolvent.
 
     Computed over the discrete remainder plus the contour of ``sol_l``,
-    which must be the mirror of the contour of ``sol_minus_l``. The norm
+    which must be the mirror of the contour of ``sol_minus_l``. With
+    ``(alpha, W)`` the eigensystem of the adjoint mirror operator and
+    ``(lam, V)`` that of the effective operator, it is the Daleckii-Krein
+    form ``W [sum_q (W^-1 K_q V) o G_q] V^-1``, ``G_q[i, j] = w_q /
+    ((alpha_i - mu_q)(lam_j - mu_q))``; an ill-conditioned eigenbasis on
+    either side takes the two resolvent stacks instead. The norm
     must stay below the certified bound, the variation over the squared
     half separation of the certificate ``sol_l`` was solved with; a
     violation beyond one percent slack raises, since it signals a bad
@@ -341,9 +367,23 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
     if not is_mirror_pair(sol_l.contour, sol_minus_l.contour):
         raise PairingError("solutions do not live on mirror contours")
     contour = sol_l.contour
-    left_inv = _resolvents(sol_minus_l.effective.conj().T, contour.quad_points)
-    right_inv = _resolvents(sol_l.effective, contour.quad_points)
-    out = _weighted_sum(contour.quad_weights, left_inv @ contour.quad_values, right_inv)
+    points, weights, values = contour.quad_points, contour.quad_weights, contour.quad_values
+    h_left = sol_minus_l.effective.conj().T
+    left = _eigen_basis(h_left, points)
+    right = _eigen_basis(sol_l.effective, points)
+    if left is None or right is None:
+        left_inv = _resolvents(h_left, points)
+        right_inv = _resolvents(sol_l.effective, points)
+        out = _weighted_sum(weights, left_inv @ values, right_inv)
+    else:
+        (wvecs, inv_a), (vecs, inv_l) = left, right
+        n = vecs.shape[0]
+        kv = (values.reshape(-1, n) @ vecs).reshape(-1, n, n)     # [q]: K_q V
+        # [i, q, j]: W^-1 K_q V for every q, as one matrix product
+        wkv = (np.linalg.inv(wvecs) @ kv.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, n)
+        # sum over q of G_q[i, j] = w_q / ((alpha_i - mu_q)(lam_j - mu_q)) times it
+        core = np.einsum("iq,iqj,qj->ij", weights * inv_a, wkv, inv_l.T)
+        out = wvecs @ np.linalg.solve(vecs.T, core.T).T
     cert = sol_l.certificate
     bound = cert.v0 / (cert.d0 / 2.0) ** 2 if cert.d0 > 0 else math.inf
     norm = spectral_norm(out)

@@ -11,6 +11,17 @@ rather than extrapolated because the quadrature error grows like the
 inverse distance. ``locate`` says on which sheet a point's value lives:
 inside the region bounded by the contour and the intervals, the sheet of
 the contour's multi-index; outside it, the physical sheet.
+
+A sum over an operator argument ``Y`` goes through the eigenvectors of
+``Y``. The operator self-energy acts on an eigenvector of ``Y`` as the
+scalar self-energy at its eigenvalue, so with ``Y = V diag(lam) V^-1`` the
+resolvent at every integration point is ``V diag(1 / (lam - mu)) V^-1``
+and a sum over the points needs the scalar sums at the n eigenvalues only:
+``_eigen_basis`` gives the eigensystem and the inverse distances, and
+``_eigen_sums`` the self-energy at each eigenvalue, as one matrix product.
+An eigenbasis with cond(V) above ``_EIGVEC_COND_MAX`` (a defective or
+nearly defective ``Y``) is not used; the sum then inverts the shifted
+argument at every point instead (``_resolvents``, ``_weighted_sum``).
 """
 
 from __future__ import annotations
@@ -25,6 +36,10 @@ from .errors import GuardBandError, PairingError, ResolventSingularityError
 LOCATION_INSIDE = "inside"
 LOCATION_OUTSIDE = "outside"
 LOCATION_GUARD_BAND = "on-contour-guard-band"
+# largest cond(V) of an eigenvector matrix V that is used: above it, sums
+# over an operator argument invert resolvents at every point, and
+# eigenprojections are resolvent residues
+_EIGVEC_COND_MAX = 1e4
 
 
 def _resolvents(h: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -50,6 +65,48 @@ def _weighted_sum(coeff: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     *lead, p, n, k = a.shape
     left = (coeff[:, None, None] * a).swapaxes(-3, -2).reshape(*lead, n, p * k)
     return left @ b.reshape(*lead, p * k, b.shape[-1])
+
+
+def _eigen_basis(y: np.ndarray, points: np.ndarray):
+    """Eigensystem of ``y`` and its inverse distances to the points, or None.
+
+    ``y`` is one matrix or a stack (..., n, n). Returns the eigenvector
+    matrices V (..., n, n) and ``1 / (lam_j - points_q)`` for the
+    eigenvalues lam, shape (..., n, P). Returns None when the
+    eigensolver fails or any row's cond(V) exceeds ``_EIGVEC_COND_MAX``, and
+    raises ``ResolventSingularityError`` naming a point that equals an
+    eigenvalue.
+    """
+    try:
+        lam, vecs = np.linalg.eig(y)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.linalg.cond(vecs) <= _EIGVEC_COND_MAX):
+        return None
+    diff = lam[..., :, None] - points
+    hit = np.flatnonzero(diff == 0.0)
+    if hit.size:
+        raise ResolventSingularityError(points[hit[0] % points.size])
+    return vecs, 1.0 / diff
+
+
+def _eigen_sums(contour: Contour, y: np.ndarray, values: np.ndarray | None = None):
+    """Eigenvectors of ``y`` and the self-energy at each eigenvalue, or None.
+
+    Returns V and ``se`` of shape (..., n, n, n), where ``se[..., j, :, :]``
+    is the sum of ``w_q values_q / (lam_j - mu_q)``, computed for every
+    eigenvalue as one matrix product. ``values`` is the coupling data on the
+    contour's points, (P, n, n) or one per row (..., P, n, n); by default
+    the contour's own. None and errors as ``_eigen_basis``.
+    """
+    basis = _eigen_basis(y, contour.quad_points)
+    if basis is None:
+        return None
+    vecs, inv_dist = basis
+    values = contour.quad_values if values is None else values
+    n = y.shape[-1]
+    se = (contour.quad_weights * inv_dist) @ values.reshape(*values.shape[:-2], n * n)
+    return vecs, se.reshape(*se.shape[:-1], n, n)
 
 
 def locate(contour: Contour, z: complex) -> str:
