@@ -8,7 +8,6 @@ factorization, moment, residue, and basis identities.
 
 from .contour import (
     Contour,
-    ContourScan,
     Flat,
     Rectangle,
     Semicircle,
@@ -16,7 +15,6 @@ from .contour import (
     build_contour,
     double_order,
     mirrored,
-    scan_contours,
     separation_distance,
     solvability_certificate,
     variation,
@@ -46,7 +44,6 @@ from .friedrichs import (
     params_from_model,
     resonance_root,
     self_energy_closed,
-    symmetric_angle_root,
     transfer_closed,
 )
 from .model import (

@@ -240,7 +240,7 @@ def run_solve(config: RunConfig) -> dict:
     """Solve once; emit certificate, solution matrices, tagged eigenvalues."""
     sol = solve_fixed_point(_build_contour(config), config.solve_tol, config.max_iter)
     residual = fixed_point_residual(sol)
-    dec = sp.eigen_decompose(sol.effective)
+    dec = sp.eigen_decompose(sol)
     return {
         "status": "ok",
         "certificate": asdict(sol.certificate),
@@ -315,9 +315,9 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     r2 = spectral_norm(moments.m1 - sol2.effective @ metric2_inv)
     add("resolvent-moment-1", max(r1, r2), id_tol)
 
-    dec = sp.eigen_decompose(sol.effective)
-    dec2 = sp.eigen_decompose(sol2.effective)
-    dec2_m = sp.eigen_decompose(sol2_m.effective)
+    dec = sp.eigen_decompose(sol)
+    dec2 = sp.eigen_decompose(sol2)
+    dec2_m = sp.eigen_decompose(sol2_m)
     res_max = 0.0
     for lam in dec.eigenvalues:
         value = sp.transfer_residue(sol, dec, lam).matrix
@@ -334,14 +334,14 @@ def _verify_rows(config: RunConfig) -> list[dict]:
 
     add("adjoint-symmetry", np.max(adjoint_symmetry_residual(base, base_m, zs)), alg_tol)
 
-    e_l = np.sort_complex(np.linalg.eigvals(sol.effective))
-    e_m = np.sort_complex(np.conj(np.linalg.eigvals(sol_m.effective)))
+    e_l = np.sort_complex(sol.eigensystem[0])
+    e_m = np.sort_complex(np.conj(sol_m.eigensystem[0]))
     add("mirror-spectrum", float(np.max(np.abs(e_l - e_m))), alg_tol)
 
     try:
         band = max(10.0 * sol.a_posteriori_bound, 1e-9 * dec.scale)
         real_eigs = [ev.real for ev in dec.eigenvalues if abs(ev.imag) <= band]
-        dec_m = sp.eigen_decompose(sol_m.effective)
+        dec_m = sp.eigen_decompose(sol_m)
         gram = sp.riesz_gram(sol, sol_m, dec, dec_m, real_eigs)
         add("gram-identity", max(gram.gram_defect, gram.real_block_defect), id_tol)
     except UnsupportedModelError:
@@ -413,7 +413,7 @@ def _sweep_block(config: RunConfig, base: ct.Contour, d0: float, unit: np.ndarra
         if isinstance(sol, NonconvergenceError):
             rows.append({"parameter": value, "status": "nonconvergence"})
             continue
-        dec = sp.eigen_decompose(sol.effective)
+        dec = sp.eigen_decompose(sol)
         tags = _tag_eigenvalues(sol, dec)
         order = sorted(range(dec.count), key=lambda i: (tags[i]["re"], tags[i]["im"]))
         for rank, i in enumerate(order):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -514,44 +513,6 @@ def _certificate(d0: float, v0: float) -> SolvabilityCertificate:
         r_min = None
         r_max = None
     return SolvabilityCertificate(d0, v0, omega, admissible, r_min, r_max)
-
-
-@dataclass(frozen=True)
-class ContourScan:
-    """Result of scanning a finite contour family for certificates."""
-
-    found: bool
-    solution_ball_radius: float | None
-    max_separation: float | None
-    best_contour: Contour | None
-    admissible_count: int
-
-
-def scan_contours(model: SpectralModel, l, family: Sequence, order=DEFAULT_ORDER,
-                  quad_tol: float = DEFAULT_QUAD_TOL) -> ContourScan:
-    """Scan a finite family of curve specs for the best certificates.
-
-    Returns the smallest admissible ball radius (an upper approximation of
-    the optimal solution bound), the largest admissible separation distance,
-    and the contour achieving the smallest radius. With no admissible member
-    the result has ``found=False``; which is data, not an error.
-    """
-    best_r = math.inf
-    best_d = -math.inf
-    best_contour = None
-    count = 0
-    for spec in family:
-        contour = build_contour(model, spec, l, order, quad_tol)
-        cert = solvability_certificate(contour)
-        if cert.admissible:
-            count += 1
-            best_d = max(best_d, cert.d0)
-            if cert.r_min < best_r:
-                best_r = cert.r_min
-                best_contour = contour
-    if count == 0:
-        return ContourScan(False, None, None, None, 0)
-    return ContourScan(True, best_r, best_d, best_contour, count)
 
 
 # ---------------------------------------------------------------------------

@@ -105,35 +105,6 @@ class ResonanceRoot:
     angle_residual: float | None
 
 
-def symmetric_angle_root(beta_tilde_sq: float, nu: int) -> float | None:
-    """Root of tan(phi) = bt2*(phi - pi/2 + pi*nu) on [0, pi/2), if any.
-
-    For the symmetric model (a = 2R, lambda1 = R) each root corresponds to a
-    resonance R*(1 + i*tan(phi)) on the upper half of sheet nu. A sign scan
-    plus bisection to the last float; returns None when no sign change
-    exists (all nu <= 0).
-    """
-    def g(phi: float) -> float:
-        return math.tan(phi) - beta_tilde_sq * (phi - math.pi / 2.0 + math.pi * nu)
-
-    lo, hi = 0.0, math.pi / 2.0 - 1e-9
-    while g(hi) < 0.0:
-        hi = 0.5 * (hi + math.pi / 2.0)
-        if math.pi / 2.0 - hi < 1e-15:
-            return None
-    if g(lo) > 0.0:
-        # scan for an interior sign change before giving up
-        grid = np.linspace(lo, hi, 1001)
-        vals = [g(p) for p in grid]
-        for p0, p1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-            if v0 <= 0.0 <= v1 or v1 <= 0.0 <= v0:
-                lo, hi = p0, p1
-                break
-        else:
-            return None
-    return _bisect(g, lo, hi)
-
-
 def resonance_root(params: FriedrichsParams) -> ResonanceRoot:
     """Newton root of the sheet-nu transfer function (nu != 0 required).
 

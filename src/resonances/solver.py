@@ -22,14 +22,16 @@ conditioning limit of ``transfer`` is summed against its resolvent at every
 integration point instead.
 
 A ``Solution`` records the contour (which carries the model) and the
-certificate (computed once per solve) it was solved with, and the
-identities read them from it.
+certificate (computed once per solve) it was solved with, and owns the
+eigensystem of its effective matrix, taken on first read and at most once;
+the identities read all three from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .errors import (
     PairingError,
 )
 from .model import SpectralModel, spectral_norm
-from .transfer import _eigen_sums, _resolvents, _weighted_sum
+from .transfer import _dual_eigensystem, _eigen_sums, _resolvents, _weighted_sum
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -120,6 +122,11 @@ class Solution:
     @property
     def last_step_norm(self) -> float:
         return self.step_norms[-1]
+
+    @cached_property
+    def eigensystem(self) -> tuple:
+        """``(lam, V, V^-1)`` of the effective matrix, taken once; V^-1 None if unusable."""
+        return _dual_eigensystem(self.effective)
 
 
 def _iterate(contour: Contour, values: np.ndarray, q, threshold, r_escape,

@@ -1,9 +1,12 @@
 """Spectral structure of the effective operators and the proved identities.
 
-An eigenprojection at a simple eigenvalue is the outer product of its right
-eigenvector and the matching row of the inverse eigenvector matrix, when
-that matrix is well conditioned. Clusters of several eigenvalues, and every
-cluster of an ill-conditioned eigenvector basis, take the contour residue
+The eigenvalues and eigenvectors of a solution's effective operator come
+from the eigensystem the ``Solution`` owns, taken once; the overlap reads
+the adjoint mirror operator's from the mirror solution. An eigenprojection
+at a simple eigenvalue is the outer product of its right eigenvector and
+the matching row of the inverse eigenvector matrix, when that basis is
+usable (``transfer._eigensystem``). Clusters of several eigenvalues, and
+every cluster of an unusable eigenvector basis, take the contour residue
 of the resolvent instead (trapezoidal rule on circles, order-doubled until
 stable), which stays robust for defective clusters. The residue of the
 inverse transfer function at a simple eigenvalue comes from Keldysh's
@@ -35,8 +38,8 @@ from .errors import (
 from .model import spectral_norm
 from .solver import Solution
 from .transfer import (
-    _EIGVEC_COND_MAX,
-    _eigen_basis,
+    _dual_eigensystem,
+    _inverse_distances,
     _resolvents,
     _weighted_sum,
     self_energy_many,
@@ -151,15 +154,17 @@ def _cluster(eigs: np.ndarray, tol: float) -> list[list[int]]:
     return out
 
 
-def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
+def eigen_decompose(h1: Solution | np.ndarray,
+                    cluster_tol: float | None = None) -> SpectralDecomposition:
     """Cluster the spectrum and compute its projections.
 
+    ``h1`` is a solution, whose own eigensystem is used, or a bare matrix.
     Eigenvalues within ``cluster_tol`` of each other merge into one cluster
     represented by its centroid; ``find`` then matches within
     ``max(10 * cluster_tol, 1e-12)``, or ``1e-5 * max(norm(h1), 1)`` when no
     ``cluster_tol`` is given. A cluster of one eigenvalue takes the
     projection v w^H, with v its column of the eigenvector matrix V and w^H
-    the matching row of V^-1, while cond(V) is at most ``_EIGVEC_COND_MAX``.
+    the matching row of V^-1, while that eigenbasis is usable.
     Any other projection is the residue of the resolvent on a circle of
     radius half the gap to the nearest other cluster. The nilpotent is the
     shifted matrix times the projection, and the pole order is the first
@@ -167,7 +172,11 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
     ``DEFAULT_NILPOTENT_TOL * max(norm(h1), 1)**k``. A cluster of algebraic
     multiplicity one has nilpotent 0 and pole order 1 without either test.
     """
-    h1 = np.asarray(h1, dtype=complex)
+    if isinstance(h1, Solution):
+        h1, (eigs, vecs, duals) = h1.effective, h1.eigensystem
+    else:
+        h1 = np.asarray(h1, dtype=complex)
+        eigs, vecs, duals = _dual_eigensystem(h1)
     n = h1.shape[0]
     norm = spectral_norm(h1)
     scale = max(norm, 1.0)
@@ -176,7 +185,6 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
         lookup_tol = 1e-5 * scale
     else:
         lookup_tol = max(10.0 * cluster_tol, 1e-12)
-    eigs, vecs = np.linalg.eig(h1)
     groups = _cluster(eigs, cluster_tol)
     centroids = [complex(np.mean(eigs[g])) for g in groups]
 
@@ -193,7 +201,6 @@ def eigen_decompose(h1: np.ndarray, cluster_tol: float | None = None) -> Spectra
             f"({4.0 * cluster_tol:.3e}); choose a different tolerance")
 
     eye = np.eye(n)
-    duals = np.linalg.inv(vecs) if np.linalg.cond(vecs) <= _EIGVEC_COND_MAX else None
     projections = []
     paths = []
     nilpotents = []
@@ -293,21 +300,21 @@ def factorize(sol: Solution, z: complex | np.ndarray) -> Factorization:
     float defect, or an array of points, giving factors and defects stacked
     in its shape. With ``effective = V diag(lam) V^-1`` the factor maps v_j
     to ``v_j - sum_q w_q K_q v_j / ((mu_q - z)(lam_j - mu_q))``, for all
-    points from one product ``K_q V``; an ill-conditioned eigenbasis
-    inverts the resolvent stack instead, once for all points.
+    points from one product ``K_q V``; an unusable eigenbasis inverts the
+    resolvent stack instead, once for all points.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
     contour, h = sol.contour, sol.effective
     eye = np.eye(h.shape[0])
     points, weights, values = contour.quad_points, contour.quad_weights, contour.quad_values
-    basis = _eigen_basis(h, points)
-    if basis is None:
+    lam, vecs, duals = sol.eigensystem
+    if duals is None:
         inv = _resolvents(h, points)
         w1 = np.stack([eye - _weighted_sum(weights / (points - zk), values, inv)
                        for zk in flat])
     else:
-        vecs, inv_dist = basis
+        inv_dist = _inverse_distances(lam, points)
         n = vecs.shape[0]
         # coeff[z, j, q] = w_q / ((mu_q - z)(lam_j - mu_q)); the products
         # below are stacked over the points, so a point's factor does not
@@ -316,7 +323,7 @@ def factorize(sol: Solution, z: complex | np.ndarray) -> Factorization:
         kv = (values.reshape(-1, n) @ vecs).reshape(-1, n, n)       # [q]: K_q V
         kv = np.ascontiguousarray(kv.transpose(2, 1, 0))            # [j, i, q]
         cols_t = (kv @ coeff[..., None])[..., 0]           # [z, j]: column j of point z
-        w1 = eye - np.linalg.solve(vecs.T, cols_t).swapaxes(-1, -2)
+        w1 = eye - cols_t.swapaxes(-1, -2) @ duals
     m1 = transfer_many(contour, flat)
     shifted = h[None, :, :] - flat[:, None, None] * eye
     residual = np.linalg.norm(m1 - w1 @ shifted, 2, axis=(1, 2))
@@ -354,11 +361,12 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
 
     Computed over the discrete remainder plus the contour of ``sol_l``,
     which must be the mirror of the contour of ``sol_minus_l``. With
-    ``(alpha, W)`` the eigensystem of the adjoint mirror operator and
-    ``(lam, V)`` that of the effective operator, it is the Daleckii-Krein
-    form ``W [sum_q (W^-1 K_q V) o G_q] V^-1``, ``G_q[i, j] = w_q /
-    ((alpha_i - mu_q)(lam_j - mu_q))``; an ill-conditioned eigenbasis on
-    either side takes the two resolvent stacks instead. The norm
+    ``(lam, V)`` the eigensystem of ``sol_l`` and ``(alpha, W)`` that of the
+    adjoint mirror operator, ``alpha = conj(lam_m)`` and ``W = (V_m^-1)^H``
+    from ``sol_minus_l``, it is the Daleckii-Krein form
+    ``W [sum_q (W^-1 K_q V) o G_q] V^-1``, ``G_q[i, j] = w_q /
+    ((alpha_i - mu_q)(lam_j - mu_q))``; an unusable eigenbasis on either
+    side takes the two resolvent stacks instead. The norm
     must stay below the certified bound, the variation over the squared
     half separation of the certificate ``sol_l`` was solved with; a
     violation beyond one percent slack raises, since it signals a bad
@@ -368,22 +376,22 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
         raise PairingError("solutions do not live on mirror contours")
     contour = sol_l.contour
     points, weights, values = contour.quad_points, contour.quad_weights, contour.quad_values
-    h_left = sol_minus_l.effective.conj().T
-    left = _eigen_basis(h_left, points)
-    right = _eigen_basis(sol_l.effective, points)
-    if left is None or right is None:
-        left_inv = _resolvents(h_left, points)
+    lam, vecs, duals = sol_l.eigensystem
+    lam_m, vecs_m, duals_m = sol_minus_l.eigensystem
+    if duals is None or duals_m is None:
+        left_inv = _resolvents(sol_minus_l.effective.conj().T, points)
         right_inv = _resolvents(sol_l.effective, points)
         out = _weighted_sum(weights, left_inv @ values, right_inv)
     else:
-        (wvecs, inv_a), (vecs, inv_l) = left, right
+        inv_a = _inverse_distances(lam_m.conj(), points)
+        inv_l = _inverse_distances(lam, points)
         n = vecs.shape[0]
         kv = (values.reshape(-1, n) @ vecs).reshape(-1, n, n)     # [q]: K_q V
         # [i, q, j]: W^-1 K_q V for every q, as one matrix product
-        wkv = (np.linalg.inv(wvecs) @ kv.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, n)
+        wkv = (vecs_m.conj().T @ kv.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, n)
         # sum over q of G_q[i, j] = w_q / ((alpha_i - mu_q)(lam_j - mu_q)) times it
         core = np.einsum("iq,iqj,qj->ij", weights * inv_a, wkv, inv_l.T)
-        out = wvecs @ np.linalg.solve(vecs.T, core.T).T
+        out = duals_m.conj().T @ core @ duals
     cert = sol_l.certificate
     bound = cert.v0 / (cert.d0 / 2.0) ** 2 if cert.d0 > 0 else math.inf
     norm = spectral_norm(out)
@@ -462,7 +470,7 @@ def enclosure_circles(sol: Solution) -> tuple[Circle, ...]:
     invertibility region but away from the eigenvalues themselves.
     """
     cert = sol.certificate
-    eigs = np.linalg.eigvals(sol.effective)
+    eigs = sol.eigensystem[0]
     groups = _cluster(eigs, cert.d0)
     circles = []
     for g in groups:
@@ -487,9 +495,8 @@ def contour_moment(sol_l: Solution, sol_minus_l: Solution, gamma) -> MomentResul
     """
     contour = sol_l.contour
     circles = (gamma,) if isinstance(gamma, Circle) else tuple(gamma)
-    eigs = np.linalg.eigvals(sol_l.effective)
-    eigs_m = np.conj(np.linalg.eigvals(sol_minus_l.effective))
-    _check_circle_geometry(contour, circles, np.concatenate([eigs, eigs_m]))
+    eigs = np.concatenate([sol_l.eigensystem[0], np.conj(sol_minus_l.eigensystem[0])])
+    _check_circle_geometry(contour, circles, eigs)
     scale = max(spectral_norm(sol_l.effective), 1.0)
     minv = _minv_batch(contour, scale)
 
@@ -688,7 +695,11 @@ class GramResult:
         return spectral_norm(self.real_block - np.eye(self.real_block.shape[0]))
 
 
-def _range_basis(p: np.ndarray, m: int) -> np.ndarray:
+def _range_basis(p: np.ndarray, m: int, path: str) -> np.ndarray:
+    """Orthonormal basis of the range of a rank-m projection."""
+    if path == "eigenvector":       # p = v w^H: its largest column spans v
+        col = p[:, np.argmax(np.linalg.norm(p, axis=0))]
+        return (col / np.linalg.norm(col))[:, None]
     u, s, _ = np.linalg.svd(p)
     if m > 0 and (s.size < m or s[m - 1] < 0.1):
         raise InconsistencyError(
@@ -732,8 +743,8 @@ def riesz_gram(sol_l: Solution, sol_minus_l: Solution,
             raise InconsistencyError(
                 f"multiplicity mismatch at eigenvalue {lam}: "
                 f"{m_i} vs {dec_m.algebraic[j]}")
-        psi_l = _range_basis(dec_l.projections[i], m_i)
-        psi_m = _range_basis(dec_m.projections[j], m_i)
+        psi_l = _range_basis(dec_l.projections[i], m_i, dec_l.paths[i])
+        psi_m = _range_basis(dec_m.projections[j], m_i, dec_m.paths[j])
         is_real = any(abs(lam - v) <= dec_l.lookup_tol for v in real_set)
         if is_real:
             b = psi_l.conj().T @ metric @ psi_l

@@ -17,11 +17,12 @@ A sum over an operator argument ``Y`` goes through the eigenvectors of
 scalar self-energy at its eigenvalue, so with ``Y = V diag(lam) V^-1`` the
 resolvent at every integration point is ``V diag(1 / (lam - mu)) V^-1``
 and a sum over the points needs the scalar sums at the n eigenvalues only:
-``_eigen_basis`` gives the eigensystem and the inverse distances, and
-``_eigen_sums`` the self-energy at each eigenvalue, as one matrix product.
-An eigenbasis with cond(V) above ``_EIGVEC_COND_MAX`` (a defective or
-nearly defective ``Y``) is not used; the sum then inverts the shifted
-argument at every point instead (``_resolvents``, ``_weighted_sum``).
+``_eigen_sums`` gives the self-energy at each eigenvalue as one matrix
+product. ``_eigensystem`` alone decides whether an eigenbasis is usable,
+for these sums and for the eigensystem a ``Solution`` owns: cond(V) must
+be at most ``_EIGVEC_COND_MAX``. For a defective or nearly defective ``Y``
+the sum inverts the shifted argument at every point instead
+(``_resolvents``, ``_weighted_sum``).
 """
 
 from __future__ import annotations
@@ -67,27 +68,34 @@ def _weighted_sum(coeff: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return left @ b.reshape(*lead, p * k, b.shape[-1])
 
 
-def _eigen_basis(y: np.ndarray, points: np.ndarray):
-    """Eigensystem of ``y`` and its inverse distances to the points, or None.
+def _eigensystem(y: np.ndarray):
+    """Eigenvalues lam and eigenvectors V of ``y``, and whether V is usable.
 
-    ``y`` is one matrix or a stack (..., n, n). Returns the eigenvector
-    matrices V (..., n, n) and ``1 / (lam_j - points_q)`` for the
-    eigenvalues lam, shape (..., n, P). Returns None when the
-    eigensolver fails or any row's cond(V) exceeds ``_EIGVEC_COND_MAX``, and
-    raises ``ResolventSingularityError`` naming a point that equals an
-    eigenvalue.
+    ``y`` is one matrix or a stack (..., n, n). The eigenbasis is usable
+    when every row's cond(V) is at most ``_EIGVEC_COND_MAX``. Returns
+    ``(lam, V, usable)``; when the eigensolver refuses ``y`` (a non-finite
+    entry, no convergence) lam and V are None and the basis is not usable.
     """
     try:
         lam, vecs = np.linalg.eig(y)
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.linalg.cond(vecs) <= _EIGVEC_COND_MAX):
-        return None
+        return None, None, False
+    return lam, vecs, bool(np.all(np.linalg.cond(vecs) <= _EIGVEC_COND_MAX))
+
+
+def _dual_eigensystem(h: np.ndarray):
+    """``(lam, V, V^-1)`` of one matrix; V^-1 is None when V is not usable."""
+    lam, vecs, usable = _eigensystem(h)
+    return lam, vecs, np.linalg.inv(vecs) if usable else None
+
+
+def _inverse_distances(lam: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``1 / (lam_j - points_q)``, shape (..., n, P); raises at a point equal to a lam_j."""
     diff = lam[..., :, None] - points
     hit = np.flatnonzero(diff == 0.0)
     if hit.size:
         raise ResolventSingularityError(points[hit[0] % points.size])
-    return vecs, 1.0 / diff
+    return 1.0 / diff
 
 
 def _eigen_sums(contour: Contour, y: np.ndarray, values: np.ndarray | None = None):
@@ -97,12 +105,13 @@ def _eigen_sums(contour: Contour, y: np.ndarray, values: np.ndarray | None = Non
     is the sum of ``w_q values_q / (lam_j - mu_q)``, computed for every
     eigenvalue as one matrix product. ``values`` is the coupling data on the
     contour's points, (P, n, n) or one per row (..., P, n, n); by default
-    the contour's own. None and errors as ``_eigen_basis``.
+    the contour's own. Returns None when the eigenbasis of any row is not
+    usable (``_eigensystem``).
     """
-    basis = _eigen_basis(y, contour.quad_points)
-    if basis is None:
+    lam, vecs, usable = _eigensystem(y)
+    if not usable:
         return None
-    vecs, inv_dist = basis
+    inv_dist = _inverse_distances(lam, contour.quad_points)
     values = contour.quad_values if values is None else values
     n = y.shape[-1]
     se = (contour.quad_weights * inv_dist) @ values.reshape(*values.shape[:-2], n * n)

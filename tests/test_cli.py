@@ -106,6 +106,62 @@ def test_verify_passes(tmp_path, std_model, monkeypatch):
             "adjoint-symmetry", "mirror-spectrum", "gram-identity"} == names
 
 
+def test_verify_decomposes_each_solution_once(tmp_path, poly4_model, monkeypatch):
+    from resonances import cli, spectral
+
+    solve = cli.solve_fixed_point
+    eig, eigvals, svd = np.linalg.eig, np.linalg.eigvals, np.linalg.svd
+    riesz, overlap = spectral.riesz_gram, spectral.overlap_operator
+    solutions, eig_args, eigvals_calls, gram_svds, in_gram = [], [], [], [], []
+
+    def solving(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    def eig_spy(a):
+        eig_args.extend(np.reshape(a, (-1, *np.shape(a)[-2:])))
+        return eig(a)
+
+    def svd_spy(*args, **kwargs):
+        if in_gram and in_gram[-1]:
+            gram_svds.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    def scoped(fn, inside):
+        # SVDs are recorded inside riesz_gram, but not in the overlap it calls
+        def spy(*args, **kwargs):
+            in_gram.append(inside)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                in_gram.pop()
+        return spy
+
+    monkeypatch.setattr(cli, "solve_fixed_point", solving)
+    monkeypatch.setattr(np.linalg, "eig", eig_spy)
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: eigvals_calls.append(np.shape(a)) or eigvals(a))
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(spectral, "riesz_gram", scoped(riesz, True))
+    monkeypatch.setattr(spectral, "overlap_operator", scoped(overlap, False))
+    config = cli.load_config(write_config(tmp_path, "verify", "verify", poly4_model, SEMI))
+    rows = cli._verify_rows(config)
+    monkeypatch.undo()
+
+    assert all(r["pass"] and not r["skipped"] for r in rows)
+    assert len(solutions) == 4
+    for sol in solutions:
+        # the solution's own eigensystem is the only decomposition of its
+        # effective matrix; the overlap reads the adjoint's from the mirror
+        assert sum(np.array_equal(a, sol.effective) for a in eig_args) == 1
+        assert not any(np.array_equal(a, sol.effective.conj().T) for a in eig_args)
+    assert eigvals_calls == []
+    # every cluster takes the eigenvector path, so no range needs an SVD
+    assert all(path == "eigenvector" for sol in solutions[:2]
+               for path in spectral.eigen_decompose(sol).paths)
+    assert gram_svds == []
+
+
 def test_verify_negative_control_coarse_quadrature(tmp_path, std_model):
     coarse = {"shape": "semicircle", "l": [1], "panels": 1, "points": 4}
     cfg = write_config(tmp_path, "coarse", "verify", std_model, coarse)

@@ -20,7 +20,6 @@ from resonances import (
     build_contour,
     double_order,
     mirrored,
-    scan_contours,
     separation_distance,
     solvability_certificate,
     solve_fixed_point,
@@ -165,38 +164,6 @@ def test_certificate_root_identities_property(d0, frac):
     assert abs((d0 - cert.r_max) ** 2 - v0) <= 1e-11 * max(v0, d0 * d0 * 1e-6)
     assert 0.0 < cert.r_min <= d0 / 2.0 <= cert.r_max < d0
     assert 0.0 <= cert.contraction_factor() < 1.0
-
-
-def test_scan_family(friedrichs_std):
-    family = [Semicircle(radius=0.5), Semicircle(radius=0.75), Semicircle()]
-    scan = scan_contours(friedrichs_std, [1], family)
-    assert scan.found
-    assert scan.admissible_count == 1
-    assert scan.solution_ball_radius <= 0.25 + 1e-10
-    assert scan.max_separation == 1.0
-
-
-def test_scan_zero_coupling(zero_model):
-    scan = scan_contours(zero_model, [1], [Semicircle()])
-    assert scan.found and scan.solution_ball_radius == 0.0
-
-
-def test_scan_no_admissible_member():
-    from resonances import friedrichs_model
-
-    model = friedrichs_model(1.0, beta_sq=1.0 / math.pi)  # far past threshold
-    scan = scan_contours(model, [1], [Semicircle(), Semicircle(radius=0.6)])
-    assert not scan.found
-    assert scan.best_contour is None
-    assert scan.admissible_count == 0
-
-
-def test_scan_mirror_agreement(friedrichs_std):
-    family = [Semicircle(radius=r) for r in (0.6, 0.8, 1.0)]
-    s1 = scan_contours(friedrichs_std, [1], family)
-    s2 = scan_contours(friedrichs_std, [-1], family)
-    assert abs(s1.solution_ball_radius - s2.solution_ball_radius) <= 1e-10
-    assert abs(s1.max_separation - s2.max_separation) <= 1e-10
 
 
 def test_mirror_nodes_exactly_conjugate(m2_model):

@@ -22,13 +22,44 @@ from resonances import (
     resonance_root,
     self_energy_closed,
     self_energy_many,
-    symmetric_angle_root,
     transfer_closed,
 )
+from resonances.friedrichs import _bisect
+
 from conftest import BETA_SQ_STD
 
 # frozen root of tan(phi) = (3/(8 pi)) * (phi + pi/2), computed by bisection
 IM_ROOT_STD = 0.21249270733645836
+
+
+def symmetric_angle_root(beta_tilde_sq: float, nu: int) -> float | None:
+    """Root of tan(phi) = bt2*(phi - pi/2 + pi*nu) on [0, pi/2), if any.
+
+    The closed form ``resonance_root`` is checked against: for the
+    symmetric model (a = 2R, lambda1 = R) each root corresponds to a
+    resonance R*(1 + i*tan(phi)) on the upper half of sheet nu. A sign scan
+    plus bisection to the last float; returns None when no sign change
+    exists (all nu <= 0).
+    """
+    def g(phi: float) -> float:
+        return math.tan(phi) - beta_tilde_sq * (phi - math.pi / 2.0 + math.pi * nu)
+
+    lo, hi = 0.0, math.pi / 2.0 - 1e-9
+    while g(hi) < 0.0:
+        hi = 0.5 * (hi + math.pi / 2.0)
+        if math.pi / 2.0 - hi < 1e-15:
+            return None
+    if g(lo) > 0.0:
+        # scan for an interior sign change before giving up
+        grid = np.linspace(lo, hi, 1001)
+        vals = [g(p) for p in grid]
+        for p0, p1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+            if v0 <= 0.0 <= v1 or v1 <= 0.0 <= v0:
+                lo, hi = p0, p1
+                break
+        else:
+            return None
+    return _bisect(g, lo, hi)
 
 
 def test_branch_calibration_real_axis():

@@ -127,10 +127,10 @@ def test_decompose_cluster_separability_error():
 
 def _residue_path_decomposition(monkeypatch, h, **kwargs):
     """eigen_decompose with every cluster forced onto the residue path."""
-    from resonances import spectral
+    from resonances import transfer
 
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_EIGVEC_COND_MAX", 0.0)
+        m.setattr(transfer, "_EIGVEC_COND_MAX", 0.0)
         return eigen_decompose(h, **kwargs)
 
 
