@@ -40,7 +40,6 @@ from .friedrichs import (
     FriedrichsParams,
     bound_states,
     friedrichs_model,
-    no_spectrum_outside,
     params_from_model,
     resonance_root,
     self_energy_closed,
@@ -53,10 +52,8 @@ from .model import (
     Interval,
     SpectralModel,
     ValidationReport,
-    coupling_density,
     model_dumps,
     model_from_json_dict,
-    model_loads,
     model_to_json_dict,
     spectral_norm,
     validate_model,
@@ -64,7 +61,6 @@ from .model import (
 from .solver import (
     Solution,
     adjoint_equation_residual,
-    adjoint_self_energy_of_operator,
     contour_independence,
     fixed_point_residual,
     refine_fixed_point,
@@ -93,8 +89,6 @@ from .spectral import (
     verify_projection_equations,
 )
 from .transfer import (
-    adjoint_symmetry_residual,
-    locate,
     self_energy_many,
     transfer_many,
 )

@@ -138,26 +138,12 @@ class Section:
 class Piece:
     """Contour piece for one interval: spec, smooth sections, diagnostics."""
 
-    half_plane: int
     spec: CurveSpec
     sections: tuple[Section, ...]
     nodes: np.ndarray
     weights: np.ndarray
     endpoint_defect: float
     tail_bound: float
-    region: tuple  # parameters of the open region bounded by curve + interval
-
-    def region_contains(self, z: complex) -> bool:
-        z = complex(z)
-        kind = self.region[0]
-        if kind == "semicircle":
-            _, c, r = self.region
-            return self.half_plane * z.imag > 0.0 and abs(z - c) < r
-        if kind == "rectangle":
-            _, lo, hi, depth = self.region
-            im = self.half_plane * z.imag
-            return (0.0 < im < depth) and (lo < z.real < hi)
-        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,9 +178,6 @@ class Contour:
     def endpoint_defect(self) -> float:
         finite = [p.endpoint_defect for p in self.pieces if math.isfinite(p.endpoint_defect)]
         return max(finite) if finite else 0.0
-
-    def region_contains(self, z: complex) -> bool:
-        return any(p.region_contains(z) for p in self.pieces)
 
     @property
     def guard(self) -> float:
@@ -282,14 +265,12 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
     uniform = np.linspace(0.0, 1.0, panels + 1)
     laid: list[tuple[Section, np.ndarray]] = []  # each section with its panel breakpoints
     tail_bound = 0.0
-    region: tuple = ("none",)
 
     if isinstance(spec, Flat):
         if not iv.bounded:
             raise UnsupportedModelError(
                 f"flat curve is not available on the unbounded interval {k}")
         laid.append((Section("segment", complex(iv.lo), complex(iv.hi)), uniform))
-        region = ("flat",)
 
     elif isinstance(spec, Semicircle):
         if not iv.bounded:
@@ -313,7 +294,6 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
                              center=c, radius=r, half_plane=lk), uniform))
         if iv.hi - (c + r) > eps:
             laid.append((Section("segment", complex(c + r), complex(iv.hi)), uniform))
-        region = ("semicircle", c, r)
 
     elif isinstance(spec, Rectangle):
         d = spec.depth
@@ -338,7 +318,6 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
         laid.append((Section("segment", lo + lift, hi + lift), ray))
         if hi_f:
             laid.append((Section("segment", hi + lift, complex(hi)), uniform))
-        region = ("rectangle", iv.lo, iv.hi, d)
 
     else:
         raise StructuralModelError(f"unknown curve spec {spec!r}")
@@ -352,7 +331,7 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
     nodes.setflags(write=False)
     weights.setflags(write=False)
     sections = tuple(s for s, _ in laid)
-    return Piece(lk, spec, sections, nodes, weights, defect, tail_bound, region)
+    return Piece(spec, sections, nodes, weights, defect, tail_bound)
 
 
 def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,

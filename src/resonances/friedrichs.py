@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Flat, build_contour
 from .errors import DomainError, NonconvergenceError, UnsupportedModelError
-from .model import SpectralModel, spectral_norm
+from .model import SpectralModel
 
 _ROOT_FTOL = 1e-12          # |f| at which Newton stops, for resonances and bound states
 _NEWTON_MAX_STEPS = 100
-_SCAN_POINTS = 200          # determinant sign scan points on each side of [0, a]
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -212,86 +210,6 @@ def bound_states(params: FriedrichsParams) -> BoundStates:
             break
         t -= g(t) / (-1.0 + b2 * (1.0 / (a + t) - 1.0 / t))
     return BoundStates(z0, a + t, t, abs(f(z0)), abs(g(t)))
-
-
-@dataclass(frozen=True)
-class OutsideSpectrumReport:
-    """Endpoint-integral hypothesis check plus a determinant root scan."""
-
-    status: str  # "holds" | "violated" | "indeterminate"
-    v1_at_zero: float | None
-    v1_at_a: float | None
-    roots_below: int
-    roots_above: int
-
-    @property
-    def consistent(self) -> bool:
-        if self.status != "holds":
-            return True
-        return self.roots_below == 0 and self.roots_above == 0
-
-
-def no_spectrum_outside(model: SpectralModel) -> OutsideSpectrumReport:
-    """Check the endpoint-integral hypothesis that confines the spectrum.
-
-    Evaluates the largest eigenvalues of the two endpoint-weighted coupling
-    integrals, compares them with the extreme internal levels, and scans the
-    physical transfer determinant for sign changes below 0 and above a as a
-    consistency check. If the coupling does not vanish at an endpoint the
-    corresponding integral diverges and the result is indeterminate.
-    """
-    if model.m != 1 or not model.intervals[0].bounded or model.intervals[0].lo != 0.0:
-        raise UnsupportedModelError("requires a single bounded interval (0, a)")
-    if model.discrete:
-        raise UnsupportedModelError("requires an empty discrete remainder")
-    iv = model.intervals[0]
-    a = iv.hi
-    lam = np.linalg.eigvalsh(0.5 * (model.a1 + model.a1.conj().T))
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-
-    k0 = spectral_norm(model.coupling(0.0))
-    ka = spectral_norm(model.coupling(a))
-    scale = 1.0 + float(np.max(np.linalg.norm(
-        model.coupling(np.linspace(0.1 * a, 0.9 * a, 9)), 2, axis=(1, 2))))
-    finite0 = k0 <= 1e-12 * scale
-    finitea = ka <= 1e-12 * scale
-
-    # the interval itself carries the quadrature of the endpoint integrals
-    # and of the physical self-energy at the scan points
-    flat = build_contour(model, Flat(), [1], (96, 16))
-    n = model.dim
-    mus, ws = flat.quad_points, flat.quad_weights
-    values = flat.quad_values.reshape(-1, n * n)
-
-    def top_eigenvalue(weight: np.ndarray) -> float:
-        m = ((ws * weight) @ values).reshape(n, n)
-        return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
-
-    v1_0 = top_eigenvalue(1.0 / mus) if finite0 else None
-    v1_a = top_eigenvalue(1.0 / (a - mus)) if finitea else None
-
-    if not (finite0 and finitea):
-        status = "indeterminate"
-    elif v1_0 < lam_min and v1_a < a - lam_max:
-        status = "holds"
-    else:
-        status = "violated"
-
-    # determinant sign scan outside [0, a] on the physical sheet, all points at once
-    span = max(a, abs(lam_min), abs(lam_max)) * 4.0 + a
-    xs = np.concatenate([np.linspace(-span, -1e-9 * a, _SCAN_POINTS),
-                         np.linspace(a + 1e-9 * a, a + span, _SCAN_POINTS)])
-    se = ((ws / (xs[:, None] - mus)) @ values).reshape(-1, n, n)
-    m = model.a1 - xs[:, None, None] * np.eye(n) + se
-    dets = np.linalg.det(0.5 * (m + m.conj().transpose(0, 2, 1))).real
-    roots_below, roots_above = (_sign_changes(d) for d in np.split(dets, 2))
-    return OutsideSpectrumReport(status, v1_0, v1_a, roots_below, roots_above)
-
-
-def _sign_changes(vals: np.ndarray) -> int:
-    """Sign changes along ``vals``, zeros skipped."""
-    signs = np.sign(vals[vals != 0.0])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def friedrichs_model(r: float = 1.0, *, beta_sq: float) -> SpectralModel:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, StructuralModelError, UnsupportedModelError
+from .errors import StructuralModelError, UnsupportedModelError
 
 HERMITIAN_RTOL = 1e-12
 PSD_RTOL = 1e-12
@@ -309,25 +309,6 @@ class ValidationReport:
         if self.empty:
             return "validation: all assumptions hold"
         return "\n".join(str(v) for v in self.violations)
-
-
-def coupling_density(model: SpectralModel, mu: complex) -> np.ndarray:
-    """Evaluate the coupling density at a point of a declared strip.
-
-    The point must lie in the open strip of some interval (real points
-    strictly inside an interval qualify). Outside every strip a
-    ``DomainError`` names the nearest strip.
-    """
-    mu = complex(mu)
-    for iv in model.intervals:
-        if iv.strip_contains(mu):
-            return model.coupling(mu)
-    dists = [iv.strip_distance(mu) for iv in model.intervals]
-    k = int(np.argmin(dists))
-    raise DomainError(
-        f"mu={mu} lies outside every declared holomorphy strip; nearest is the "
-        f"strip of interval {k} ({model.intervals[k].lo}, {model.intervals[k].hi}) "
-        f"at distance {dists[k]:.3e}")
 
 
 def _interval_sample(iv: Interval, count: int) -> np.ndarray:
@@ -635,6 +616,3 @@ def model_from_json_dict(data: dict) -> SpectralModel:
 def model_dumps(model: SpectralModel) -> str:
     return json.dumps(model_to_json_dict(model), indent=2)
 
-
-def model_loads(text: str) -> SpectralModel:
-    return model_from_json_dict(json.loads(text))

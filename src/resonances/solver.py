@@ -24,7 +24,8 @@ integration point instead.
 A ``Solution`` records the contour (which carries the model) and the
 certificate (computed once per solve) it was solved with, and owns the
 eigensystem of its effective matrix, taken on first read and at most once;
-the identities read all three from it.
+the identities read all three from it, and ``F`` of a solution reads its
+eigensystem.
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ from .errors import (
     PairingError,
 )
 from .model import SpectralModel, spectral_norm
-from .transfer import _dual_eigensystem, _eigen_sums, _resolvents, _weighted_sum
+from .transfer import _dual_eigensystem, _eigen_sums, _eigensystem, _resolvents, _weighted_sum
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 _RATIO_SLACK = 1e-6
 
 
-def self_energy_of_operator(contour: Contour, y: np.ndarray,
+def self_energy_of_operator(contour: Contour, y: np.ndarray | Solution,
                             values: np.ndarray | None = None) -> np.ndarray:
     """Self-energy applied to an operator argument.
 
@@ -59,37 +60,25 @@ def self_energy_of_operator(contour: Contour, y: np.ndarray,
     ``[SE(lam_j) v_j]_j V^-1``, the columns' matrix solved against V. An
     ill-conditioned eigenbasis sums the coupling data against the resolvent
     of ``y`` at every discrete point and quadrature node instead. ``y`` may
-    be a stack (G, n, n); ``values`` then holds each row's coupling data on
-    the contour's points and weights, shape (G, P, n, n). By default it is
-    the contour's own.
+    be a solution, whose effective matrix is the argument and whose own
+    eigensystem is used, or a stack (G, n, n); ``values`` then holds each
+    row's coupling data on the contour's points and weights, shape
+    (G, P, n, n). By default it is the contour's own.
     """
-    y = np.asarray(y, dtype=complex)
-    sums = _eigen_sums(contour, y, values)
-    if sums is None:
+    if isinstance(y, Solution):
+        y, (lam, vecs, duals) = y.effective, y.eigensystem
+        usable = duals is not None
+    else:
+        y = np.asarray(y, dtype=complex)
+        lam, vecs, usable = _eigensystem(y)
+    if not usable:
         inv = _resolvents(y, contour.quad_points)
         return _weighted_sum(contour.quad_weights,
                              contour.quad_values if values is None else values, inv)
-    vecs, se = sums
+    se = _eigen_sums(contour, lam, values)
     vecs_t = vecs.swapaxes(-1, -2)
     cols_t = (se @ vecs_t[..., None])[..., 0]       # row j: SE(lam_j) v_j
     return np.linalg.solve(vecs_t, cols_t).swapaxes(-1, -2)
-
-
-def adjoint_self_energy_of_operator(contour: Contour, y: np.ndarray) -> np.ndarray:
-    """Left-resolvent variant: integrates resolvent times coupling data.
-
-    With ``y = V diag(lam) V^-1`` and u_i the rows of V^-1 it is
-    ``V [u_i SE(lam_i)]_i``; an ill-conditioned eigenbasis takes the
-    resolvent at every point, as ``self_energy_of_operator`` does.
-    """
-    y = np.asarray(y, dtype=complex)
-    sums = _eigen_sums(contour, y)
-    if sums is None:
-        inv = _resolvents(y, contour.quad_points)
-        return _weighted_sum(contour.quad_weights, inv, contour.quad_values)
-    vecs, se = sums
-    rows = (np.linalg.inv(vecs)[..., None, :] @ se)[..., 0, :]   # row i: u_i SE(lam_i)
-    return vecs @ rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +210,7 @@ def _solve_rows(contours, certs, tol: float, max_iter: int) -> list:
 
 def fixed_point_residual(sol: Solution) -> float:
     """Norm of ``X - F(X)`` at the solution; costs one more evaluation of F."""
-    return spectral_norm(sol.correction
-                         - self_energy_of_operator(sol.contour, sol.effective))
+    return spectral_norm(sol.correction - self_energy_of_operator(sol.contour, sol))
 
 
 def solve_fixed_point(contour: Contour, tol: float = DEFAULT_TOL,
@@ -293,14 +281,16 @@ def contour_independence(sol: Solution, other: Contour) -> float:
 
 
 def adjoint_equation_residual(sol_l: Solution, sol_minus_l: Solution) -> float:
-    """Residual of the adjoint fixed-point equation on the original contour.
+    """Residual of the adjoint fixed-point equation at the mirror solution.
 
-    The adjoint of the mirror solution must solve the variant with the
-    resolvent on the left of the coupling data, integrated over the original
-    contour.
+    The adjoint of the mirror solution must solve the variant of the
+    equation on contour l with the resolvent left of the coupling data. Its
+    adjoint is the mirror solution's own equation with contour l's coupling
+    data adjointed, on the mirror points and weights (exact conjugates of
+    contour l's), so the check reads the mirror solution's eigensystem.
     """
     if not is_mirror_pair(sol_l.contour, sol_minus_l.contour):
         raise PairingError("solutions do not live on mirror contours")
-    x_adj = sol_minus_l.correction.conj().T
-    rhs = adjoint_self_energy_of_operator(sol_l.contour, sol_l.model.a1 + x_adj)
-    return spectral_norm(x_adj - rhs)
+    values = sol_l.contour.quad_values.conj().swapaxes(-1, -2)
+    rhs = self_energy_of_operator(sol_minus_l.contour, sol_minus_l, values)
+    return spectral_norm(sol_minus_l.correction - rhs)

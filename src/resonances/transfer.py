@@ -8,9 +8,7 @@ of its k-th derivative, over the integration data, and ``transfer_many``
 adds the internal matrix and the spectral parameter. Points closer to the
 integration set than a guard band are rejected, for every derivative order,
 rather than extrapolated because the quadrature error grows like the
-inverse distance. ``locate`` says on which sheet a point's value lives:
-inside the region bounded by the contour and the intervals, the sheet of
-the contour's multi-index; outside it, the physical sheet.
+inverse distance.
 
 A sum over an operator argument ``Y`` goes through the eigenvectors of
 ``Y``. The operator self-energy acts on an eigenvector of ``Y`` as the
@@ -31,12 +29,9 @@ import math
 
 import numpy as np
 
-from .contour import Contour, is_mirror_pair
-from .errors import GuardBandError, PairingError, ResolventSingularityError
+from .contour import Contour
+from .errors import GuardBandError, ResolventSingularityError
 
-LOCATION_INSIDE = "inside"
-LOCATION_OUTSIDE = "outside"
-LOCATION_GUARD_BAND = "on-contour-guard-band"
 # largest cond(V) of an eigenvector matrix V that is used: above it, sums
 # over an operator argument invert resolvents at every point, and
 # eigenprojections are resolvent residues
@@ -98,31 +93,19 @@ def _inverse_distances(lam: np.ndarray, points: np.ndarray) -> np.ndarray:
     return 1.0 / diff
 
 
-def _eigen_sums(contour: Contour, y: np.ndarray, values: np.ndarray | None = None):
-    """Eigenvectors of ``y`` and the self-energy at each eigenvalue, or None.
+def _eigen_sums(contour: Contour, lam: np.ndarray, values: np.ndarray | None = None):
+    """The self-energy at each eigenvalue ``lam_j``, shape (..., n, n, n).
 
-    Returns V and ``se`` of shape (..., n, n, n), where ``se[..., j, :, :]``
-    is the sum of ``w_q values_q / (lam_j - mu_q)``, computed for every
-    eigenvalue as one matrix product. ``values`` is the coupling data on the
-    contour's points, (P, n, n) or one per row (..., P, n, n); by default
-    the contour's own. Returns None when the eigenbasis of any row is not
-    usable (``_eigensystem``).
+    ``se[..., j, :, :]`` is the sum of ``w_q values_q / (lam_j - mu_q)``,
+    computed for every eigenvalue as one matrix product. ``values`` is the
+    coupling data on the contour's points, (P, n, n) or one per row
+    (..., P, n, n); by default the contour's own.
     """
-    lam, vecs, usable = _eigensystem(y)
-    if not usable:
-        return None
     inv_dist = _inverse_distances(lam, contour.quad_points)
     values = contour.quad_values if values is None else values
-    n = y.shape[-1]
+    n = lam.shape[-1]
     se = (contour.quad_weights * inv_dist) @ values.reshape(*values.shape[:-2], n * n)
-    return vecs, se.reshape(*se.shape[:-1], n, n)
-
-
-def locate(contour: Contour, z: complex) -> str:
-    """Classify z relative to the region bounded by contour and intervals."""
-    if contour.distance(z) <= contour.guard:
-        return LOCATION_GUARD_BAND
-    return LOCATION_INSIDE if contour.region_contains(z) else LOCATION_OUTSIDE
+    return se.reshape(*se.shape[:-1], n, n)
 
 
 def self_energy_many(contour: Contour, zs: np.ndarray, k: int = 0) -> np.ndarray:
@@ -151,20 +134,3 @@ def transfer_many(contour: Contour, zs: np.ndarray) -> np.ndarray:
     se = self_energy_many(contour, zs)
     model = contour.model
     return model.a1[None, :, :] - zs[:, None, None] * np.eye(model.dim)[None, :, :] + se
-
-
-def adjoint_symmetry_residual(contour_l: Contour, contour_minus_l: Contour,
-                              zs: np.ndarray) -> np.ndarray:
-    """Defect of the conjugate-adjoint symmetry between mirror sheets, per point.
-
-    Returns, for each z of the batch, the norm of the difference between the
-    adjoint of the mirror transfer function at conj(z) and the transfer
-    function at z; both sides are computed independently. The contours must
-    be a mirror pair of one model.
-    """
-    if not is_mirror_pair(contour_l, contour_minus_l):
-        raise PairingError("contours are not a mirror pair")
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    left = transfer_many(contour_minus_l, zs.conj()).conj().transpose(0, 2, 1)
-    right = transfer_many(contour_l, zs)
-    return np.linalg.norm(left - right, 2, axis=(1, 2))

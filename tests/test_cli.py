@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,59 @@ def test_verify_decomposes_each_solution_once(tmp_path, poly4_model, monkeypatch
     assert all(path == "eigenvector" for sol in solutions[:2]
                for path in spectral.eigen_decompose(sol).paths)
     assert gram_svds == []
+
+
+
+def test_verify_adjoint_row_reads_the_mirror_solution(tmp_path, poly4_model, monkeypatch):
+    from resonances import cli
+
+    solve = cli.solve_fixed_point
+    rng = np.random.default_rng(29)
+    fault = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    fault *= 1e-7 / np.linalg.norm(fault, 2)
+    solutions = []
+
+    def solving(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        sol = solutions[-1]
+        if len(solutions) == 2:       # the mirror of the base solve
+            sol = replace(sol, correction=sol.correction + fault,
+                          effective=sol.effective + fault)
+        return sol
+
+    monkeypatch.setattr(cli, "solve_fixed_point", solving)
+    config = cli.load_config(write_config(tmp_path, "verify", "verify", poly4_model, SEMI))
+    row = next(r for r in cli._verify_rows(config) if r["name"] == "adjoint-symmetry")
+    assert solutions[1].multi_index == (-1,)
+    assert row["threshold"] == 1e-8
+    assert 0.5e-7 <= row["residual"] <= 2e-7
+    assert not row["pass"]
+
+
+def test_solve_decomposes_the_effective_matrix_once(tmp_path, poly4_model, monkeypatch):
+    from resonances import cli
+
+    solve, eig = cli.solve_fixed_point, np.linalg.eig
+    solutions, eig_args = [], []
+
+    def solving(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    def eig_spy(a):
+        eig_args.extend(np.reshape(a, (-1, *np.shape(a)[-2:])))
+        return eig(a)
+
+    monkeypatch.setattr(cli, "solve_fixed_point", solving)
+    monkeypatch.setattr(np.linalg, "eig", eig_spy)
+    config = cli.load_config(write_config(tmp_path, "solve", "solve", poly4_model, SEMI))
+    art = cli.run_solve(config)
+    monkeypatch.undo()
+
+    assert art["residuals"]["fixed_point"] <= 2.0 * 1e-10
+    (sol,) = solutions
+    # the fixed-point residual and the decomposition share the solution's eigensystem
+    assert sum(np.array_equal(a, sol.effective) for a in eig_args) == 1
 
 
 def test_verify_negative_control_coarse_quadrature(tmp_path, std_model):

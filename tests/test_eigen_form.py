@@ -1,10 +1,12 @@
 """Sums over an operator argument: eigenvector form against stacked resolvents.
 
-The operator self-energy, its adjoint variant, the overlap operator and the
-left factor of the factorization are computed through the eigenvectors of
-their arguments, and through resolvent stacks when the eigenbasis is ill
-conditioned. The references below are the resolvent-stack sums.
+The operator self-energy, the overlap operator and the left factor of the
+factorization are computed through the eigenvectors of their arguments, and
+through resolvent stacks when the eigenbasis is ill conditioned. The
+references below are the resolvent-stack sums.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from resonances import (
     ResolventSingularityError,
     Semicircle,
     SpectralModel,
-    adjoint_self_energy_of_operator,
+    adjoint_equation_residual,
     build_contour,
     factorize,
     mirrored,
@@ -37,6 +39,7 @@ def ref_self_energy(contour, y, values=None):
 
 
 def ref_adjoint(contour, y):
+    """The left-resolvent sum: resolvent times coupling data."""
     inv = _resolvents(np.asarray(y, dtype=complex), contour.quad_points)
     return _weighted_sum(contour.quad_weights, inv, contour.quad_values)
 
@@ -86,16 +89,15 @@ def sample_points(sol, count, seed):
 
 
 def evaluations(sol, sol_m, zs):
-    """F, its adjoint, the overlap and the left factors of one mirror pair."""
+    """F, the overlap and the left factors of one mirror pair."""
     c, h = sol.contour, sol.effective
-    return (self_energy_of_operator(c, h), adjoint_self_energy_of_operator(c, h),
-            overlap_operator(sol, sol_m).matrix, factorize(sol, zs).left_factor)
+    return (self_energy_of_operator(c, h), overlap_operator(sol, sol_m).matrix,
+            factorize(sol, zs).left_factor)
 
 
 def references(sol, sol_m, zs):
     c, h = sol.contour, sol.effective
-    return (ref_self_energy(c, h), ref_adjoint(c, h), ref_overlap(sol, sol_m),
-            ref_left_factor(sol, zs))
+    return ref_self_energy(c, h), ref_overlap(sol, sol_m), ref_left_factor(sol, zs)
 
 
 @pytest.fixture
@@ -125,6 +127,8 @@ def test_eigen_form_matches_resolvent_sums(request, resolvent_calls, model_name)
         assert value.shape == ref.shape
         assert spectral_norm((value - ref).reshape(-1, model.dim)) \
             <= 1e-13 * spectral_norm(ref.reshape(-1, model.dim))
+    # a solution argument reads its own eigensystem, to the same bits
+    assert np.array_equal(self_energy_of_operator(c, sol), got[0])
 
 
 def test_fallback_equals_resolvent_sums(monkeypatch, resolvent_calls, poly4_model):
@@ -135,7 +139,7 @@ def test_fallback_equals_resolvent_sums(monkeypatch, resolvent_calls, poly4_mode
     monkeypatch.setattr(transfer, "_EIGVEC_COND_MAX", 0.0)
     del resolvent_calls[:]
     got = evaluations(sol, sol_m, zs)
-    assert len(resolvent_calls) == 5   # F, adjoint, both overlap sides, factorize
+    assert len(resolvent_calls) == 4   # F, both overlap sides, factorize
     for value, ref in zip(got, references(sol, sol_m, zs)):
         assert np.array_equal(value, ref)
     # stacked rows with their own coupling data take the same path
@@ -153,18 +157,18 @@ def test_defective_argument_takes_fallback(resolvent_calls, defective4):
     zs = sample_points(sol, 6, seed=79)
     del resolvent_calls[:]
     got = evaluations(sol, sol_m, zs)
-    assert len(resolvent_calls) == 5
+    assert len(resolvent_calls) == 4
     for value, ref in zip(got, references(sol, sol_m, zs)):
         assert np.array_equal(value, ref)
+    assert np.array_equal(self_energy_of_operator(contour, sol), got[0])
 
 
 def test_fallback_names_singular_point(monkeypatch, friedrichs_std):
     c = build_contour(friedrichs_std, Semicircle(), [1])
     monkeypatch.setattr(transfer, "_EIGVEC_COND_MAX", 0.0)
-    for apply in (self_energy_of_operator, adjoint_self_energy_of_operator):
-        with pytest.raises(ResolventSingularityError) as err:
-            apply(c, np.array([[c.nodes[3]]]))
-        assert err.value.mu == c.nodes[3]
+    with pytest.raises(ResolventSingularityError) as err:
+        self_energy_of_operator(c, np.array([[c.nodes[3]]]))
+    assert err.value.mu == c.nodes[3]
 
 
 def test_non_finite_argument_takes_fallback(resolvent_calls, friedrichs_std):
@@ -175,3 +179,21 @@ def test_non_finite_argument_takes_fallback(resolvent_calls, friedrichs_std):
         assert np.array_equal(self_energy_of_operator(c, y), ref_self_energy(c, y),
                               equal_nan=True)
     assert len(resolvent_calls) == 2
+
+
+@pytest.mark.parametrize("fault", [0.0, 1e-7])
+def test_adjoint_equation_is_the_left_resolvent_sum(poly4_model, fault):
+    # the adjoint equation on contour l at the adjoint of the mirror solution,
+    # summed with the resolvent left of the coupling data, read through the
+    # mirror solution's eigensystem; a fault on the mirror solution shows
+    c = build_contour(poly4_model, Semicircle(), [1])
+    sol, sol_m = solve_fixed_point(c), solve_fixed_point(mirrored(c))
+    rng = np.random.default_rng(83)
+    e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    x = sol_m.correction + fault * e / spectral_norm(e)
+    faulty = replace(sol_m, correction=x, effective=poly4_model.a1 + x)
+    x_adj = x.conj().T
+    ref = spectral_norm(x_adj - ref_adjoint(c, poly4_model.a1 + x_adj))
+    got = adjoint_equation_residual(sol, faulty)
+    assert abs(got - ref) <= 1e-3 * ref
+    assert got <= 1e-10 if fault == 0.0 else got >= 0.5 * fault

@@ -7,17 +7,13 @@ import numpy as np
 import pytest
 
 from resonances import (
-    CouplingFunction,
     DomainError,
     Flat,
     FriedrichsParams,
-    Interval,
     Semicircle,
-    SpectralModel,
     bound_states,
     build_contour,
     friedrichs_model,
-    no_spectrum_outside,
     params_from_model,
     resonance_root,
     self_energy_closed,
@@ -171,37 +167,6 @@ def test_bound_state_trend_to_asymptote():
 def test_bound_states_require_embedded_level():
     with pytest.raises(DomainError):
         bound_states(FriedrichsParams(2.0, 3.0, 0.2))
-
-
-def test_outside_spectrum_hypothesis_holds():
-    # vanishing coupling at both endpoints keeps the form integrals finite
-    a, beta_sq = 1.0, 0.1
-    coeffs = [np.zeros((1, 1)), np.zeros((1, 1)),
-              np.array([[a * a]]), np.array([[-2.0 * a]]), np.array([[1.0]])]
-    coupling = CouplingFunction.polynomial([beta_sq * c for c in coeffs])
-    model = SpectralModel(np.array([[0.5]]), [Interval(0.0, a, 0.4)], (), coupling)
-    rep = no_spectrum_outside(model)
-    assert rep.status == "holds"
-    assert abs(rep.v1_at_zero - beta_sq * a ** 4 / 12.0) <= 1e-10
-    assert abs(rep.v1_at_a - beta_sq * a ** 4 / 12.0) <= 1e-10
-    assert rep.roots_below == 0 and rep.roots_above == 0
-    assert rep.consistent
-
-
-def test_outside_spectrum_indeterminate_for_constant(friedrichs_std):
-    rep = no_spectrum_outside(friedrichs_std)
-    assert rep.status == "indeterminate"
-
-
-def test_outside_spectrum_zero_coupling():
-    inside = SpectralModel(np.array([[0.5]]), [Interval(0.0, 1.0, 0.4)])
-    rep = no_spectrum_outside(inside)
-    assert rep.status == "holds" and rep.consistent
-
-    outside = SpectralModel(np.array([[-0.3]]), [Interval(0.0, 1.0, 0.4)])
-    rep2 = no_spectrum_outside(outside)
-    assert rep2.status == "violated"
-    assert rep2.roots_below >= 1
 
 
 def test_params_from_model_round_trip(friedrichs_std):

@@ -1,5 +1,6 @@
 """Model construction, validation, density evaluation, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -10,13 +11,11 @@ from hypothesis import strategies as st
 from resonances import (
     CouplingFunction,
     DecaySpec,
-    DomainError,
     Interval,
     SpectralModel,
     StructuralModelError,
-    coupling_density,
     model_dumps,
-    model_loads,
+    model_from_json_dict,
     spectral_norm,
     validate_model,
 )
@@ -121,19 +120,13 @@ def test_rational_pole_in_strip_reported():
 
 
 def test_density_constant_vector(friedrichs_std):
-    val = coupling_density(friedrichs_std, 0.7)
+    val = friedrichs_std.coupling(0.7)
     assert val.shape == (1, 1)
     assert abs(val[0, 0] - BETA_SQ_STD) < 1e-15
 
 
 def test_density_zero(zero_model):
-    assert np.all(coupling_density(zero_model, 0.5) == 0.0)
-
-
-def test_density_outside_strip_raises(friedrichs_std):
-    with pytest.raises(DomainError) as err:
-        coupling_density(friedrichs_std, 30.0 + 0.1j)
-    assert "strip" in str(err.value)
+    assert np.all(zero_model.coupling(0.5) == 0.0)
 
 
 def test_density_psd_on_intervals(poly4_model, m2_model):
@@ -142,7 +135,7 @@ def test_density_psd_on_intervals(poly4_model, m2_model):
         for iv in model.intervals:
             for _ in range(100):
                 mu = iv.lo + rng.random() * (iv.hi - iv.lo)
-                k = coupling_density(model, mu)
+                k = model.coupling(mu)
                 w = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
                 assert w[0] >= -1e-12 * max(spectral_norm(k), 1e-300)
 
@@ -153,8 +146,8 @@ def test_density_conjugate_symmetry_sampled(poly4_model):
     for _ in range(100):
         mu = complex(iv.lo + rng.random() * (iv.hi - iv.lo),
                      (rng.random() - 0.5) * 1.8 * iv.strip)
-        a = coupling_density(poly4_model, np.conj(mu))
-        b = coupling_density(poly4_model, mu).conj().T
+        a = poly4_model.coupling(np.conj(mu))
+        b = poly4_model.coupling(mu).conj().T
         assert spectral_norm(a - b) <= 1e-12 * (1.0 + spectral_norm(b))
 
 
@@ -180,7 +173,7 @@ def test_validation_deterministic(n3_bound_model):
 def test_serialization_round_trip(poly4_model, m2_model, friedrichs_std):
     for model in (poly4_model, m2_model, friedrichs_std):
         text = model_dumps(model)
-        back = model_loads(text)
+        back = model_from_json_dict(json.loads(text))
         assert np.array_equal(back.a1, model.a1)
         assert back.intervals == model.intervals
         assert len(back.discrete) == len(model.discrete)
@@ -196,7 +189,7 @@ def test_serialization_round_trip_discrete_and_decay():
         [(-2.0, np.array([[0.1, 0.0], [0.0, 0.2]]))],
         CouplingFunction.rational([np.eye(2) * 0.01], [1.0, 0.0, 0.0, 0.0, 1.0],
                                   decay=DecaySpec(4.0, 0.01)))
-    back = model_loads(model_dumps(model))
+    back = model_from_json_dict(json.loads(model_dumps(model)))
     assert back.coupling.decay == model.coupling.decay
     assert back.discrete[0].nu == -2.0
     assert np.array_equal(back.discrete[0].weight, model.discrete[0].weight)

@@ -29,7 +29,6 @@ from resonances import (
     transfer_residue,
     verify_projection_equations,
 )
-from resonances.model import coupling_density
 
 
 def solve_pair(model, spec, l):
@@ -607,10 +606,10 @@ def test_embedded_real_eigenvalue_criterion(embedded_real_model):
     assert dec.pole_orders[i] == 1
     u, s, _ = np.linalg.svd(dec.projections[i])
     psi = u[:, 0]
-    k_at = coupling_density(model, lam.real)
+    k_at = model.coupling(lam.real)
     assert abs(np.vdot(psi, k_at @ psi)) <= 1e-10
     h = 1e-6
-    kp = coupling_density(model, lam.real + h)
-    km = coupling_density(model, lam.real - h)
+    kp = model.coupling(lam.real + h)
+    km = model.coupling(lam.real - h)
     deriv = np.vdot(psi, ((kp - km) / (2 * h)) @ psi)
     assert abs(deriv) <= 1e-8

@@ -1,4 +1,4 @@
-"""Continued transfer function: values, identities, classification."""
+"""Continued transfer function: values and identities."""
 
 import cmath
 import math
@@ -11,19 +11,14 @@ from resonances import (
     Flat,
     GuardBandError,
     Interval,
-    PairingError,
     Rectangle,
     Semicircle,
     SpectralModel,
     build_contour,
-    coupling_density,
-    mirrored,
     self_energy_many,
     spectral_norm,
     transfer_many,
-    adjoint_symmetry_residual,
 )
-from resonances.transfer import LOCATION_INSIDE, LOCATION_OUTSIDE, locate
 from conftest import BETA_SQ_STD, squared_poly_coupling
 
 
@@ -63,7 +58,7 @@ def test_residue_relation_matrix(poly4_model):
     z = 2.0 + 0.8j
     m_lift = transfer_many(c, [z])[0]
     m_phys = transfer_many(c_flat, [z])[0]
-    k = coupling_density(poly4_model, z)
+    k = poly4_model.coupling(z)
     assert spectral_norm(m_lift - m_phys - 2j * math.pi * k) <= 1e-9
 
 
@@ -73,7 +68,7 @@ def test_residue_relation_lower_sheet(poly4_model):
     z = 2.0 - 0.8j
     m_lift = transfer_many(c, [z])[0]
     m_phys = transfer_many(c_flat, [z])[0]
-    k = coupling_density(poly4_model, z)
+    k = poly4_model.coupling(z)
     assert spectral_norm(m_lift - m_phys + 2j * math.pi * k) <= 1e-9
 
 
@@ -82,17 +77,8 @@ def test_coincidence_outside_region(poly4_model):
     c_flat = build_contour(poly4_model, Flat(), [1], order=(12, 16))
     zs = (6.0 + 0.5j, -2.0 - 1.0j, 2.0 - 2.5j)
     diffs = transfer_many(c, zs) - transfer_many(c_flat, zs)
-    for z, diff in zip(zs, diffs):
-        assert locate(c, z) == LOCATION_OUTSIDE
+    for diff in diffs:
         assert spectral_norm(diff) <= 1e-9
-
-
-def test_sheet_classification(friedrichs_std):
-    c = build_contour(friedrichs_std, Semicircle(), [1])
-    assert locate(c, 1.0 + 0.4j) == LOCATION_INSIDE
-    assert locate(c, 1.0 - 0.4j) == LOCATION_OUTSIDE
-    assert locate(c, 5.0) == LOCATION_OUTSIDE
-    assert c.multi_index == (1,)
 
 
 def test_self_energy_derivatives_match_central_differences(poly4_model):
@@ -145,34 +131,6 @@ def self_energy_without_discrete(model, contour, z):
     stack = np.stack([model.coupling(mu) for mu in contour.nodes])
     coeff = contour.weights / (z - contour.nodes)
     return np.einsum("q,qij->ij", coeff, stack)[0, 0]
-
-
-def test_adjoint_symmetry_random_points(poly4_model):
-    c = build_contour(poly4_model, Semicircle(), [1])
-    cm = mirrored(c)
-    rng = np.random.default_rng(12)
-    zs = []
-    while len(zs) < 50:
-        z = complex(rng.uniform(-1.0, 5.0), rng.uniform(-2.5, 2.5))
-        if min(c.distance(z), cm.distance(z)) >= 0.05:
-            zs.append(z)
-    residuals = adjoint_symmetry_residual(c, cm, zs)
-    assert residuals.shape == (50,)
-    assert np.all(residuals <= 1e-9)
-
-
-def test_adjoint_symmetry_zero_coupling(zero_model):
-    c = build_contour(zero_model, Semicircle(), [1])
-    cm = mirrored(c)
-    residuals = adjoint_symmetry_residual(c, cm, [0.3 + 0.7j, 0.2])
-    assert np.array_equal(residuals, [0.0, 0.0])
-
-
-def test_adjoint_symmetry_pairing_error(poly4_model):
-    c = build_contour(poly4_model, Semicircle(), [1])
-    c2 = build_contour(poly4_model, Semicircle(radius=1.5), [-1])
-    with pytest.raises(PairingError):
-        adjoint_symmetry_residual(c, c2, [2.0 + 1.0j])
 
 
 def test_self_energy_scaling_linearity():
