@@ -35,6 +35,7 @@ from . import contour as ct
 from . import friedrichs as fr
 from . import spectral as sp
 from .errors import (
+    GeometryError,
     IdentityFailureError,
     InadmissibleCertificateError,
     NonconvergenceError,
@@ -71,6 +72,7 @@ _CONFIG_KEYS = {"config": ("command", "model", "model_path", "contour", "toleran
 # at least one row. Batching pays at small n; with 96 nodes, blocks of 2 n=16
 # rows evaluated F more slowly per row than 1, and made a sweep 15% slower.
 _SWEEP_BLOCK_ELEMENTS = 1 << 13
+_SAMPLE_DRAWS = 50  # draws per verify sample point before it raises GeometryError
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +264,10 @@ def run_solve(config: RunConfig) -> dict:
 
 def _verify_rows(config: RunConfig) -> list[dict]:
     base = _build_contour(config)
-    base_m = ct.mirrored(base)
-    fine = ct.double_order(base)
-    fine_m = ct.mirrored(fine)
+    fine = ct.double_order(base)      # the quadrature cross-check, read at the base pair
 
     sol = solve_fixed_point(base, config.solve_tol, config.max_iter)
-    sol_m = solve_fixed_point(base_m, config.solve_tol, config.max_iter)
-    sol2 = solve_fixed_point(fine, config.solve_tol, config.max_iter)
-    sol2_m = solve_fixed_point(fine_m, config.solve_tol, config.max_iter)
+    sol_m = solve_fixed_point(ct.mirrored(base), config.solve_tol, config.max_iter)
 
     id_tol = config.id_tol
     alg_tol = config.algebraic_tol
@@ -290,41 +288,39 @@ def _verify_rows(config: RunConfig) -> list[dict]:
 
     def sample_points(count: int) -> np.ndarray:
         pts = []
-        guard = 100.0 * base.quad_tol * base.diameter + 1e-12
-        while len(pts) < count:
+        clearance = max(1e-6 * base.diameter, 100.0 * base.quad_tol * base.diameter + 1e-12)
+        for _ in range(_SAMPLE_DRAWS * count):
             lam = complex(eigs_a1[rng.integers(0, len(eigs_a1))])
             r = (0.05 + 0.9 * rng.random()) * cert.d0 / 2.0
             z = lam + r * np.exp(2j * math.pi * rng.random())
-            # fine shares base's curve and remainder
-            if base.distance(z) > max(1e-6 * base.diameter, guard):
+            if base.distance(z) > clearance:
                 pts.append(z)
-        return np.array(pts)
+                if len(pts) == count:
+                    return np.array(pts)
+        raise GeometryError(
+            f"no factorization sample point within d0/2 = {cert.d0 / 2.0:.3e} of the levels "
+            f"clears the contour by {clearance:.3e} in {_SAMPLE_DRAWS * count} draws")
 
     zs = sample_points(20)
     add("factorization", np.max(sp.factorize(sol, zs).residual), alg_tol)
 
-    omega2 = sp.overlap_operator(sol2, sol2_m)
-    metric2_inv = np.linalg.inv(omega2.metric())
+    fine_metric_inv = np.linalg.inv(sp.overlap_operator(sol, sol_m, fine).metric())
     gamma = sp.enclosure_circles(sol)
     moments = sp.contour_moment(sol, sol_m, gamma)
-    add("resolvent-moment-0", spectral_norm(moments.m0 - metric2_inv), id_tol)
+    add("resolvent-moment-0", spectral_norm(moments.m0 - fine_metric_inv), id_tol)
 
-    h2_adj = sol2_m.effective.conj().T
-    r1 = spectral_norm(moments.m1 - metric2_inv @ h2_adj)
-    r2 = spectral_norm(moments.m1 - sol2.effective @ metric2_inv)
+    r1 = spectral_norm(moments.m1 - fine_metric_inv @ sol_m.effective.conj().T)
+    r2 = spectral_norm(moments.m1 - sol.effective @ fine_metric_inv)
     add("resolvent-moment-1", max(r1, r2), id_tol)
 
     dec = sp.eigen_decompose(sol)
-    dec2 = sp.eigen_decompose(sol2)
-    dec2_m = sp.eigen_decompose(sol2_m)
+    dec_m = sp.eigen_decompose(sol_m)
     res_max = 0.0
-    for lam in dec.eigenvalues:
+    for i, lam in enumerate(dec.eigenvalues):
         value = sp.transfer_residue(sol, dec, lam).matrix
-        j = int(np.argmin([abs(ev - np.conj(lam)) for ev in dec2_m.eigenvalues]))
-        i2 = int(np.argmin([abs(ev - lam) for ev in dec2.eigenvalues]))
-        p_adj = dec2_m.projections[j].conj().T
-        left = spectral_norm(value - metric2_inv @ p_adj)
-        right = spectral_norm(value - dec2.projections[i2] @ metric2_inv)
+        j = int(np.argmin([abs(ev - np.conj(lam)) for ev in dec_m.eigenvalues]))
+        left = spectral_norm(value - fine_metric_inv @ dec_m.projections[j].conj().T)
+        right = spectral_norm(value - dec.projections[i] @ fine_metric_inv)
         res_max = max(res_max, left, right)
     add("residue-projection-product", res_max, id_tol)
 
@@ -340,7 +336,6 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     try:
         band = max(10.0 * sol.a_posteriori_bound, 1e-9 * dec.scale)
         real_eigs = [ev.real for ev in dec.eigenvalues if abs(ev.imag) <= band]
-        dec_m = sp.eigen_decompose(sol_m)
         gram = sp.riesz_gram(sol, sol_m, dec, dec_m, real_eigs)
         add("gram-identity", max(gram.gram_defect, gram.real_block_defect), id_tol)
     except UnsupportedModelError:

@@ -112,7 +112,6 @@ class SpectralDecomposition:
     geometric: tuple[int, ...]
     pole_orders: tuple[int, ...]
     projector_sum_defect: float
-    nilpotent_margins: tuple[float, ...]
     paths: tuple[str, ...]
     scale: float
     lookup_tol: float
@@ -207,7 +206,6 @@ def eigen_decompose(h1: Solution | np.ndarray,
     algebraic = []
     geometric = []
     pole_orders = []
-    margins = []
     for j, lam in enumerate(centroids):
         offset = eigs - lam
         dist = np.hypot(offset.real, offset.imag)
@@ -238,30 +236,23 @@ def eigen_decompose(h1: Solution | np.ndarray,
                 f"projection trace {m_raw:.6f} is not close to an integer; "
                 "residue circle geometry is unreliable")
         if m == 1:
-            nil, rank, order, margin = np.zeros((n, n), dtype=complex), 0, 1, 0.0
+            nil, rank, order = np.zeros((n, n), dtype=complex), 0, 1
         else:
             nil = (h1 - lam * eye) @ p
             sv = np.linalg.svd(nil, compute_uv=False)
             rank = int(np.sum(sv > DEFAULT_NILPOTENT_TOL * scale))
             order = m
-            margin = 0.0
             power = nil.copy()
             for k in range(1, m + 1):
-                norm_k = spectral_norm(power)
-                thresh = DEFAULT_NILPOTENT_TOL * scale ** k
-                if norm_k <= thresh:
+                if spectral_norm(power) <= DEFAULT_NILPOTENT_TOL * scale ** k:
                     order = k
-                    margin = norm_k / thresh
                     break
                 power = power @ nil
-            else:
-                margin = spectral_norm(power) / (DEFAULT_NILPOTENT_TOL * scale ** (m + 1))
         projections.append(p)
         nilpotents.append(nil if order > 1 else np.zeros_like(nil))
         algebraic.append(m)
         geometric.append(m - rank)
         pole_orders.append(order)
-        margins.append(margin)
 
     total = sum(projections)
     defect = spectral_norm(total - eye)
@@ -273,7 +264,6 @@ def eigen_decompose(h1: Solution | np.ndarray,
         geometric=tuple(geometric),
         pole_orders=tuple(pole_orders),
         projector_sum_defect=defect,
-        nilpotent_margins=tuple(margins),
         paths=tuple(paths),
         scale=scale,
         lookup_tol=lookup_tol,
@@ -333,11 +323,12 @@ def factorize(sol: Solution, z: complex | np.ndarray) -> Factorization:
 
 
 def left_factor_inverse_bound(cert) -> float:
-    """Certified bound for the inverse of the left factor near the spectrum."""
-    ratio = cert.v0 / (cert.d0 ** 2 / 4.0)
-    if ratio >= 1.0:
-        return math.inf
-    return 1.0 / (1.0 - ratio)
+    """Certified bound for the inverse of the left factor near the spectrum.
+
+    Infinite when the certificate is not admissible (``d0`` may then be 0).
+    """
+    ratio = cert.v0 / (cert.d0 ** 2 / 4.0) if cert.admissible else math.inf
+    return 1.0 / (1.0 - ratio) if ratio < 1.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +347,15 @@ class OverlapOperator:
         return np.eye(self.matrix.shape[0]) + self.matrix
 
 
-def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
+def overlap_operator(sol_l: Solution, sol_minus_l: Solution,
+                     contour: Contour | None = None) -> OverlapOperator:
     """Integral of mirror-adjoint resolvent, coupling data, and resolvent.
 
     Computed over the discrete remainder plus the contour of ``sol_l``,
-    which must be the mirror of the contour of ``sol_minus_l``. With
+    which must be the mirror of the contour of ``sol_minus_l``. A given
+    ``contour`` of the model and multi-index of ``sol_l`` (``verify`` takes
+    it at twice the order) replaces it: its points, weights and coupling
+    data are integrated against the eigensystems of the two solutions. With
     ``(lam, V)`` the eigensystem of ``sol_l`` and ``(alpha, W)`` that of the
     adjoint mirror operator, ``alpha = conj(lam_m)`` and ``W = (V_m^-1)^H``
     from ``sol_minus_l``, it is the Daleckii-Krein form
@@ -374,7 +369,10 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution) -> OverlapOperator:
     """
     if not is_mirror_pair(sol_l.contour, sol_minus_l.contour):
         raise PairingError("solutions do not live on mirror contours")
-    contour = sol_l.contour
+    if contour is None:
+        contour = sol_l.contour
+    elif contour.model is not sol_l.model or contour.multi_index != sol_l.multi_index:
+        raise PairingError("contour was built for a different model or sheet than the solution")
     points, weights, values = contour.quad_points, contour.quad_weights, contour.quad_values
     lam, vecs, duals = sol_l.eigensystem
     lam_m, vecs_m, duals_m = sol_minus_l.eigensystem

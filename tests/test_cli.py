@@ -73,12 +73,15 @@ def test_solve_inadmissible_exit_2(tmp_path):
 
 
 def test_verify_passes(tmp_path, std_model, monkeypatch):
-    from resonances import contour, solver, spectral
+    from resonances import cli, contour, solver, spectral
 
     decompose = spectral.eigen_decompose
     certify = contour.solvability_certificate
+    solve, build = cli.solve_fixed_point, contour.build_contour
     decomposed = []
     certified = []
+    solved = []
+    built = []
 
     def counting(h1, *args, **kwargs):
         decomposed.append(h1)
@@ -89,16 +92,22 @@ def test_verify_passes(tmp_path, std_model, monkeypatch):
         return certify(c)
 
     monkeypatch.setattr(spectral, "eigen_decompose", counting)
+    monkeypatch.setattr(cli, "solve_fixed_point",
+                        lambda *args: solved.append(args[0]) or solve(*args))
+    monkeypatch.setattr(contour, "build_contour",
+                        lambda *args: built.append(args[0]) or build(*args))
     for module in (contour, solver, spectral):
         if getattr(module, "solvability_certificate", None) is certify:
             monkeypatch.setattr(module, "solvability_certificate", counting_certificate)
     cfg = write_config(tmp_path, "verify", "verify", std_model, SEMI)
     out = tmp_path / "verify_out.json"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    # one decomposition and one certificate per solution: base, its mirror,
-    # and the two fine ones
-    assert len(decomposed) == 4
-    assert len(certified) == 4
+    # one solve, decomposition and certificate per sheet: base and its
+    # mirror; the doubled order is one more contour, read at the base pair
+    assert len(solved) == 2
+    assert len(decomposed) == 2
+    assert len(certified) == 2
+    assert len(built) == 3
     art = json.loads(out.read_text())
     assert art["all_pass"] is True
     names = {r["name"] for r in art["identities"]}
@@ -150,7 +159,7 @@ def test_verify_decomposes_each_solution_once(tmp_path, poly4_model, monkeypatch
     monkeypatch.undo()
 
     assert all(r["pass"] and not r["skipped"] for r in rows)
-    assert len(solutions) == 4
+    assert len(solutions) == 2
     for sol in solutions:
         # the solution's own eigensystem is the only decomposition of its
         # effective matrix; the overlap reads the adjoint's from the mirror
@@ -216,15 +225,37 @@ def test_solve_decomposes_the_effective_matrix_once(tmp_path, poly4_model, monke
     assert sum(np.array_equal(a, sol.effective) for a in eig_args) == 1
 
 
-def test_verify_negative_control_coarse_quadrature(tmp_path, std_model):
-    coarse = {"shape": "semicircle", "l": [1], "panels": 1, "points": 4}
-    cfg = write_config(tmp_path, "coarse", "verify", std_model, coarse)
-    out = tmp_path / "coarse_out.json"
-    code = main(["verify", "--config", cfg, "--out", str(out), "--quiet"])
-    assert code == 1
-    art = json.loads(out.read_text())
-    failed = [r["name"] for r in art["identities"] if not r["pass"]]
-    assert "resolvent-moment-0" in failed
+def test_verify_negative_control_coarse_quadrature(tmp_path, std_model, poly4_model):
+    def failed_rows(model, panels, points):
+        coarse = {"shape": "semicircle", "l": [1], "panels": panels, "points": points}
+        cfg = write_config(tmp_path, "coarse", "verify", model, coarse)
+        out = tmp_path / "coarse_out.json"
+        code = main(["verify", "--config", cfg, "--out", str(out), "--quiet"])
+        art = json.loads(out.read_text())
+        failed = [r["name"] for r in art["identities"] if not r["pass"]]
+        assert code == (1 if failed else 0)
+        return failed
+
+    assert "resolvent-moment-0" in failed_rows(std_model, 1, 4)
+    # the doubled order, read at the base solutions, still exposes a coarse rule
+    assert "resolvent-moment-0" in failed_rows(poly4_model, 1, 4)
+    assert "resolvent-moment-0" in failed_rows(poly4_model, 2, 4)
+    assert failed_rows(poly4_model, 3, 8) == []
+
+
+def test_verify_sample_points_bounded(tmp_path):
+    import subprocess
+    import sys
+
+    # d0 = 1e-9: no point of the disks of radius d0/2 around the level
+    # clears the contour by 1e-6 of its diameter
+    model = rs.SpectralModel(np.array([[2.0 + 1e-9]]), [rs.Interval(0.0, 2.0, 1.5)])
+    cfg = write_config(tmp_path, "tight", "verify", model, SEMI)
+    proc = subprocess.run([sys.executable, "-m", "resonances.cli", "verify", "--config", cfg,
+                           "--quiet"], capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: no factorization sample point"), proc.stderr
 
 
 def test_sweep_trajectory(tmp_path, std_model):
@@ -563,6 +594,19 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=child_env())
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_only_numpy_and_stdlib():
+    import subprocess
+    import sys
+
+    code = ("import sys; before = set(sys.modules); import resonances.cli; "
+            "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env())
+    loaded = set(proc.stdout.split())
+    assert "resonances" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "resonances"} == set()
 
 
 def test_console_entry_point_runs(tmp_path, std_model):

@@ -11,9 +11,13 @@ from resonances import (
     ClusteringError,
     GeometryError,
     InconsistencyError,
+    Interval,
+    PairingError,
     Semicircle,
+    SpectralModel,
     build_contour,
     contour_moment,
+    double_order,
     eigen_decompose,
     enclosure_circles,
     factorize,
@@ -89,7 +93,6 @@ def test_decompose_similarity_six():
     assert dec.algebraic[i1] == 3 and dec.geometric[i1] == 1 and dec.pole_orders[i1] == 3
     assert dec.algebraic[i2] == 2 and dec.geometric[i2] == 1 and dec.pole_orders[i2] == 2
     assert dec.algebraic[i4] == 1 and dec.pole_orders[i4] == 1
-    assert dec.nilpotent_margins[i4] == 0.0
     assert dec.projector_sum_defect <= 1e-9
     # cluster_tol=1e-4 gives find a lookup tolerance of 1e-3
     assert dec.find(dec.eigenvalues[i4] + 5e-4) == i4
@@ -204,6 +207,14 @@ def test_factorize_zero_coupling(zero_model):
     assert f.residual <= 1e-14
 
 
+def test_left_factor_bound_of_inadmissible_certificate():
+    # the level lies on the flat segment of the contour, so d0 = 0
+    model = SpectralModel(np.array([[0.5]]), [Interval(0.0, 2.0, 1.5)])
+    cert = solvability_certificate(build_contour(model, Semicircle(center=1.5, radius=0.5), [1]))
+    assert cert.d0 == 0.0 and not cert.admissible
+    assert left_factor_inverse_bound(cert) == math.inf
+
+
 def test_factorize_random_points(friedrichs_std, poly4_model):
     rng = np.random.default_rng(31)
     for model in (friedrichs_std, poly4_model):
@@ -270,6 +281,19 @@ def test_overlap_norm_bound(friedrichs_std):
     cert = sol.certificate
     assert om.norm < cert.v0 / (cert.d0 / 2.0) ** 2 < 1.0
     assert om.norm_bound_check == cert.v0 / (cert.d0 / 2.0) ** 2
+
+
+def test_overlap_on_a_given_contour(poly4_model):
+    c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
+    om = overlap_operator(sol, sol_m)
+    assert np.array_equal(overlap_operator(sol, sol_m, c).matrix, om.matrix)
+    fine = overlap_operator(sol, sol_m, double_order(c))
+    assert 0.0 < spectral_norm(fine.matrix - om.matrix) <= 1e-10
+    assert fine.norm_bound_check == om.norm_bound_check
+    other = SpectralModel(poly4_model.a1, poly4_model.intervals, (), poly4_model.coupling)
+    for contour in (mirrored(c), build_contour(other, Semicircle(), [1])):
+        with pytest.raises(PairingError):
+            overlap_operator(sol, sol_m, contour)
 
 
 def test_overlap_adjoint_mirror(poly4_model):
