@@ -23,11 +23,12 @@ and ``ResolventSingularityError``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,8 +44,8 @@ from .errors import (
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import (CouplingFunction, SpectralModel, _matrix_pairs, _reject_unknown_keys,
-                    model_from_json_dict, spectral_norm, validate_model)
+from .model import (SpectralModel, _matrix_pairs, _reject_unknown_keys, model_from_json_dict,
+                    spectral_norm, validate_model)
 from .solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_rows, adjoint_equation_residual,
                      fixed_point_residual, solve_fixed_point)
 
@@ -210,26 +211,22 @@ def _build_contour(config: RunConfig) -> ct.Contour:
     return ct.build_contour(config.model, *spec, config.quad_tol)
 
 
+def _real_band(bound: float, scale: float) -> float:
+    """Half-width of the band about the real axis whose eigenvalues are tagged real."""
+    return max(10.0 * bound, 1e-9 * scale)
+
+
 def _tag_eigenvalues(sol, dec) -> list:
-    real_band = max(10.0 * sol.a_posteriori_bound, 1e-9 * dec.scale)
+    real_band = _real_band(sol.a_posteriori_bound, dec.scale)
     rows = []
-    for i in range(dec.count):
-        lam = dec.eigenvalues[i]
+    for lam, algebraic, pole_order in zip(dec.eigenvalues, dec.algebraic, dec.pole_orders):
         tag = "real" if abs(lam.imag) <= real_band else "complex"
-        interval = None
-        for k, iv in enumerate(sol.model.intervals):
-            if iv.strip_contains(lam) or (tag == "real" and iv.contains_real(lam.real)):
-                interval = k
-                break
-        rows.append({
-            "re": float(lam.real),
-            "im": float(lam.imag),
-            "tag": tag,
-            "half_plane": 0 if tag == "real" else (1 if lam.imag > 0 else -1),
-            "interval": interval,
-            "algebraic_multiplicity": dec.algebraic[i],
-            "pole_order": dec.pole_orders[i],
-        })
+        interval = next((k for k, iv in enumerate(sol.model.intervals) if iv.strip_contains(lam)
+                         or (tag == "real" and iv.contains_real(lam.real))), None)
+        rows.append({"re": float(lam.real), "im": float(lam.imag), "tag": tag,
+                     "half_plane": 0 if tag == "real" else (1 if lam.imag > 0 else -1),
+                     "interval": interval, "algebraic_multiplicity": algebraic,
+                     "pole_order": pole_order})
     return rows
 
 
@@ -334,7 +331,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     add("mirror-spectrum", float(np.max(np.abs(e_l - e_m))), alg_tol)
 
     try:
-        band = max(10.0 * sol.a_posteriori_bound, 1e-9 * dec.scale)
+        band = _real_band(sol.a_posteriori_bound, dec.scale)
         real_eigs = [ev.real for ev in dec.eigenvalues if abs(ev.imag) <= band]
         gram = sp.riesz_gram(sol, sol_m, dec, dec_m, real_eigs)
         add("gram-identity", max(gram.gram_defect, gram.real_block_defect), id_tol)
@@ -355,9 +352,10 @@ def run_sweep(config: RunConfig) -> dict:
     """Solve across the parameter grid; rows ordered by grid index.
 
     The grid shares one contour and one separation distance: a grid point
-    changes only the coupling data on the contour. The admissible points of
-    each block of consecutive grid points are solved together in one
-    batched iteration, and each row equals solving its grid point alone.
+    changes only the coupling data on the contour. Each block of grid points
+    takes one stacked variation, one batched iteration of its admissible
+    points and one batched eigenvalue pass; each row equals solving its grid
+    point alone.
     """
     if config.sweep is None:
         raise StructuralModelError("sweep command requires a 'sweep' config block")
@@ -384,43 +382,36 @@ def _sweep_block(config: RunConfig, base: ct.Contour, d0: float, unit: np.ndarra
                  grid: list[float]) -> list[dict]:
     """Rows of consecutive grid points, whose admissible points are solved in one batch.
 
-    A point's contour is ``base`` with the coupling data of ``unit * value``.
+    A point's coupling data on ``base`` is the discrete weights, then
+    ``conj(r) r^T`` with ``r = unit * value`` at every node.
     """
     model = config.model
-    points = []
-    for value in grid:
-        coupling = CouplingFunction.constant_vector(unit * value, model.coupling.decay)
-        values = np.concatenate([base.quad_values[:len(model.discrete)], coupling(base.nodes)])
-        values.setflags(write=False)
-        contour = replace(base, quad_values=values, model=SpectralModel(
-            model.a1, model.intervals, model.discrete, coupling))
-        points.append((value, contour, ct._certificate(d0, ct.variation(contour))))
-    admitted = [(c, cert) for _, c, cert in points if cert.admissible]
-    solved = iter(_solve_rows([c for c, _ in admitted], [cert for _, cert in admitted],
-                              config.solve_tol, config.max_iter))
+    discrete = len(model.discrete)
+    values = np.empty((len(grid), *base.quad_values.shape), dtype=complex)
+    values[:, :discrete] = base.quad_values[:discrete]
+    for row, value in zip(values, grid):
+        r = unit * value
+        row[discrete:] = np.outer(np.conj(r), r)
+    certs = [ct._certificate(d0, v0) for v0 in ct.variation(base, values).tolist()]
+    admitted = [g for g, cert in enumerate(certs) if cert.admissible]
+    results = dict(zip(admitted, _solve_rows(base, values[admitted], [certs[g] for g in admitted],
+                                             config.solve_tol, config.max_iter)))
+    solved = [g for g in admitted if not isinstance(results[g], NonconvergenceError)]
+    effective = np.array([model.a1 + results[g][0] for g in solved])   # (0,) when none solved
+    spectra = dict(zip(solved, sp._spectra(effective.reshape(-1, *model.a1.shape))))
     rows = []
-    for value, _, cert in points:
-        sol = next(solved) if cert.admissible else None
-        if sol is None:
-            rows.append({"parameter": value, "status": "inadmissible"})
+    for g, (value, cert) in enumerate(zip(grid, certs)):
+        if g not in spectra:
+            status = "nonconvergence" if g in results else "inadmissible"
+            rows.append({"parameter": value, "status": status})
             continue
-        if isinstance(sol, NonconvergenceError):
-            rows.append({"parameter": value, "status": "nonconvergence"})
-            continue
-        dec = sp.eigen_decompose(sol)
-        tags = _tag_eigenvalues(sol, dec)
-        order = sorted(range(dec.count), key=lambda i: (tags[i]["re"], tags[i]["im"]))
-        for rank, i in enumerate(order):
-            rows.append({
-                "parameter": value,
-                "status": "ok",
-                "eig_index": rank,
-                "re": tags[i]["re"],
-                "im": tags[i]["im"],
-                "tag": tags[i]["tag"],
-                "r_min": cert.r_min,
-                "iterations": sol.iterations,
-            })
+        _, steps, bound = results[g]
+        eigenvalues, scale = spectra[g]
+        band = _real_band(bound, scale)
+        rows += [{"parameter": value, "status": "ok", "eig_index": rank, "re": lam.real,
+                  "im": lam.imag, "tag": "real" if abs(lam.imag) <= band else "complex",
+                  "r_min": cert.r_min, "iterations": len(steps)}
+                 for rank, lam in enumerate(sorted(eigenvalues, key=lambda z: (z.real, z.imag)))]
     return rows
 
 
@@ -505,7 +496,9 @@ def _write_outputs(artifact: dict, json_path: str | None, csv_text: str | None,
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="resonances",
         description="Resonances of 2x2 operator matrices via continued "
@@ -517,7 +510,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--csv", default=None)
         p.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     csv_text = None
     try:

@@ -419,15 +419,19 @@ def is_mirror_pair(a: Contour, b: Contour) -> bool:
 # Variation, separation distance, certificate
 # ---------------------------------------------------------------------------
 
-def variation(contour: Contour) -> float:
+def variation(contour: Contour, values: np.ndarray | None = None):
     """Total coupling budget along the discrete remainder and the contour.
 
     Discretization of the sum of the discrete weight norms and the integral
     of the density norm against arc length; the truncation tail bound of any
-    unbounded piece is added conservatively.
+    unbounded piece is added conservatively. ``values`` is stacked coupling
+    data (G, P, n, n) on the contour's points, such as the grid points of a
+    sweep; it gives the G variations as an array from one batched norm, each
+    row equal to the variation of a contour carrying that row's data.
     """
-    norms = np.linalg.norm(contour.quad_values, 2, axis=(1, 2))
-    return float(np.sum(np.abs(contour.quad_weights) * norms)) + contour.tail_variation_bound
+    norms = np.linalg.norm(contour.quad_values if values is None else values, 2, axis=(-2, -1))
+    total = np.sum(np.abs(contour.quad_weights) * norms, axis=-1) + contour.tail_variation_bound
+    return float(total) if values is None else total
 
 
 def separation_distance(contour: Contour) -> float:

@@ -6,11 +6,11 @@ every ball between the two certified radii, the iteration starts at zero,
 and the standard a-posteriori bound controls the distance to the true fixed
 point at termination.
 
-There is one iteration loop, and it runs over a stack of rows: contours
-that share their points and weights and differ only in their coupling data,
-such as the grid points of a sweep. Each row keeps its own contraction
-factor, stop threshold, escape radius and contraction checks, and freezes
-when it stops; a single solve is the stack of one row.
+There is one iteration loop, and it runs over a stack of rows: coupling
+data on one contour's points and weights, such as the grid points of a
+sweep. Each row keeps its own contraction factor, stop threshold, escape
+radius and contraction checks, and freezes when it stops; a single solve
+is the stack of one row.
 
 ``F`` is evaluated through the eigenvectors of its argument. The paper
 defines the operator self-energy ``V1(Y)`` by ``V1(Y) psi = V1(z) psi`` for
@@ -171,28 +171,23 @@ def _iterate(contour: Contour, values: np.ndarray, q, threshold, r_escape,
     return out, steps, faults
 
 
-def _solve_rows(contours, certs, tol: float, max_iter: int) -> list:
+def _solve_rows(contour: Contour, values: np.ndarray, certs, tol: float, max_iter: int) -> list:
     """Solve stacked rows from zero in one batched iteration.
 
-    ``contours`` share their points and weights and differ in their model's
-    coupling data; ``certs`` are their admissible certificates. Returns per
-    row its ``Solution`` or its ``NonconvergenceError``, and raises the
-    ``ContractionViolationError`` of the first violating row, as solving
-    the rows one by one in order would.
+    Row g has coupling data ``values[g]`` on the contour's points and
+    weights and the admissible certificate ``certs[g]``. Returns per row
+    ``(X, step norms, a-posteriori bound)`` or its ``NonconvergenceError``,
+    and raises the ``ContractionViolationError`` of the first violating
+    row, as solving the rows one by one in order would.
     """
-    if not contours:
+    if not certs:
         return []
     q = [cert.contraction_factor() for cert in certs]
     threshold = [math.inf if qg == 0.0 else tol * (1.0 - qg) / qg for qg in q]
-    # one row borrows its contour's data rather than copying it
-    values = (contours[0].quad_values[None] if len(contours) == 1
-              else np.stack([c.quad_values for c in contours]))
-    x, steps, faults = _iterate(contours[0], values, q, threshold,
-                                [cert.r_max for cert in certs],
-                                np.zeros((len(contours), *contours[0].model.a1.shape)),
-                                max_iter, certs)
+    x, steps, faults = _iterate(contour, values, q, threshold, [cert.r_max for cert in certs],
+                                np.zeros((len(certs), *contour.model.a1.shape)), max_iter, certs)
     out = []
-    for contour, cert, qg, xg, steps_g, fault in zip(contours, certs, q, x, steps, faults):
+    for cert, qg, xg, steps_g, fault in zip(certs, q, x, steps, faults):
         if isinstance(fault, NonconvergenceError):
             out.append(fault)
             continue
@@ -204,7 +199,7 @@ def _solve_rows(contours, certs, tol: float, max_iter: int) -> list:
             raise ContractionViolationError(
                 f"final norm {x_norm:.6e} exceeds the certified radius "
                 f"{cert.r_min:.6e} plus bound {bound:.3e}")
-        out.append(Solution(contour, cert, xg, contour.model.a1 + xg, tuple(steps_g), bound))
+        out.append((xg, tuple(steps_g), bound))
     return out
 
 
@@ -227,10 +222,12 @@ def solve_fixed_point(contour: Contour, tol: float = DEFAULT_TOL,
     cert = solvability_certificate(contour)
     if not cert.admissible:
         raise InadmissibleCertificateError(cert)
-    (result,) = _solve_rows([contour], [cert], tol, max_iter)
+    # the one row borrows the contour's coupling data rather than copying it
+    (result,) = _solve_rows(contour, contour.quad_values[None], [cert], tol, max_iter)
     if isinstance(result, NonconvergenceError):
         raise result
-    return result
+    x, steps, bound = result
+    return Solution(contour, cert, x, contour.model.a1 + x, steps, bound)
 
 
 def refine_fixed_point(contour: Contour, x0: np.ndarray, tol: float = 1e-12,

@@ -38,6 +38,7 @@ from .errors import (
 from .model import spectral_norm
 from .solver import Solution
 from .transfer import (
+    _EIGVEC_COND_MAX,
     _dual_eigensystem,
     _inverse_distances,
     _resolvents,
@@ -131,26 +132,56 @@ class SpectralDecomposition:
 
 
 def _cluster(eigs: np.ndarray, tol: float) -> list[list[int]]:
-    order = np.lexsort((eigs.imag, eigs.real))
-    parent = list(range(eigs.size))
+    """Indices of the eigenvalues linked by steps of at most ``tol``, group by group.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    Each group lists its members in (re, im) order, and the groups are
+    ordered by their first members.
+    """
+    label = list(range(eigs.size))
     for a in range(eigs.size):
         for b in range(a + 1, eigs.size):
-            if abs(eigs[a] - eigs[b]) <= tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+            if abs(eigs[a] - eigs[b]) <= tol and label[a] != label[b]:
+                label = [label[b] if v == label[a] else v for v in label]
     groups: dict[int, list[int]] = {}
-    for i in order:
-        groups.setdefault(find(i), []).append(int(i))
-    out = sorted(groups.values(), key=lambda g: (eigs[g[0]].real, eigs[g[0]].imag))
-    return out
+    for i in np.lexsort((eigs.imag, eigs.real)).tolist():
+        groups.setdefault(label[i], []).append(i)
+    return sorted(groups.values(), key=lambda g: (eigs[g[0]].real, eigs[g[0]].imag))
+
+
+def _clusters(eigs: np.ndarray, cluster_tol: float, norm: float) -> tuple:
+    """Clusters of ``eigs`` within ``cluster_tol``, their centroids and residue radii.
+
+    ``norm`` is the norm of the matrix the eigenvalues belong to. Raises
+    ``ClusteringError`` when two clusters come closer than four times
+    ``cluster_tol``, or a cluster spreads as far as its nearest foreign
+    eigenvalue. A cluster's residue circle passes halfway between its
+    spread and that eigenvalue.
+    """
+    groups = _cluster(eigs, cluster_tol)
+    labels = np.empty(eigs.size, dtype=int)
+    for j, g in enumerate(groups):
+        labels[g] = j
+    diff = eigs[:, None] - eigs[None, :]
+    foreign = labels[:, None] != labels[None, :]
+    min_gap = np.hypot(diff.real, diff.imag).min(where=foreign, initial=math.inf)
+    if len(groups) > 1 and min_gap < 4.0 * cluster_tol:
+        raise ClusteringError(
+            f"inter-cluster gap {min_gap:.3e} < 4 * cluster_tol "
+            f"({4.0 * cluster_tol:.3e}); choose a different tolerance")
+    centroids = [complex(np.mean(eigs[g])) for g in groups]
+    radii = []
+    for j, lam in enumerate(centroids):
+        offset = eigs - lam
+        dist = np.hypot(offset.real, offset.imag)
+        spread = dist.max(where=labels == j, initial=0.0)
+        gap = dist.min(where=labels != j, initial=math.inf)
+        if spread >= gap * (1.0 - 1e-9):
+            raise ClusteringError(
+                f"cluster at {lam} spreads over {spread:.3e} with only "
+                f"{gap:.3e} to the nearest neighbor; choose a different "
+                "tolerance")
+        radii.append(0.5 * (spread + gap) if math.isfinite(gap) else spread + 0.1 * (1.0 + norm))
+    return groups, centroids, radii
 
 
 def eigen_decompose(h1: Solution | np.ndarray,
@@ -184,60 +215,26 @@ def eigen_decompose(h1: Solution | np.ndarray,
         lookup_tol = 1e-5 * scale
     else:
         lookup_tol = max(10.0 * cluster_tol, 1e-12)
-    groups = _cluster(eigs, cluster_tol)
-    centroids = [complex(np.mean(eigs[g])) for g in groups]
-
-    # inter-cluster separability
-    labels = np.empty(eigs.size, dtype=int)
-    for j, g in enumerate(groups):
-        labels[g] = j
-    diff = eigs[:, None] - eigs[None, :]
-    foreign = labels[:, None] != labels[None, :]
-    min_gap = np.hypot(diff.real, diff.imag).min(where=foreign, initial=math.inf)
-    if len(groups) > 1 and min_gap < 4.0 * cluster_tol:
-        raise ClusteringError(
-            f"inter-cluster gap {min_gap:.3e} < 4 * cluster_tol "
-            f"({4.0 * cluster_tol:.3e}); choose a different tolerance")
+    groups, centroids, radii = _clusters(eigs, cluster_tol, norm)
 
     eye = np.eye(n)
-    projections = []
-    paths = []
-    nilpotents = []
-    algebraic = []
-    geometric = []
-    pole_orders = []
-    for j, lam in enumerate(centroids):
-        offset = eigs - lam
-        dist = np.hypot(offset.real, offset.imag)
-        spread = dist.max(where=labels == j, initial=0.0)
-        gap = dist.min(where=labels != j, initial=math.inf)
-        if math.isfinite(gap):
-            if spread >= gap * (1.0 - 1e-9):
-                raise ClusteringError(
-                    f"cluster at {lam} spreads over {spread:.3e} with only "
-                    f"{gap:.3e} to the nearest neighbor; choose a different "
-                    "tolerance")
-            # between the cluster spread and the nearest foreign eigenvalue
-            radius = 0.5 * (spread + gap)
-        else:
-            radius = spread + 0.1 * (1.0 + norm)
+    clusters = []   # per cluster: projection, path, nilpotent, multiplicities, pole order
+    for j, (lam, radius) in enumerate(zip(centroids, radii)):
         if duals is not None and len(groups[j]) == 1:
             k = groups[j][0]
-            p = np.outer(vecs[:, k], duals[k])
-            paths.append("eigenvector")
+            p, path = np.outer(vecs[:, k], duals[k]), "eigenvector"
         else:
             p, _, _ = _trapezoid_residue(partial(_resolvents, h1), (Circle(lam, radius),),
                                          atol=1e-13 * (1.0 + norm))
-            paths.append("residue")
+            path = "residue"
         m_raw = float(np.trace(p).real)
         m = int(round(m_raw))
         if abs(m_raw - m) > 1e-2 or m < 1:
             raise ClusteringError(
                 f"projection trace {m_raw:.6f} is not close to an integer; "
                 "residue circle geometry is unreliable")
-        if m == 1:
-            nil, rank, order = np.zeros((n, n), dtype=complex), 0, 1
-        else:
+        nil, rank, order = np.zeros((n, n), dtype=complex), 0, 1
+        if m > 1:
             nil = (h1 - lam * eye) @ p
             sv = np.linalg.svd(nil, compute_uv=False)
             rank = int(np.sum(sv > DEFAULT_NILPOTENT_TOL * scale))
@@ -248,26 +245,33 @@ def eigen_decompose(h1: Solution | np.ndarray,
                     order = k
                     break
                 power = power @ nil
-        projections.append(p)
-        nilpotents.append(nil if order > 1 else np.zeros_like(nil))
-        algebraic.append(m)
-        geometric.append(m - rank)
-        pole_orders.append(order)
+        clusters.append((p, path, nil if order > 1 else np.zeros_like(nil), m, m - rank, order))
 
-    total = sum(projections)
-    defect = spectral_norm(total - eye)
-    return SpectralDecomposition(
-        eigenvalues=tuple(centroids),
-        projections=tuple(projections),
-        nilpotents=tuple(nilpotents),
-        algebraic=tuple(algebraic),
-        geometric=tuple(geometric),
-        pole_orders=tuple(pole_orders),
-        projector_sum_defect=defect,
-        paths=tuple(paths),
-        scale=scale,
-        lookup_tol=lookup_tol,
-    )
+    projections, paths, nilpotents, algebraic, geometric, pole_orders = zip(*clusters)
+    return SpectralDecomposition(tuple(centroids), projections, nilpotents, algebraic, geometric,
+                                 pole_orders, spectral_norm(sum(projections) - eye), paths,
+                                 scale, lookup_tol)
+
+
+def _spectra(h: np.ndarray) -> list:
+    """``(eigenvalues, scale)`` of each stacked matrix (G, n, n), as ``eigen_decompose`` gives them.
+
+    One batched ``eig`` and norm serve every row, clustered as there. A row
+    of single eigenvalues with a usable eigenbasis has projection traces
+    ``(V^-1 V)_kk``, which pass the trace check; any other row goes through
+    ``eigen_decompose`` and all its checks.
+    """
+    eigs, vecs = np.linalg.eig(h)
+    usable = (np.linalg.cond(vecs) <= _EIGVEC_COND_MAX).tolist()
+    out = []
+    for hg, eigs_g, usable_g, norm in zip(h, eigs, usable,
+                                          np.linalg.svd(h, compute_uv=False)[:, 0].tolist()):
+        groups, centroids, _ = _clusters(eigs_g, 1e-7 * max(norm, 1e-300), norm)
+        if not usable_g or len(groups) < eigs_g.size:
+            dec = eigen_decompose(hg)
+            centroids, norm = dec.eigenvalues, dec.scale
+        out.append((tuple(centroids), max(norm, 1.0)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -628,29 +632,25 @@ def verify_projection_equations(contour: Contour, sol: Solution,
     """Residuals of the projection and nilpotent equations for every cluster.
 
     The equations are evaluated on ``contour``, which must belong to the
-    model of ``sol`` (``verify`` takes it at twice the order of the contour
-    of ``sol``). Each cluster is checked against the identity expressing the
-    transfer function times the projection through the nilpotent and the
-    self-energy derivatives, plus the shifted variants obtained by
-    multiplying with nilpotent powers. The decomposition is also
+    model and multi-index of ``sol`` (``verify`` takes it at twice the order
+    of the contour of ``sol``). Each cluster is checked against the identity
+    expressing the transfer function times the projection through the
+    nilpotent and the self-energy derivatives, plus the shifted variants
+    obtained by multiplying with nilpotent powers. The decomposition is also
     reconstructed into a matrix and compared with the effective operator,
     including the ball condition that makes the reconstruction unique.
     """
     model = sol.model
-    if contour.model is not model:
-        raise PairingError("contour was built for a different model than the solution")
+    if contour.model is not model or contour.multi_index != sol.multi_index:
+        raise PairingError("contour was built for a different model or sheet than the solution")
     rows = []
     n = model.dim
     lams = np.array(dec.eigenvalues)
     m1s = transfer_many(contour, lams)
     derivs = {k: self_energy_many(contour, lams, k) for k in range(1, max(dec.pole_orders))}
     recon = np.zeros((n, n), dtype=complex)
-    for i in range(dec.count):
-        lam = dec.eigenvalues[i]
-        p = dec.projections[i]
-        nil = dec.nilpotents[i]
-        order = dec.pole_orders[i]
-        m1 = m1s[i]
+    for i, (lam, p, nil, order, m1) in enumerate(zip(dec.eigenvalues, dec.projections,
+                                                     dec.nilpotents, dec.pole_orders, m1s)):
         acc = m1 @ p - nil
         powers = [np.eye(n, dtype=complex)]
         for _ in range(max(order - 1, 0)):

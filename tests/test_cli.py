@@ -397,15 +397,116 @@ def test_sweep_shares_one_contour(tmp_path, std_model, monkeypatch):
     assert sorted(calls) == ["build_contour", "separation_distance"]
 
 
+def test_sweep_batches_variation_and_eigenvalues(tmp_path, std_model, monkeypatch):
+    from resonances.cli import load_config, run_sweep
+
+    cfg = write_config(tmp_path, "sweep", "sweep", std_model, SEMI,
+                       sweep={"parameter": "beta", "grid": [0.0, 0.05, 0.1, 0.15, 0.4]})
+    config = load_config(cfg)
+    calls = []
+    for owner, name in ((rs.contour, "variation"), (rs.spectral, "eigen_decompose"),
+                        (rs.SpectralModel, "__init__"), (rs.CouplingFunction, "__init__")):
+        original = getattr(owner, name)
+
+        def spy(*args, _name=f"{owner.__name__}.{name}", _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    run_sweep(config)
+    assert calls == ["resonances.contour.variation"]
+
+
+@pytest.mark.parametrize("model", ["std_model", "n2_model"])
+def test_stacked_variation_equals_row_contours(request, model):
+    model = request.getfixturevalue(model)
+    unit = model.coupling.row / np.linalg.norm(model.coupling.row)
+    contours = [rs.build_contour(replace(model, coupling=rs.CouplingFunction.constant_vector(
+                    unit * value, model.coupling.decay)), rs.Semicircle(), [1])
+                for value in (0.0, 0.03, 0.07, 0.2, 0.5)]
+    stacked = rs.contour.variation(contours[0], np.stack([c.quad_values for c in contours]))
+    assert stacked.tolist() == [rs.contour.variation(c) for c in contours]
+
+
+def test_sweep_n1_rows_equal_per_point_solves(tmp_path, std_model):
+    from resonances.cli import load_config, run_sweep
+
+    # the benchmark's sweep: 48 points, the last ones past the threshold
+    grid = np.linspace(0.03, 0.35, 48).tolist()
+    cfg = write_config(tmp_path, "n1", "sweep", std_model, SEMI,
+                       sweep={"parameter": "beta", "grid": grid})
+    config = load_config(cfg)
+    rows = run_sweep(config)["rows"]
+    assert rows == reference_sweep_rows(config)
+    assert {r["status"] for r in rows} == {"ok", "inadmissible"}
+
+
+def test_sweep_double_level_decomposes_its_cluster(tmp_path, monkeypatch):
+    from resonances.cli import load_config, run_sweep
+
+    # at beta = 0 the effective matrix is a1, whose level 0.5 is double
+    model = rs.SpectralModel(np.diag([0.5, 0.5]).astype(complex), [rs.Interval(0.0, 1.0, 0.6)],
+                             coupling=rs.CouplingFunction.constant_vector([0.1, 0.05]))
+    cfg = write_config(tmp_path, "double", "sweep", model, SEMI,
+                       sweep={"parameter": "beta", "grid": [0.0, 0.05, 0.1, 0.0, 0.3]})
+    config = load_config(cfg)
+    decomposed = []
+    decompose = rs.spectral.eigen_decompose
+
+    def spy(h1, *args):
+        decomposed.append(np.array(h1))
+        return decompose(h1, *args)
+
+    monkeypatch.setattr(rs.spectral, "eigen_decompose", spy)
+    rows = run_sweep(config)["rows"]
+    assert len(decomposed) == 2 and all(np.array_equal(h, model.a1) for h in decomposed)
+    monkeypatch.undo()
+    assert rows == reference_sweep_rows(config)
+    # the double level is one cluster: one row at each beta = 0
+    assert [(r["parameter"], r["status"]) for r in rows] == [
+        (0.0, "ok"), (0.05, "ok"), (0.05, "ok"), (0.1, "ok"), (0.1, "ok"), (0.0, "ok"),
+        (0.3, "inadmissible")]
+
+
+def test_main_parses_each_call(tmp_path, std_model, capsys):
+    from resonances import cli
+
+    solve = write_config(tmp_path, "solve", "solve", std_model, SEMI)
+    sweep = write_config(tmp_path, "sweep", "sweep", std_model, SEMI,
+                         sweep={"parameter": "beta", "grid": [0.05, 0.1]})
+    out, csv = tmp_path / "sweep_out.json", tmp_path / "sweep.csv"
+    cli._parser.cache_clear()
+    assert main(["sweep", "--config", sweep, "--out", str(out), "--csv", str(csv),
+                 "--quiet"]) == 0
+    assert out.exists() and csv.exists()
+    out.unlink()
+    csv.unlink()
+    assert main(["solve", "--config", solve]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert not out.exists() and not csv.exists()
+    for argv in (["sweep"], ["bogus", "--config", solve], ["solve", "--config", solve, "-x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert main(["solve", "--config", solve, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_sweep_contraction_violation_exit_4(tmp_path, std_model, monkeypatch, capsys):
     # white-box: under-report the variation of planted grid points, so their
-    # certified contraction factor is far below the step ratio they show
+    # certified contraction factor is far below the step ratio they show; a
+    # sweep's rows are found in its stacked coupling data by their beta^2
     variation = rs.contour.variation
-    planted = {0.1, 0.2}
+    planted = [0.1 ** 2, 0.2 ** 2]
 
-    def shrunk(contour):
-        v0 = variation(contour)
-        return 1e-6 * v0 if abs(contour.model.coupling.row[0]) in planted else v0
+    def shrunk(contour, values=None):
+        v0 = variation(contour, values)
+        if values is None:
+            return v0
+        beta_sq = values[:, -1, 0, 0].real
+        return np.where(np.isclose(beta_sq[:, None], planted, rtol=1e-12, atol=0).any(axis=1),
+                        1e-6 * v0, v0)
 
     monkeypatch.setattr(rs.contour, "variation", shrunk)
     errors = []

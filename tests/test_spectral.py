@@ -465,6 +465,16 @@ def test_projection_equations_scalar(friedrichs_std):
     assert report.within_larger_ball
 
 
+def test_projection_equations_refuse_another_sheet(poly4_model):
+    c, sol, _ = solve_pair(poly4_model, Semicircle(), [1])
+    dec = eigen_decompose(sol)
+    assert verify_projection_equations(double_order(c), sol, dec).max_residual <= 1e-8
+    other = SpectralModel(poly4_model.a1, poly4_model.intervals, (), poly4_model.coupling)
+    for contour in (mirrored(c), build_contour(other, Semicircle(), [1])):
+        with pytest.raises(PairingError):
+            verify_projection_equations(contour, sol, dec)
+
+
 def test_projection_equations_defective(defective4):
     from resonances import refine_fixed_point
 
