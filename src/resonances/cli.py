@@ -178,6 +178,11 @@ def load_config(path: str) -> RunConfig:
             raise StructuralModelError("config requires 'model' or 'model_path'")
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(data.get("tolerances", {}))
+        tol = {key: float(value) for key, value in tol.items()}
+        for key, value in tol.items():
+            if not (0.0 < value < math.inf):
+                raise StructuralModelError(f"tolerance {key} must be positive and finite, "
+                                           f"got {value}")
         sweep = data.get("sweep")
         if sweep is not None:
             grid = sweep.get("grid")
@@ -191,9 +196,9 @@ def load_config(path: str) -> RunConfig:
             command=data.get("command"),
             model=model,
             contour_json=data.get("contour"),
-            quad_tol=float(tol["quad_tol"]),
-            solve_tol=float(tol["solve_tol"]),
-            id_tol=float(tol["id_tol"]),
+            quad_tol=tol["quad_tol"],
+            solve_tol=tol["solve_tol"],
+            id_tol=tol["id_tol"],
             sweep=sweep,
             oracle_nu=tuple(int(v) for v in data.get("oracle", {}).get("nu", (1, -1))),
             json_path=output.get("json_path"),

@@ -129,10 +129,6 @@ class Section:
         ends = np.minimum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
         return np.where((r == 0.0) | in_span, np.abs(r - self.radius), ends)
 
-    def mirrored(self) -> "Section":
-        return Section(self.kind, np.conj(self.start), np.conj(self.end),
-                       self.center, self.radius, -self.half_plane)
-
 
 @dataclass(frozen=True, eq=False)
 class Piece:
@@ -142,7 +138,6 @@ class Piece:
     sections: tuple[Section, ...]
     nodes: np.ndarray
     weights: np.ndarray
-    endpoint_defect: float
     tail_bound: float
 
 
@@ -173,11 +168,6 @@ class Contour:
     @property
     def tail_variation_bound(self) -> float:
         return sum(p.tail_bound for p in self.pieces)
-
-    @property
-    def endpoint_defect(self) -> float:
-        finite = [p.endpoint_defect for p in self.pieces if math.isfinite(p.endpoint_defect)]
-        return max(finite) if finite else 0.0
 
     @property
     def guard(self) -> float:
@@ -324,14 +314,10 @@ def _build_piece(model: SpectralModel, k: int, iv: Interval, spec: CurveSpec,
 
     nodes, weights = (np.concatenate(parts) for parts in
                       zip(*(_gl_panelize(s, b, points) for s, b in laid)))
-    if iv.bounded:
-        defect = abs(np.sum(weights) - (iv.hi - iv.lo))
-    else:
-        defect = math.nan
     nodes.setflags(write=False)
     weights.setflags(write=False)
     sections = tuple(s for s, _ in laid)
-    return Piece(spec, sections, nodes, weights, defect, tail_bound)
+    return Piece(spec, sections, nodes, weights, tail_bound)
 
 
 def build_contour(model: SpectralModel, spec, l, order=DEFAULT_ORDER,
@@ -511,7 +497,11 @@ def _spec_from_json(data: dict, where: str, extra=()) -> CurveSpec:
         raise StructuralModelError(f"unknown contour shape {shape!r}")
     _reject_unknown_keys(data, ("shape", *_SPEC_KEYS[shape], *extra), where)
     if shape == "semicircle":
-        return Semicircle(center=data.get("center"), radius=data.get("radius"))
+        center, radius = (None if data.get(key) is None else float(data[key])
+                          for key in ("center", "radius"))
+        if not all(math.isfinite(v) for v in (center, radius) if v is not None):
+            raise StructuralModelError("semicircle center and radius must be finite")
+        return Semicircle(center=center, radius=radius)
     if shape == "rectangle":
         if "depth" not in data:
             raise StructuralModelError("rectangle spec requires a depth")

@@ -12,17 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralModelError, UnsupportedModelError
+from .errors import StructuralModelError
 
 HERMITIAN_RTOL = 1e-12
 PSD_RTOL = 1e-12
 CONJ_SYM_RTOL = 1e-12
-HOLDER_MIN_EXPONENT = 0.1
-_HOLDER_LADDER = 8
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -68,17 +66,17 @@ class DecaySpec:
     """Declared decay of the coupling density along horizontal rays.
 
     Guarantees ``norm(K(mu)) <= coeff * (1 + |Re mu|)**(-theta)`` with
-    ``theta > 1``; required for models with unbounded intervals.
+    finite ``theta > 1``; required for models with unbounded intervals.
     """
 
     theta: float
     coeff: float
 
     def __post_init__(self):
-        if not (self.theta > 1.0):
-            raise StructuralModelError("decay exponent theta must exceed 1")
-        if not (self.coeff > 0.0):
-            raise StructuralModelError("decay coefficient must be positive")
+        if not (1.0 < self.theta < math.inf):
+            raise StructuralModelError("decay exponent theta must be finite and exceed 1")
+        if not (0.0 < self.coeff < math.inf):
+            raise StructuralModelError("decay coefficient must be positive and finite")
 
     def tail(self, t: float) -> float:
         """Upper bound for the integral of the density norm over (t, inf)."""
@@ -89,22 +87,24 @@ class DecaySpec:
 class CouplingFunction:
     """Matrix-valued coupling density, analytic on the declared strips.
 
-    Supported kinds:
+    Every kind is a finite sum of known scalar functions times matrices:
 
     * ``constant-vector``: density ``row* row`` for a constant row vector.
     * ``polynomial-matrix``: entrywise polynomial with Hermitian coefficients.
     * ``rational-matrix``: polynomial numerator over a real scalar
       denominator whose roots must lie outside every strip.
-    * ``user-plugin``: arbitrary host-language callback.
     """
 
     kind: str
     row: np.ndarray | None = None
     coeffs: tuple[np.ndarray, ...] | None = None
     den: tuple[float, ...] | None = None
-    plugin: Callable[[complex], np.ndarray] | None = None
     decay: DecaySpec | None = None
-    dim: int = 0
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the internal space the density acts on."""
+        return self.row.size if self.row is not None else self.coeffs[0].shape[0]
 
     @staticmethod
     def constant_vector(row, decay: DecaySpec | None = None) -> "CouplingFunction":
@@ -112,7 +112,7 @@ class CouplingFunction:
         if r.size == 0 or not np.all(np.isfinite(r.real) & np.isfinite(r.imag)):
             raise StructuralModelError("constant-vector row must be finite and nonempty")
         r.setflags(write=False)
-        return CouplingFunction(kind="constant-vector", row=r, decay=decay, dim=r.size)
+        return CouplingFunction(kind="constant-vector", row=r, decay=decay)
 
     @staticmethod
     def polynomial(coeffs: Sequence, decay: DecaySpec | None = None) -> "CouplingFunction":
@@ -122,7 +122,7 @@ class CouplingFunction:
         n = mats[0].shape[0]
         if any(m.shape[0] != n for m in mats):
             raise StructuralModelError("polynomial coefficients must share one dimension")
-        return CouplingFunction(kind="polynomial-matrix", coeffs=mats, decay=decay, dim=n)
+        return CouplingFunction(kind="polynomial-matrix", coeffs=mats, decay=decay)
 
     @staticmethod
     def rational(num_coeffs: Sequence, den_coeffs: Sequence[float],
@@ -131,15 +131,12 @@ class CouplingFunction:
         den = tuple(float(d) for d in den_coeffs)
         if not mats or not den or all(d == 0.0 for d in den):
             raise StructuralModelError("rational-matrix requires numerator and nonzero denominator")
+        if not all(map(math.isfinite, den)):
+            raise StructuralModelError("rational-matrix denominator must be finite")
         n = mats[0].shape[0]
         if any(m.shape[0] != n for m in mats):
             raise StructuralModelError("numerator coefficients must share one dimension")
-        return CouplingFunction(kind="rational-matrix", coeffs=mats, den=den, decay=decay, dim=n)
-
-    @staticmethod
-    def user_plugin(func: Callable[[complex], np.ndarray], dim: int,
-                    decay: DecaySpec | None = None) -> "CouplingFunction":
-        return CouplingFunction(kind="user-plugin", plugin=func, decay=decay, dim=int(dim))
+        return CouplingFunction(kind="rational-matrix", coeffs=mats, den=den, decay=decay)
 
     @staticmethod
     def zero(dim: int) -> "CouplingFunction":
@@ -149,7 +146,7 @@ class CouplingFunction:
         """Raw evaluation, without any strip-membership check.
 
         ``mu`` is one point or an array of points; the result has shape
-        ``mu.shape + (n, n)``. A plugin is called once per point.
+        ``mu.shape + (n, n)``.
         """
         mu = np.asarray(mu, dtype=complex)
         if self.kind == "constant-vector":
@@ -159,15 +156,6 @@ class CouplingFunction:
             return _power_sum(self.coeffs, mu)
         if self.kind == "rational-matrix":
             return _power_sum(self.coeffs, mu) / _power_sum(self.den, mu)[..., None, None]
-        if self.kind == "user-plugin":
-            out = np.empty(mu.shape + (self.dim, self.dim), dtype=complex)
-            for i in np.ndindex(mu.shape):
-                value = np.array(self.plugin(complex(mu[i])), dtype=complex)
-                if value.shape != (self.dim, self.dim):
-                    raise StructuralModelError(
-                        f"plugin returned shape {value.shape}, expected {(self.dim, self.dim)}")
-                out[i] = value
-            return out
         raise StructuralModelError(f"unknown coupling kind {self.kind!r}")
 
 
@@ -385,53 +373,6 @@ def _check_rational_poles(model: SpectralModel, out: list):
                     f"denominator root {r:.6g} lies inside or near the strip of interval {k}"))
 
 
-def _holder_clear(deltas: np.ndarray, diffs: np.ndarray, base: np.ndarray) -> bool:
-    """Whether norm bounds alone show that ``_check_holder`` passes an endpoint.
-
-    They do when every difference is below the flatness floor, or when every
-    one is above it and the fitted slope, a weighted sum of the log norms, is
-    at least ``HOLDER_MIN_EXPONENT`` for all norms within the bounds.
-    """
-    lo, hi = _norm_bounds(diffs)
-    base_lo, base_hi = _norm_bounds(base)
-    if np.max(hi) <= 1e-13 * (1.0 + base_lo):
-        return True
-    x = np.log(deltas) - np.mean(np.log(deltas))
-    w = x / np.sum(x * x)       # least-squares slope = sum of w * log(norms)
-    return bool(np.min(lo) > 1e-300 and np.max(lo) > 1e-13 * (1.0 + base_hi)
-                and np.sum(w * np.log(np.where(w > 0.0, lo, hi))) >= HOLDER_MIN_EXPONENT)
-
-
-def _check_holder(model: SpectralModel, out: list):
-    for k, iv in enumerate(model.intervals):
-        ends = []
-        if math.isfinite(iv.lo):
-            ends.append((iv.lo, +1.0))
-        if math.isfinite(iv.hi):
-            ends.append((iv.hi, -1.0))
-        width = iv.hi - iv.lo if iv.bounded else iv.strip * 4.0
-        for e, sign in ends:
-            base = model.coupling(e)
-            d0 = min(width, iv.strip) / 4.0
-            deltas = d0 * 0.5 ** np.arange(_HOLDER_LADDER)
-            diffs = model.coupling(e + sign * deltas) - base
-            if _holder_clear(deltas, diffs, base):
-                continue
-            scale = 1.0 + spectral_norm(base)
-            vals = np.linalg.norm(diffs, 2, axis=(1, 2))
-            if np.max(vals) <= 1e-13 * scale:
-                continue
-            mask = vals > 1e-300
-            if np.count_nonzero(mask) < 4:
-                continue
-            slope = np.polyfit(np.log(deltas[mask]), np.log(vals[mask]), 1)[0]
-            if slope < HOLDER_MIN_EXPONENT:
-                out.append(Violation(
-                    "holder-endpoint",
-                    f"fitted endpoint exponent {slope:.3f} < {HOLDER_MIN_EXPONENT} at "
-                    f"mu={e:.6g} of interval {k}"))
-
-
 def validate_model(model: SpectralModel) -> ValidationReport:
     """Check every standing assumption; return the (possibly empty) report.
 
@@ -490,7 +431,6 @@ def validate_model(model: SpectralModel) -> ValidationReport:
     _check_psd(model, out)
     _check_conjugate_symmetry(model, out)
     _check_rational_poles(model, out)
-    _check_holder(model, out)
     return ValidationReport(tuple(out))
 
 
@@ -544,8 +484,6 @@ def _endpoint_from_json(v) -> float:
 
 def model_to_json_dict(model: SpectralModel) -> dict:
     c = model.coupling
-    if c.kind == "user-plugin":
-        raise UnsupportedModelError("user-plugin couplings cannot be serialized")
     cj: dict = {"kind": c.kind}
     if c.kind == "constant-vector":
         cj["row"] = _matrix_pairs(c.row).tolist()

@@ -582,6 +582,15 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
         ("solve", {"output": [1]}),
         ("oracle", {"oracle": {"nu": ["a"]}}),
         ("solve", {"model_path": "other.json", "model": rs.model_to_json_dict(std_model)}),
+        # non-finite or non-numeric numbers, which json.load accepts
+        ("solve", {"tolerances": {"solve_tol": math.nan}}),
+        ("solve", {"tolerances": {"solve_tol": -1.0}}),
+        ("solve", {"tolerances": {"id_tol": math.nan}}),
+        ("solve", {"tolerances": {"id_tol": 0.0}}),
+        ("solve", {"tolerances": {"quad_tol": math.nan}}),
+        ("solve", {"tolerances": {"quad_tol": math.inf}}),
+        ("solve", {"contour": dict(SEMI, center="x")}),
+        ("solve", {"contour": dict(SEMI, center=math.nan)}),
     ]
     capsys.readouterr()
     for k, (command, extra) in enumerate(malformed):
@@ -635,6 +644,22 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: unknown key ") and repr(key) in err, (key, err)
         assert err.count("\n") == 1, (key, err)
+    # non-finite numbers in the model file
+    rational = {"kind": "rational-matrix", "num": [[[0.01, 0.0]]], "den": [1.0, 0.0, 1.0]}
+    model_nonfinite = [
+        {"coupling": dict(rational, den=[1.0, math.nan])},
+        {"coupling": dict(rational, den=[math.inf])},
+        {"coupling": dict(base["coupling"], decay=dict(decay, coeff=math.inf))},
+        {"coupling": dict(base["coupling"], decay=dict(decay, theta=math.inf))},
+    ]
+    for k, change in enumerate(model_nonfinite):
+        model_path = tmp_path / f"model_nonfinite{k}.json"
+        model_path.write_text(json.dumps(dict(base, **change)))
+        cfg = tmp_path / f"model_nonfinite{k}_config.json"
+        cfg.write_text(json.dumps({"model_path": str(model_path), "contour": SEMI}))
+        assert main(["solve", "--config", str(cfg), "--quiet"]) == 4, change
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (change, err)
 
 
 def test_invalid_model_exit_4(tmp_path):

@@ -37,7 +37,6 @@ def test_semicircle_endpoints_and_weights(friedrichs_std):
     assert abs(piece.sections[-1].end - 2.0) == 0.0
     # integral of d(mu) over the piece equals the interval length
     assert abs(np.sum(c.weights) - 2.0) <= 1e-10 * 2.0
-    assert c.endpoint_defect <= 1e-10
     # nodes on the circle of radius 1 around 1, strictly inside the strip
     assert np.allclose(np.abs(c.nodes - 1.0), 1.0, atol=1e-12)
     assert np.all(np.abs(c.nodes.imag) < friedrichs_std.intervals[0].strip)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,17 +80,6 @@ def test_structural_errors_raise():
     with pytest.raises(StructuralModelError):
         SpectralModel(np.eye(2), [Interval(0.0, 1.0, 0.5)],
                       coupling=CouplingFunction.constant_vector([1.0, 0.0, 0.0]))
-
-
-def test_holder_violation_detected():
-    # endpoint exponent 0.05 sits below the 0.1 acceptance threshold
-    def cusp(mu):
-        return np.array([[abs(mu) ** 0.05]], dtype=complex)
-
-    model = SpectralModel(np.array([[5.0]]), [Interval(0.0, 1.0, 0.5)],
-                          coupling=CouplingFunction.user_plugin(cusp, 1))
-    report = validate_model(model)
-    assert any(v.assumption == "holder-endpoint" for v in report.violations)
 
 
 def test_strip_overlap_warns_only():
@@ -196,8 +186,7 @@ def test_serialization_round_trip_discrete_and_decay():
     assert back.intervals[0].hi == math.inf
 
 
-@pytest.mark.parametrize("kind", ["constant-vector", "polynomial-matrix",
-                                  "rational-matrix", "user-plugin"])
+@pytest.mark.parametrize("kind", ["constant-vector", "polynomial-matrix", "rational-matrix"])
 def test_coupling_array_matches_pointwise(kind):
     rng = np.random.default_rng(5)
     mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
@@ -205,7 +194,6 @@ def test_coupling_array_matches_pointwise(kind):
         "constant-vector": CouplingFunction.constant_vector([1.0 + 2.0j, 0.5, -1.0j]),
         "polynomial-matrix": CouplingFunction.polynomial(mats),
         "rational-matrix": CouplingFunction.rational(mats, [1.0, 0.3, 0.2]),
-        "user-plugin": CouplingFunction.user_plugin(lambda mu: mats[0] * mu + mats[1], 3),
     }[kind]
     mus = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     pointwise = np.stack([coupling(mu) for mu in mus])
@@ -217,20 +205,11 @@ def test_coupling_array_matches_pointwise(kind):
         assert defect <= 1e-15 * np.max(np.abs(pointwise))
 
 
-def test_plugin_wrong_shape_raises():
-    coupling = CouplingFunction.user_plugin(lambda mu: np.zeros((2, 2)), 3)
-    with pytest.raises(StructuralModelError):
-        coupling(0.5)
-    with pytest.raises(StructuralModelError):
-        coupling(np.array([0.25, 0.5]))
-
-
-def test_plugin_serialization_rejected():
-    from resonances import UnsupportedModelError, model_to_json_dict
-
-    model = SpectralModel(
-        np.array([[1.0]]), [Interval(0.0, 1.0, 0.5)],
-        coupling=CouplingFunction.user_plugin(
-            lambda mu: np.array([[0.0j]]), 1))
-    with pytest.raises(UnsupportedModelError):
-        model_to_json_dict(model)
+def test_coupling_dim_follows_its_data():
+    """``dim`` is read off the row or the first coefficient, never set apart from them."""
+    row = CouplingFunction.constant_vector([1.0, 0.0, 0.0])
+    poly = CouplingFunction.polynomial([np.eye(2), np.eye(2)])
+    rat = CouplingFunction.rational([np.eye(4)], [1.0, 0.0, 1.0])
+    assert (row.dim, poly.dim, rat.dim) == (3, 2, 4)
+    assert replace(row, row=np.ones(5, dtype=complex)).dim == 5
+    assert replace(poly, coeffs=(np.eye(3, dtype=complex),)).dim == 3
