@@ -78,12 +78,12 @@ print("\nresidue product identities per resonance")
 dec = rs.eigen_decompose(sol.effective)
 dec_m = rs.eigen_decompose(sol_m.effective)
 for lam in dec.eigenvalues:
-    res = rs.residue_at(sol, sol_m, dec, dec_m, lam)
+    res = rs.residue_at(sol, dec, dec_m, metric_inv, lam)
     print(f"  {lam:.6f}: vs adjoint projection {res.residual_vs_adjoint_projection:.3e}, "
           f"vs projection {res.residual_vs_projection:.3e}")
 
 print("\nbinormalized Gram matrix under the modified inner product")
-g = rs.riesz_gram(sol, sol_m, dec, dec_m)
+g = rs.riesz_gram(dec, dec_m, om.metric())
 print(f"  ||G - I|| = {g.gram_defect:.3e} for {g.gram.shape[0]} eigenvectors")
 
 print("\nthe solution and its contour")

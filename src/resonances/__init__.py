@@ -76,7 +76,6 @@ from .spectral import (
     ProjectionReport,
     ResidueResult,
     SpectralDecomposition,
-    TransferResidue,
     contour_moment,
     eigen_decompose,
     enclosure_circles,

@@ -44,8 +44,8 @@ from .errors import (
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import (SpectralModel, _matrix_pairs, _reject_unknown_keys, model_from_json_dict,
-                    spectral_norm, validate_model)
+from .model import (SpectralModel, _integer, _matrix_pairs, _reject_unknown_keys,
+                    model_from_json_dict, spectral_norm, validate_model)
 from .solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_rows, adjoint_equation_residual,
                      fixed_point_residual, solve_fixed_point)
 
@@ -188,7 +188,7 @@ def load_config(path: str) -> RunConfig:
             grid = sweep.get("grid")
             if not grid or not all(math.isfinite(float(g)) for g in grid):
                 raise StructuralModelError("sweep grid must be nonempty and finite")
-        max_iter = int(data.get("max_iter", DEFAULT_MAX_ITER))
+        max_iter = _integer(data.get("max_iter", DEFAULT_MAX_ITER), "max_iter")
         if max_iter < 1:
             raise StructuralModelError(f"max_iter must be at least 1, got {max_iter}")
         output = data.get("output", {})
@@ -200,7 +200,8 @@ def load_config(path: str) -> RunConfig:
             solve_tol=tol["solve_tol"],
             id_tol=tol["id_tol"],
             sweep=sweep,
-            oracle_nu=tuple(int(v) for v in data.get("oracle", {}).get("nu", (1, -1))),
+            oracle_nu=tuple(_integer(v, "oracle nu")
+                            for v in data.get("oracle", {}).get("nu", (1, -1))),
             json_path=output.get("json_path"),
             csv_path=output.get("csv_path"),
             max_iter=max_iter,
@@ -317,14 +318,10 @@ def _verify_rows(config: RunConfig) -> list[dict]:
 
     dec = sp.eigen_decompose(sol)
     dec_m = sp.eigen_decompose(sol_m)
-    res_max = 0.0
-    for i, lam in enumerate(dec.eigenvalues):
-        value = sp.transfer_residue(sol, dec, lam).matrix
-        j = int(np.argmin([abs(ev - np.conj(lam)) for ev in dec_m.eigenvalues]))
-        left = spectral_norm(value - fine_metric_inv @ dec_m.projections[j].conj().T)
-        right = spectral_norm(value - dec.projections[i] @ fine_metric_inv)
-        res_max = max(res_max, left, right)
-    add("residue-projection-product", res_max, id_tol)
+    residues = [sp.residue_at(sol, dec, dec_m, fine_metric_inv, lam) for lam in dec.eigenvalues]
+    add("residue-projection-product",
+        max(max(r.residual_vs_adjoint_projection, r.residual_vs_projection) for r in residues),
+        id_tol)
 
     pn = sp.verify_projection_equations(fine, sol, dec)
     add("projection-equations", pn.max_residual, id_tol)
@@ -338,7 +335,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
     try:
         band = _real_band(sol.a_posteriori_bound, dec.scale)
         real_eigs = [ev.real for ev in dec.eigenvalues if abs(ev.imag) <= band]
-        gram = sp.riesz_gram(sol, sol_m, dec, dec_m, real_eigs)
+        gram = sp.riesz_gram(dec, dec_m, sp.overlap_operator(sol, sol_m).metric(), real_eigs)
         add("gram-identity", max(gram.gram_defect, gram.real_block_defect), id_tol)
     except UnsupportedModelError:
         add("gram-identity", 0.0, id_tol, skipped=True)

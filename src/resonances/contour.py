@@ -24,7 +24,7 @@ from .errors import (
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import Interval, SpectralModel, _reject_unknown_keys
+from .model import Interval, SpectralModel, _integer, _reject_unknown_keys
 
 DEFAULT_ORDER = (6, 16)
 DEFAULT_QUAD_TOL = 1e-10
@@ -517,9 +517,9 @@ def contour_spec_from_json(data: dict):
     """
     order_keys = ("l", "panels", "points")
     try:
-        l = [int(v) for v in data["l"]]
-        panels = int(data.get("panels", DEFAULT_ORDER[0]))
-        points = int(data.get("points", DEFAULT_ORDER[1]))
+        l = [_integer(v, "contour l") for v in data["l"]]
+        panels = _integer(data.get("panels", DEFAULT_ORDER[0]), "contour panels")
+        points = _integer(data.get("points", DEFAULT_ORDER[1]), "contour points")
         if "pieces" in data:
             _reject_unknown_keys(data, order_keys + ("pieces",), "contour")
             specs = [_spec_from_json(p, "contour piece") for p in data["pieces"]]

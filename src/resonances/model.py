@@ -451,6 +451,13 @@ def _reject_unknown_keys(data: dict, allowed, where: str):
             raise StructuralModelError(f"unknown key {key!r} in {where}")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a boolean or a fractional number raises ``StructuralModelError``."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise StructuralModelError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _matrix_from_json(data, name: str) -> np.ndarray:
     arr = np.array(data, dtype=float)
     if arr.ndim == 3 and arr.shape[-1] == 2:

@@ -71,6 +71,7 @@ def self_energy_of_operator(contour: Contour, y: np.ndarray | Solution,
     else:
         y = np.asarray(y, dtype=complex)
         lam, vecs, usable = _eigensystem(y)
+        usable = usable.all()
     if not usable:
         inv = _resolvents(y, contour.quad_points)
         return _weighted_sum(contour.quad_weights,

@@ -38,8 +38,8 @@ from .errors import (
 from .model import spectral_norm
 from .solver import Solution
 from .transfer import (
-    _EIGVEC_COND_MAX,
     _dual_eigensystem,
+    _eigensystem,
     _inverse_distances,
     _resolvents,
     _weighted_sum,
@@ -67,7 +67,8 @@ def _trapezoid_residue(f_batch, circles, atol: float = 0.0):
     The trapezoidal rule is spectrally accurate on circles. Level N uses the
     nodes theta_k = 2 pi k / N, so the rule nests: each doubling evaluates
     only the N new midpoints and adds them to a running sum, until two
-    consecutive levels agree. Returns (value, delta, points).
+    consecutive levels agree. Raises ``GeometryError`` when they still
+    differ at ``_TRAPEZOID_CAP`` points per circle, as next to a pole.
     """
     def level_sum(npts: int, offset: float):
         total = 0.0
@@ -86,9 +87,11 @@ def _trapezoid_residue(f_batch, circles, atol: float = 0.0):
         cur = -running / npts
         delta = spectral_norm(cur - prev)
         if delta <= atol + _TRAPEZOID_RTOL * max(spectral_norm(cur), 1.0):
-            return cur, delta, npts
+            return cur
         prev = cur
-    return prev, math.inf, npts
+    raise GeometryError(
+        f"trapezoid rule did not settle in {npts} points per circle: the last "
+        f"doubling moved it by {delta:.3e}; a circle may pass too close to a pole")
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +227,8 @@ def eigen_decompose(h1: Solution | np.ndarray,
             k = groups[j][0]
             p, path = np.outer(vecs[:, k], duals[k]), "eigenvector"
         else:
-            p, _, _ = _trapezoid_residue(partial(_resolvents, h1), (Circle(lam, radius),),
-                                         atol=1e-13 * (1.0 + norm))
+            p = _trapezoid_residue(partial(_resolvents, h1), (Circle(lam, radius),),
+                                   atol=1e-13 * (1.0 + norm))
             path = "residue"
         m_raw = float(np.trace(p).real)
         m = int(round(m_raw))
@@ -261,10 +264,9 @@ def _spectra(h: np.ndarray) -> list:
     ``(V^-1 V)_kk``, which pass the trace check; any other row goes through
     ``eigen_decompose`` and all its checks.
     """
-    eigs, vecs = np.linalg.eig(h)
-    usable = (np.linalg.cond(vecs) <= _EIGVEC_COND_MAX).tolist()
+    eigs, _, usable = _eigensystem(h)
     out = []
-    for hg, eigs_g, usable_g, norm in zip(h, eigs, usable,
+    for hg, eigs_g, usable_g, norm in zip(h, eigs, usable.tolist(),
                                           np.linalg.svd(h, compute_uv=False)[:, 0].tolist()):
         groups, centroids, _ = _clusters(eigs_g, 1e-7 * max(norm, 1e-300), norm)
         if not usable_g or len(groups) < eigs_g.size:
@@ -410,12 +412,10 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution,
 
 @dataclass(frozen=True)
 class MomentResult:
-    """Moments 0 and 1 from one trapezoid run; its delta and nodes per circle."""
+    """Moments 0 and 1 from one trapezoid run."""
 
     m0: np.ndarray
     m1: np.ndarray
-    delta: float
-    points: int
 
 
 def _check_circle_geometry(contour: Contour, circles: tuple[Circle, ...],
@@ -493,7 +493,8 @@ def contour_moment(sol_l: Solution, sol_minus_l: Solution, gamma) -> MomentResul
     integrand, so each point is evaluated and inverted once. The circles
     must enclose every effective eigenvalue of both solutions exactly once
     and avoid the contour and the discrete remainder; the rule is doubled
-    until the stacked moments are stable.
+    until the stacked moments are stable, and raises ``GeometryError`` if
+    they never are.
     """
     contour = sol_l.contour
     circles = (gamma,) if isinstance(gamma, Circle) else tuple(gamma)
@@ -506,37 +507,21 @@ def contour_moment(sol_l: Solution, sol_minus_l: Solution, gamma) -> MomentResul
         inv = minv(zs)
         return np.concatenate([inv, zs[:, None, None] * inv], axis=1)
 
-    value, delta, pts = _trapezoid_residue(stacked, circles, atol=1e-13 * (1.0 + scale))
+    value = _trapezoid_residue(stacked, circles, atol=1e-13 * (1.0 + scale))
     n = contour.model.dim
-    return MomentResult(value[:n], value[n:], delta, pts)
+    return MomentResult(value[:n], value[n:])
 
 
 @dataclass(frozen=True)
-class TransferResidue:
-    """Residue of the inverse transfer function at one eigenvalue.
+class ResidueResult:
+    """Defects of the two product identities of the residue at one eigenvalue."""
 
-    ``delta`` is the trapezoid doubling delta, None on the Keldysh path.
-    ``singular_ratio`` is sigma_min(T(lam)) / max(sigma_max(T(lam)), scale),
-    scale = max(norm(effective), 1), on the Keldysh path and None on the
-    trapezoid path: a check, independent of the residue, that the transfer
-    function is singular at the eigenvalue (the scale keeps it meaningful at
-    n = 1, where sigma_min/sigma_max is always 1).
-    """
-
-    matrix: np.ndarray
-    circle: Circle
-    delta: float | None
-    singular_ratio: float | None
-
-
-@dataclass(frozen=True)
-class ResidueResult(TransferResidue):
     residual_vs_adjoint_projection: float
     residual_vs_projection: float
 
 
 def transfer_residue(sol_l: Solution, dec_l: SpectralDecomposition,
-                     lam: complex) -> TransferResidue:
+                     lam: complex) -> np.ndarray:
     """Raw residue of the inverse transfer function around one eigenvalue.
 
     The transfer function is the one on the contour of ``sol_l``, and
@@ -547,8 +532,7 @@ def transfer_residue(sol_l: Solution, dec_l: SpectralDecomposition,
     convention of ``_trapezoid_residue``. At a multiple eigenvalue it is the
     trapezoid residue on the circle centered at the cluster centroid with
     radius half the gap to the nearest other cluster, capped to stay off the
-    contour by the guard band; that circle is checked and reported on both
-    paths.
+    contour by the guard band; that circle is checked on both paths.
     """
     contour, scale = sol_l.contour, dec_l.scale
     i = dec_l.find(complex(lam))
@@ -565,40 +549,32 @@ def transfer_residue(sol_l: Solution, dec_l: SpectralDecomposition,
     circle = Circle(lam_i, radius)
     _check_circle_geometry(contour, (circle,), np.array([lam_i]))
     if dec_l.algebraic[i] == 1:
-        u, s, vh = np.linalg.svd(transfer_many(contour, [lam_i])[0])
+        u, _, vh = np.linalg.svd(transfer_many(contour, [lam_i])[0])
         left, right = u[:, -1], vh[-1].conj()
         slope = self_energy_many(contour, [lam_i], 1)[0] - np.eye(contour.model.dim)
-        value = -np.outer(right, left.conj()) / (left.conj() @ slope @ right)
-        return TransferResidue(value, circle, None, float(s[-1] / max(s[0], scale)))
-    value, delta, _ = _trapezoid_residue(
-        _minv_batch(contour, scale), (circle,),
-        atol=1e-13 * (1.0 + scale))
-    return TransferResidue(value, circle, delta, None)
+        return -np.outer(right, left.conj()) / (left.conj() @ slope @ right)
+    return _trapezoid_residue(_minv_batch(contour, scale), (circle,),
+                              atol=1e-13 * (1.0 + scale))
 
 
-def residue_at(sol_l: Solution, sol_minus_l: Solution,
-               dec_l: SpectralDecomposition, dec_m: SpectralDecomposition,
-               lam: complex) -> ResidueResult:
-    """Residue of the inverse transfer function at one isolated eigenvalue.
+def residue_at(sol_l: Solution, dec_l: SpectralDecomposition, dec_m: SpectralDecomposition,
+               metric_inv: np.ndarray, lam: complex) -> ResidueResult:
+    """Defects of the residue product identities at one isolated eigenvalue.
 
-    ``dec_l`` and ``dec_m`` are the decompositions of the two effective
-    operators. Also reports the defects of the two product identities
-    relating the residue to the eigenprojections of the effective operator
-    and of the adjoint mirror operator through the overlap metric.
+    ``dec_l`` and ``dec_m`` are the decompositions of the effective
+    operators of ``sol_l`` and of its mirror solution, and ``metric_inv``
+    the inverse of the overlap metric the caller built for the pair. The
+    residue of the inverse transfer function at ``lam`` is compared with
+    ``metric_inv`` times the adjoint of the mirror projection at the
+    eigenvalue of ``dec_m`` nearest ``conj(lam)``, and with the projection
+    of ``dec_l`` at ``lam`` times ``metric_inv``.
     """
     lam = complex(lam)
     i = dec_l.find(lam)
-    j = dec_m.find(np.conj(lam))
-    res = transfer_residue(sol_l, dec_l, lam)
-
-    om = overlap_operator(sol_l, sol_minus_l)
-    metric_inv = np.linalg.inv(om.metric())
-    p_l = dec_l.projections[i]
-    p_m_adj = dec_m.projections[j].conj().T
-    res_left = spectral_norm(res.matrix - metric_inv @ p_m_adj)
-    res_right = spectral_norm(res.matrix - p_l @ metric_inv)
-    return ResidueResult(res.matrix, res.circle, res.delta, res.singular_ratio,
-                         res_left, res_right)
+    value = transfer_residue(sol_l, dec_l, lam)
+    j = int(np.argmin([abs(ev - np.conj(lam)) for ev in dec_m.eigenvalues]))
+    return ResidueResult(spectral_norm(value - metric_inv @ dec_m.projections[j].conj().T),
+                         spectral_norm(value - dec_l.projections[i] @ metric_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +681,8 @@ def _range_basis(p: np.ndarray, m: int, path: str) -> np.ndarray:
     return u[:, :m]
 
 
-def riesz_gram(sol_l: Solution, sol_minus_l: Solution,
-               dec_l: SpectralDecomposition, dec_m: SpectralDecomposition,
-               real_eigs=()) -> GramResult:
+def riesz_gram(dec_l: SpectralDecomposition, dec_m: SpectralDecomposition,
+               metric: np.ndarray, real_eigs=()) -> GramResult:
     """Binormalized Gram matrix of the eigenvector systems under the metric.
 
     Eigenvector bases of the two mirror solutions are paired by conjugate
@@ -717,7 +692,8 @@ def riesz_gram(sol_l: Solution, sol_minus_l: Solution,
     in ``real_eigs`` are first orthonormalized in the modified inner product
     itself, and the returned real block checks that orthonormality using the
     left system on both sides. ``dec_l`` and ``dec_m`` are the
-    decompositions of the two effective operators.
+    decompositions of the two effective operators, and ``metric`` is
+    ``I + Omega`` of their overlap operator.
     """
     if any(o != 1 for o in dec_l.pole_orders):
         raise UnsupportedModelError(
@@ -725,8 +701,6 @@ def riesz_gram(sol_l: Solution, sol_minus_l: Solution,
     for lam in real_eigs:
         dec_l.find(complex(lam))
         dec_m.find(complex(np.conj(lam)))
-
-    metric = overlap_operator(sol_l, sol_minus_l).metric()
 
     real_set = [complex(v) for v in real_eigs]
 

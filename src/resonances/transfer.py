@@ -64,18 +64,19 @@ def _weighted_sum(coeff: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
 
 def _eigensystem(y: np.ndarray):
-    """Eigenvalues lam and eigenvectors V of ``y``, and whether V is usable.
+    """Eigenvalues lam and eigenvectors V of ``y``, and whether each V is usable.
 
-    ``y`` is one matrix or a stack (..., n, n). The eigenbasis is usable
-    when every row's cond(V) is at most ``_EIGVEC_COND_MAX``. Returns
-    ``(lam, V, usable)``; when the eigensolver refuses ``y`` (a non-finite
-    entry, no convergence) lam and V are None and the basis is not usable.
+    ``y`` is one matrix or a stack (..., n, n). An eigenbasis is usable when
+    its cond(V) is at most ``_EIGVEC_COND_MAX``. Returns ``(lam, V,
+    usable)``, with one flag per matrix, shape (...); when the eigensolver
+    refuses ``y`` (a non-finite entry, no convergence) lam and V are None
+    and no basis is usable.
     """
     try:
         lam, vecs = np.linalg.eig(y)
     except np.linalg.LinAlgError:
-        return None, None, False
-    return lam, vecs, bool(np.all(np.linalg.cond(vecs) <= _EIGVEC_COND_MAX))
+        return None, None, np.False_
+    return lam, vecs, np.linalg.cond(vecs) <= _EIGVEC_COND_MAX
 
 
 def _dual_eigensystem(h: np.ndarray):

@@ -78,10 +78,13 @@ def test_verify_passes(tmp_path, std_model, monkeypatch):
     decompose = spectral.eigen_decompose
     certify = contour.solvability_certificate
     solve, build = cli.solve_fixed_point, contour.build_contour
+    overlap, residue = spectral.overlap_operator, spectral.residue_at
     decomposed = []
     certified = []
     solved = []
     built = []
+    overlaps = []       # (contour argument, built inside residue_at)
+    in_residue, residues = [], []
 
     def counting(h1, *args, **kwargs):
         decomposed.append(h1)
@@ -91,7 +94,21 @@ def test_verify_passes(tmp_path, std_model, monkeypatch):
         certified.append(c)
         return certify(c)
 
+    def counting_overlap(sol_l, sol_minus_l, contour=None):
+        overlaps.append((contour, bool(in_residue)))
+        return overlap(sol_l, sol_minus_l, contour)
+
+    def residue_spy(*args):
+        residues.append(args[-1])
+        in_residue.append(args)
+        try:
+            return residue(*args)
+        finally:
+            in_residue.pop()
+
     monkeypatch.setattr(spectral, "eigen_decompose", counting)
+    monkeypatch.setattr(spectral, "overlap_operator", counting_overlap)
+    monkeypatch.setattr(spectral, "residue_at", residue_spy)
     monkeypatch.setattr(cli, "solve_fixed_point",
                         lambda *args: solved.append(args[0]) or solve(*args))
     monkeypatch.setattr(contour, "build_contour",
@@ -108,6 +125,13 @@ def test_verify_passes(tmp_path, std_model, monkeypatch):
     assert len(decomposed) == 2
     assert len(certified) == 2
     assert len(built) == 3
+    # two overlaps: the doubled-order one, whose metric the moment and
+    # residue rows read, and the base one of the gram row; residue_at
+    # takes the caller's metric and builds none; the row calls it once
+    # per eigenvalue
+    assert len(residues) == 1
+    assert [(c if c is None else (c.panels, c.multi_index), inside)
+            for c, inside in overlaps] == [((12, (1,)), False), (None, False)]
     art = json.loads(out.read_text())
     assert art["all_pass"] is True
     names = {r["name"] for r in art["identities"]}
@@ -468,6 +492,28 @@ def test_sweep_double_level_decomposes_its_cluster(tmp_path, monkeypatch):
         (0.3, "inadmissible")]
 
 
+def test_sweep_reads_the_eigenbasis_verdict(tmp_path, std_model, monkeypatch):
+    from resonances.cli import load_config, run_sweep
+
+    # with no eigenbasis usable, F takes the resolvent path, and the
+    # eigenvalue pass sends every solved row through eigen_decompose
+    cfg = write_config(tmp_path, "sweep", "sweep", std_model, SEMI,
+                       sweep={"parameter": "beta", "grid": [0.0, 0.05, 0.1, 0.15, 0.4]})
+    config = load_config(cfg)
+    reference = run_sweep(config)["rows"]
+    decompose, decomposed = rs.spectral.eigen_decompose, []
+    monkeypatch.setattr(rs.transfer, "_EIGVEC_COND_MAX", 0.0)
+    monkeypatch.setattr(rs.spectral, "eigen_decompose",
+                        lambda h1, *args: decomposed.append(h1) or decompose(h1, *args))
+    rows = run_sweep(config)["rows"]
+    assert len(decomposed) == sum(r["status"] == "ok" for r in rows) == 4
+    assert [(r["parameter"], r["status"]) for r in rows] == [
+        (r["parameter"], r["status"]) for r in reference]
+    for row, ref in zip(rows, reference):
+        if row["status"] == "ok":
+            assert abs(complex(row["re"], row["im"]) - complex(ref["re"], ref["im"])) <= 1e-12
+
+
 def test_main_parses_each_call(tmp_path, std_model, capsys):
     from resonances import cli
 
@@ -591,6 +637,15 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
         ("solve", {"tolerances": {"quad_tol": math.inf}}),
         ("solve", {"contour": dict(SEMI, center="x")}),
         ("solve", {"contour": dict(SEMI, center=math.nan)}),
+        # integer fields: a fraction or a boolean is refused, never truncated
+        ("solve", {"contour": dict(SEMI, l=[1.9])}),
+        ("solve", {"contour": dict(SEMI, panels=6.9)}),
+        ("solve", {"contour": dict(SEMI, points=16.5)}),
+        ("solve", {"contour": dict(SEMI, panels=True)}),
+        ("solve", {"contour": dict(SEMI, points=math.inf)}),
+        ("solve", {"max_iter": 2.5}),
+        ("solve", {"max_iter": True}),
+        ("oracle", {"oracle": {"nu": [1.5, -1]}}),
     ]
     capsys.readouterr()
     for k, (command, extra) in enumerate(malformed):
@@ -602,6 +657,15 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
         assert main([command, "--config", cfg, "--quiet"]) == 4, extra
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
+    # an integral float runs as its integer
+    texts = []
+    integral = dict(SEMI, l=[1.0], panels=6.0, points=16.0)
+    for k, (contour, max_iter) in enumerate(((SEMI, 200), (integral, 200.0))):
+        cfg = write_config(tmp_path, f"integral{k}", "solve", std_model, contour, max_iter=max_iter)
+        out = tmp_path / f"integral{k}_out.json"
+        assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
     # a key that nothing reads is rejected by name, never silently defaulted
     typos = [
         ("solve", "solve_tl", SEMI, {"tolerances": {"solve_tl": 1e-3}}),

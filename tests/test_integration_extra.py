@@ -35,8 +35,8 @@ def test_discrete_remainder_full_identity_flow(discrete_model):
     m0 = rs.contour_moment(sol, sol_m, gamma).m0
     assert rs.spectral_norm(m0 - np.linalg.inv(om.metric())) <= 1e-6
     dec = rs.eigen_decompose(sol.effective)
-    res = rs.residue_at(sol, sol_m, dec, rs.eigen_decompose(sol_m.effective),
-                        dec.eigenvalues[0])
+    res = rs.residue_at(sol, dec, rs.eigen_decompose(sol_m.effective),
+                        np.linalg.inv(om.metric()), dec.eigenvalues[0])
     assert res.residual_vs_adjoint_projection <= 1e-6
     f = rs.factorize(sol, 0.5 + 0.1j)
     assert f.residual <= 1e-8

@@ -21,6 +21,7 @@ from resonances import (
     eigen_decompose,
     enclosure_circles,
     factorize,
+    friedrichs_model,
     left_factor_inverse_bound,
     mirrored,
     overlap_operator,
@@ -185,13 +186,11 @@ def test_trapezoid_residue_evaluates_each_point_once():
         seen.append(zs)
         return _resolvents(h, zs)
 
-    p, delta, points = _trapezoid_residue(f_batch, (Circle(0.0, 0.5),))
-    assert points == 128
+    p = _trapezoid_residue(f_batch, (Circle(0.0, 0.5),))
     evaluated = np.concatenate(seen)
-    assert evaluated.size == points
-    nodes = 0.5 * np.exp(2j * math.pi * np.arange(points) / points)
+    assert evaluated.size == 128
+    nodes = 0.5 * np.exp(2j * math.pi * np.arange(128) / 128)
     assert np.allclose(np.sort_complex(evaluated), np.sort_complex(nodes), atol=1e-15)
-    assert delta <= 1e-12
     assert spectral_norm(p - np.diag([1.0, 0.0])) <= 1e-14
 
 
@@ -334,7 +333,6 @@ def test_moment_identities(poly4_model):
     gamma = enclosure_circles(sol)
     m = contour_moment(sol, sol_m, gamma)
     assert spectral_norm(m.m0 - metric_inv) <= 1e-6
-    assert m.delta <= 1e-2 * max(spectral_norm(m.m0), 1.0)
     r_adj = spectral_norm(m.m1 - metric_inv @ sol_m.effective.conj().T)
     r_eff = spectral_norm(m.m1 - sol.effective @ metric_inv)
     assert max(r_adj, r_eff) <= 1e-6
@@ -354,12 +352,11 @@ def test_moments_share_one_pass(poly4_model, monkeypatch):
 
     monkeypatch.setattr(spectral, "transfer_many", spy)
     m = contour_moment(sol, sol_m, gamma)
-    assert m.points == 128
-    assert len(evaluated) == len(set(evaluated)) == m.points * len(gamma)
+    assert len(evaluated) == len(set(evaluated)) == 128 * len(gamma)
     monkeypatch.undo()
     scale = max(spectral_norm(sol.effective), 1.0)
-    m0, _, _ = spectral._trapezoid_residue(spectral._minv_batch(c, scale), gamma,
-                                            atol=1e-13 * (1.0 + scale))
+    m0 = spectral._trapezoid_residue(spectral._minv_batch(c, scale), gamma,
+                                     atol=1e-13 * (1.0 + scale))
     assert np.array_equal(m.m0, m0)
 
 
@@ -373,12 +370,22 @@ def test_moment_geometry_errors(poly4_model):
         contour_moment(sol, sol_m, Circle(1.6 + 0.0j, 0.05))
 
 
+def test_unsettled_trapezoid_rule_raises():
+    # the one eigenvalue sits 2e-7 inside a radius-0.2 circle: the circle
+    # passes the geometry check, but no level of the rule settles near the pole
+    c, sol, sol_m = solve_pair(friedrichs_model(1.0, beta_sq=0.02), Semicircle(), [1])
+    lam = sol.eigensystem[0][0]
+    with pytest.raises(GeometryError, match="did not settle in 16384 points"):
+        contour_moment(sol, sol_m, Circle(lam + 0.2 - 2e-7, 0.2))
+
+
 def test_residue_relations(friedrichs_std, n3_bound_model):
     for model in (friedrichs_std, n3_bound_model):
         c, sol, sol_m = solve_pair(model, Semicircle(), [1])
         dec, dec_m = decompose_pair(sol, sol_m)
+        metric_inv = np.linalg.inv(overlap_operator(sol, sol_m).metric())
         for lam in dec.eigenvalues:
-            res = residue_at(sol, sol_m, dec, dec_m, lam)
+            res = residue_at(sol, dec, dec_m, metric_inv, lam)
             assert res.residual_vs_adjoint_projection <= 1e-6
             assert res.residual_vs_projection <= 1e-6
 
@@ -389,29 +396,40 @@ def test_keldysh_residue_matches_trapezoid(poly4_model):
     c, sol, _ = solve_pair(poly4_model, Semicircle(), [1])
     dec = eigen_decompose(sol.effective)
     scale = max(spectral_norm(sol.effective), 1.0)
-    for lam in dec.eigenvalues:
-        res = transfer_residue(sol, dec, lam)
-        assert res.delta is None
-        assert res.singular_ratio <= 1e-10
-        ref, delta, _ = _trapezoid_residue(_minv_batch(c, scale), (res.circle,),
-                                           atol=1e-13 * (1.0 + scale))
-        assert delta <= 1e-10
-        assert spectral_norm(res.matrix - ref) <= 1e-10
+    for i, lam in enumerate(dec.eigenvalues):
+        # T(lam) is singular: sigma_min / max(sigma_max, scale) vanishes
+        s = np.linalg.svd(transfer_many(c, [lam])[0], compute_uv=False)
+        assert s[-1] / max(s[0], scale) <= 1e-10
+        gap = min(abs(lam - ev) for k, ev in enumerate(dec.eigenvalues) if k != i)
+        circle = Circle(lam, 0.5 * min(gap, c.distance(lam) - c.guard))
+        ref = _trapezoid_residue(_minv_batch(c, scale), (circle,), atol=1e-13 * (1.0 + scale))
+        assert spectral_norm(transfer_residue(sol, dec, lam) - ref) <= 1e-10
 
 
-def test_multiple_eigenvalue_takes_trapezoid_residue(defective4):
-    from resonances import refine_fixed_point
+def test_multiple_eigenvalue_takes_trapezoid_residue(defective4, monkeypatch):
+    from resonances import refine_fixed_point, spectral
 
     model, contour, h, x_exact, j = defective4
     sol = refine_fixed_point(contour, x_exact, tol=1e-11)
     dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
+    trapezoid, runs = spectral._trapezoid_residue, []
+
+    def spy(*args, **kwargs):
+        runs.append(args[1])
+        return trapezoid(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_trapezoid_residue", spy)
     for i, lam in enumerate(dec.eigenvalues):
-        res = transfer_residue(sol, dec, lam)
+        runs.clear()
+        transfer_residue(sol, dec, lam)
         if dec.algebraic[i] == 2:
-            assert res.singular_ratio is None
-            assert res.delta <= 1e-10
+            # the trapezoid rule runs once, on the circle about the cluster
+            assert len(runs) == 1 and runs[0][0].center == lam
         else:
-            assert res.delta is None and res.singular_ratio <= 1e-10
+            # Keldysh: no trapezoid run, and T(lam) is singular
+            assert runs == []
+            s = np.linalg.svd(transfer_many(contour, [lam])[0], compute_uv=False)
+            assert s[-1] / max(s[0], dec.scale) <= 1e-10
 
 
 def test_minv_batch_rejects_singular_transfer(zero_model):
@@ -430,16 +448,15 @@ def test_minv_batch_rejects_singular_transfer(zero_model):
 
 def test_residue_zero_coupling_gives_internal_projection(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
-    res = residue_at(sol, sol_m, *decompose_pair(sol, sol_m), 0.3)
+    dec = eigen_decompose(sol.effective)
     e = np.zeros((2, 2)); e[0, 0] = 1.0
-    assert spectral_norm(res.matrix - e) <= 1e-10
+    assert spectral_norm(transfer_residue(sol, dec, 0.3) - e) <= 1e-10
 
 
 def test_residue_sum_inverse_is_metric(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
-    dec, dec_m = decompose_pair(sol, sol_m)
-    total = sum(residue_at(sol, sol_m, dec, dec_m, ev).matrix
-                for ev in dec.eigenvalues)
+    dec = eigen_decompose(sol.effective)
+    total = sum(transfer_residue(sol, dec, ev) for ev in dec.eigenvalues)
     om = overlap_operator(sol, sol_m)
     assert spectral_norm(np.linalg.inv(total) - om.metric()) <= 1e-6
 
@@ -511,7 +528,8 @@ def test_defective_resolve_recovers_structure(defective4):
 
 def test_gram_zero_coupling(zero_model):
     c, sol, sol_m = solve_pair(zero_model, Semicircle(), [1])
-    g = riesz_gram(sol, sol_m, *decompose_pair(sol, sol_m), real_eigs=[0.3, 0.7])
+    g = riesz_gram(*decompose_pair(sol, sol_m), overlap_operator(sol, sol_m).metric(),
+                   real_eigs=[0.3, 0.7])
     assert g.gram_defect <= 1e-12
     assert g.real_block_defect <= 1e-12
     assert g.real_block.shape == (2, 2)
@@ -522,7 +540,7 @@ def test_gram_bound_state_block(n3_bound_model):
     dec, dec_m = decompose_pair(sol, sol_m)
     real = [ev.real for ev in dec.eigenvalues if abs(ev.imag) < 1e-9]
     assert len(real) == 1
-    g = riesz_gram(sol, sol_m, dec, dec_m, real_eigs=real)
+    g = riesz_gram(dec, dec_m, overlap_operator(sol, sol_m).metric(), real_eigs=real)
     assert g.real_block.shape == (1, 1)
     assert abs(g.real_block[0, 0] - 1.0) <= 1e-8
     assert g.gram.shape == (3, 3)
@@ -531,7 +549,7 @@ def test_gram_bound_state_block(n3_bound_model):
 
 def test_gram_semisimple_complex_pair(poly4_model):
     c, sol, sol_m = solve_pair(poly4_model, Semicircle(), [1])
-    g = riesz_gram(sol, sol_m, *decompose_pair(sol, sol_m))
+    g = riesz_gram(*decompose_pair(sol, sol_m), overlap_operator(sol, sol_m).metric())
     assert g.gram.shape == (4, 4)
     assert g.gram_defect <= 1e-6
 
@@ -539,7 +557,8 @@ def test_gram_semisimple_complex_pair(poly4_model):
 def test_gram_missing_real_eig_raises(n3_bound_model):
     c, sol, sol_m = solve_pair(n3_bound_model, Semicircle(), [1])
     with pytest.raises(InconsistencyError):
-        riesz_gram(sol, sol_m, *decompose_pair(sol, sol_m), real_eigs=[10.0])
+        riesz_gram(*decompose_pair(sol, sol_m), overlap_operator(sol, sol_m).metric(),
+                   real_eigs=[10.0])
 
 
 # ---------------------------------------------------------------------------
