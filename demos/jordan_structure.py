@@ -48,8 +48,7 @@ contour = rs.build_contour(model, rs.Semicircle(), [1])
 print("internal matrix set to (target - self-energy of target); "
       "the target is then an exact fixed point")
 
-resolved = rs.refine_fixed_point(contour, np.zeros((4, 4)),
-                                 tol=1e-12, max_iter=400)
+resolved = rs.solve_fixed_point(contour, tol=1e-12)
 print(f"re-solve from zero: {resolved.iterations} iterations, "
       f"distance to target {np.linalg.norm(resolved.effective - h, 2):.3e}")
 

@@ -63,7 +63,6 @@ from .solver import (
     adjoint_equation_residual,
     contour_independence,
     fixed_point_residual,
-    refine_fixed_point,
     self_energy_of_operator,
     solve_fixed_point,
 )

@@ -353,11 +353,10 @@ def run_verify(config: RunConfig) -> dict:
 def run_sweep(config: RunConfig) -> dict:
     """Solve across the parameter grid; rows ordered by grid index.
 
-    The grid shares one contour and one separation distance: a grid point
-    changes only the coupling data on the contour. Each block of grid points
-    takes one stacked variation, one batched iteration of its admissible
-    points and one batched eigenvalue pass; each row equals solving its grid
-    point alone.
+    The grid shares one contour: a grid point changes only the coupling data
+    on the contour. Each block of grid points is certified and solved by one
+    ``_solve_rows`` call and takes one batched eigenvalue pass; each row
+    equals solving its grid point alone.
     """
     if config.sweep is None:
         raise StructuralModelError("sweep command requires a 'sweep' config block")
@@ -372,17 +371,16 @@ def run_sweep(config: RunConfig) -> dict:
     norm = np.linalg.norm(row)
     unit = row / norm if norm > 0 else np.eye(1, row.size)[0]
     base = _build_contour(config)
-    d0 = ct.separation_distance(base)
     block = max(1, _SWEEP_BLOCK_ELEMENTS // base.quad_values.size)
     rows = []
     for start in range(0, len(grid), block):
-        rows += _sweep_block(config, base, d0, unit, grid[start:start + block])
+        rows += _sweep_block(config, base, unit, grid[start:start + block])
     return {"status": "ok", "rows": rows}
 
 
-def _sweep_block(config: RunConfig, base: ct.Contour, d0: float, unit: np.ndarray,
+def _sweep_block(config: RunConfig, base: ct.Contour, unit: np.ndarray,
                  grid: list[float]) -> list[dict]:
-    """Rows of consecutive grid points, whose admissible points are solved in one batch.
+    """Rows of consecutive grid points, certified and solved in one batch.
 
     A point's coupling data on ``base`` is the discrete weights, then
     ``conj(r) r^T`` with ``r = unit * value`` at every node.
@@ -394,20 +392,18 @@ def _sweep_block(config: RunConfig, base: ct.Contour, d0: float, unit: np.ndarra
     for row, value in zip(values, grid):
         r = unit * value
         row[discrete:] = np.outer(np.conj(r), r)
-    certs = [ct._certificate(d0, v0) for v0 in ct.variation(base, values).tolist()]
-    admitted = [g for g, cert in enumerate(certs) if cert.admissible]
-    results = dict(zip(admitted, _solve_rows(base, values[admitted], [certs[g] for g in admitted],
-                                             config.solve_tol, config.max_iter)))
-    solved = [g for g in admitted if not isinstance(results[g], NonconvergenceError)]
-    effective = np.array([model.a1 + results[g][0] for g in solved])   # (0,) when none solved
+    results = _solve_rows(base, values, config.solve_tol, config.max_iter)
+    solved = [g for g, result in enumerate(results) if not isinstance(result, Exception)]
+    effective = np.array([model.a1 + results[g][1] for g in solved])   # (0,) when none solved
     spectra = dict(zip(solved, sp._spectra(effective.reshape(-1, *model.a1.shape))))
     rows = []
-    for g, (value, cert) in enumerate(zip(grid, certs)):
+    for g, (value, result) in enumerate(zip(grid, results)):
         if g not in spectra:
-            status = "nonconvergence" if g in results else "inadmissible"
+            status = ("nonconvergence" if isinstance(result, NonconvergenceError)
+                      else "inadmissible")
             rows.append({"parameter": value, "status": status})
             continue
-        _, steps, bound = results[g]
+        cert, _, steps, bound = result
         eigenvalues, scale = spectra[g]
         band = _real_band(bound, scale)
         rows += [{"parameter": value, "status": "ok", "eig_index": rank, "re": lam.real,

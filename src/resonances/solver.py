@@ -8,9 +8,10 @@ point at termination.
 
 There is one iteration loop, and it runs over a stack of rows: coupling
 data on one contour's points and weights, such as the grid points of a
-sweep. Each row keeps its own contraction factor, stop threshold, escape
-radius and contraction checks, and freezes when it stops; a single solve
-is the stack of one row.
+sweep. The rows are certified where they are solved, from the contour's
+separation distance and their stacked variation; each admissible row keeps
+its own contraction factor, stop threshold, escape radius and contraction
+checks, and freezes when it stops. A single solve is the stack of one row.
 
 ``F`` is evaluated through the eigenvectors of its argument. The paper
 defines the operator self-energy ``V1(Y)`` by ``V1(Y) psi = V1(z) psi`` for
@@ -36,7 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .contour import Contour, SolvabilityCertificate, is_mirror_pair, solvability_certificate
+from . import contour as ct
+from .contour import Contour, SolvabilityCertificate, is_mirror_pair
 from .errors import (
     ContractionViolationError,
     InadmissibleCertificateError,
@@ -120,21 +122,23 @@ class Solution:
 
 
 def _iterate(contour: Contour, values: np.ndarray, q, threshold, r_escape,
-             x0: np.ndarray, max_iter: int, certs) -> tuple:
+             max_iter: int, certs) -> tuple:
     """Picard iteration of G stacked rows on the contour's points and weights.
 
     Row g iterates ``X <- F(A1 + X)`` with coupling data ``values[g]`` from
-    ``x0[g]``. It freezes when its step falls to ``threshold[g]``, when its
+    zero. It freezes when its step falls to ``threshold[g]``, when its
     iterate leaves the ball of radius ``r_escape[g]``, or when its step
-    ratio exceeds ``q[g]`` > 0. Returns the iterates, the step norms and the
-    fault of each row: None, a ``ContractionViolationError``, or after
-    ``max_iter`` steps a ``NonconvergenceError`` carrying ``certs[g]``.
+    ratio exceeds ``q[g]`` > 0. Returns the iterates, the step norms, the
+    norm of each row's last iterate and the fault of each row: None, a
+    ``ContractionViolationError``, or after ``max_iter`` steps a
+    ``NonconvergenceError`` carrying ``certs[g]``.
     """
     a1 = contour.model.a1
-    x = np.array(x0, dtype=complex)
+    x = np.zeros((len(values), *a1.shape), dtype=complex)
     out = np.empty_like(x)
     floor = 10.0 * np.finfo(float).eps * (spectral_norm(a1) + 1.0)
     steps: list[list[float]] = [[] for _ in range(len(x))]
+    norms: list = [None] * len(x)
     faults: list = [None] * len(x)
     rows = np.arange(len(x))            # the rows still iterating
     prev = [None] * len(x)
@@ -146,6 +150,7 @@ def _iterate(contour: Contour, values: np.ndarray, q, threshold, r_escape,
         going = []
         for g, step, x_norm, last in zip(rows.tolist(), step_now, norm_now, prev):
             steps[g].append(step)
+            norms[g] = x_norm
             if x_norm > r_escape[g] * (1.0 + 1e-12):
                 faults[g] = ContractionViolationError(
                     f"iterate norm {x_norm:.6e} escaped the certified ball "
@@ -160,7 +165,7 @@ def _iterate(contour: Contour, values: np.ndarray, q, threshold, r_escape,
         if not all(going):
             out[rows] = x
             if not any(going):
-                return out, steps, faults
+                return out, steps, norms, faults
             keep = np.flatnonzero(going)
             rows, x, values = rows[keep], x[keep], values[keep]
             prev = [prev[k] for k in keep]
@@ -169,38 +174,46 @@ def _iterate(contour: Contour, values: np.ndarray, q, threshold, r_escape,
         faults[g] = NonconvergenceError(
             f"no convergence within {max_iter} iterations "
             f"(last step {steps[g][-1]:.3e}, threshold {threshold[g]:.3e})", steps[g], certs[g])
-    return out, steps, faults
+    return out, steps, norms, faults
 
 
-def _solve_rows(contour: Contour, values: np.ndarray, certs, tol: float, max_iter: int) -> list:
-    """Solve stacked rows from zero in one batched iteration.
+def _solve_rows(contour: Contour, values: np.ndarray, tol: float, max_iter: int) -> list:
+    """Certify stacked rows and solve the admissible ones from zero in one batch.
 
     Row g has coupling data ``values[g]`` on the contour's points and
-    weights and the admissible certificate ``certs[g]``. Returns per row
-    ``(X, step norms, a-posteriori bound)`` or its ``NonconvergenceError``,
-    and raises the ``ContractionViolationError`` of the first violating
-    row, as solving the rows one by one in order would.
+    weights. The contour's separation distance, taken once, and the rows'
+    stacked variation give each row its certificate. Returns per row
+    ``(certificate, X, step norms, a-posteriori bound)``, or its
+    ``InadmissibleCertificateError`` or ``NonconvergenceError``, and raises
+    the ``ContractionViolationError`` of the first violating row, as solving
+    the rows one by one in order would.
     """
-    if not certs:
-        return []
+    d0 = ct.separation_distance(contour)
+    certs = [ct._certificate(d0, v0) for v0 in ct.variation(contour, values).tolist()]
+    out: list = [None if cert.admissible else InadmissibleCertificateError(cert)
+                 for cert in certs]
+    admitted = [g for g, cert in enumerate(certs) if cert.admissible]
+    if not admitted:
+        return out
+    if len(admitted) < len(certs):
+        values, certs = values[admitted], [certs[g] for g in admitted]
     q = [cert.contraction_factor() for cert in certs]
     threshold = [math.inf if qg == 0.0 else tol * (1.0 - qg) / qg for qg in q]
-    x, steps, faults = _iterate(contour, values, q, threshold, [cert.r_max for cert in certs],
-                                np.zeros((len(certs), *contour.model.a1.shape)), max_iter, certs)
-    out = []
-    for cert, qg, xg, steps_g, fault in zip(certs, q, x, steps, faults):
+    x, steps, norms, faults = _iterate(contour, values, q, threshold,
+                                       [cert.r_max for cert in certs], max_iter, certs)
+    for g, cert, qg, xg, steps_g, x_norm, fault in zip(admitted, certs, q, x, steps, norms,
+                                                      faults):
         if isinstance(fault, NonconvergenceError):
-            out.append(fault)
+            out[g] = fault
             continue
         if fault is not None:
             raise fault
         bound = 0.0 if qg == 0.0 else qg / (1.0 - qg) * steps_g[-1]
-        x_norm = spectral_norm(xg)
         if x_norm > cert.r_min + bound + 1e-12 * (1.0 + cert.r_min):
             raise ContractionViolationError(
                 f"final norm {x_norm:.6e} exceeds the certified radius "
                 f"{cert.r_min:.6e} plus bound {bound:.3e}")
-        out.append((xg, tuple(steps_g), bound))
+        out[g] = (cert, xg, tuple(steps_g), bound)
     return out
 
 
@@ -220,33 +233,12 @@ def solve_fixed_point(contour: Contour, tol: float = DEFAULT_TOL,
     certified contraction factor on every iteration, and an iterate
     escaping the larger certified ball aborts the solve.
     """
-    cert = solvability_certificate(contour)
-    if not cert.admissible:
-        raise InadmissibleCertificateError(cert)
     # the one row borrows the contour's coupling data rather than copying it
-    (result,) = _solve_rows(contour, contour.quad_values[None], [cert], tol, max_iter)
-    if isinstance(result, NonconvergenceError):
+    (result,) = _solve_rows(contour, contour.quad_values[None], tol, max_iter)
+    if isinstance(result, Exception):
         raise result
-    x, steps, bound = result
+    cert, x, steps, bound = result
     return Solution(contour, cert, x, contour.model.a1 + x, steps, bound)
-
-
-def refine_fixed_point(contour: Contour, x0: np.ndarray, tol: float = 1e-12,
-                       max_iter: int = DEFAULT_MAX_ITER) -> Solution:
-    """Picard refinement from a given starting matrix, without a certificate.
-
-    For ingesting externally constructed solutions (inverse constructions,
-    previous runs): iterates until the absolute step norm drops below
-    ``tol``, with no contraction enforcement, and records the certificate
-    purely as data. The a-posteriori bound is not a guarantee here; it
-    reports the final step norm.
-    """
-    cert = solvability_certificate(contour)
-    x, (steps,), (fault,) = _iterate(contour, contour.quad_values[None], [0.0], [tol],
-                                     [math.inf], np.asarray(x0)[None], max_iter, [None])
-    if fault is not None:
-        raise fault
-    return Solution(contour, cert, x[0], contour.model.a1 + x[0], tuple(steps), steps[-1])
 
 
 def contour_independence(sol: Solution, other: Contour) -> float:
@@ -255,9 +247,10 @@ def contour_independence(sol: Solution, other: Contour) -> float:
     The second contour must belong to the solution's model and carry the
     same multi-index. When it is admissible a fresh independent solve runs
     from zero. When it is merely separated beyond the first solution's
-    certified radius, the existing solution is refined on the second contour
-    (it already satisfies that equation up to quadrature agreement) and the
-    difference is reported without claiming uniqueness there.
+    certified radius, no solve there is certified; the existing solution
+    already satisfies that equation up to quadrature agreement, and the
+    residual ``X - F_other(A1 + X)`` of one evaluation is reported without
+    claiming uniqueness there.
     """
     if other.model is not sol.model or other.multi_index != sol.multi_index:
         raise PairingError(
@@ -269,10 +262,8 @@ def contour_independence(sol: Solution, other: Contour) -> float:
         cert = exc.certificate
     else:
         return spectral_norm(resolved.correction - sol.correction)
-    r0_estimate = sol.certificate.r_min + sol.a_posteriori_bound
-    if cert.d0 > r0_estimate:
-        refined = refine_fixed_point(other, sol.correction, DEFAULT_TOL)
-        return spectral_norm(refined.correction - sol.correction)
+    if cert.d0 > sol.certificate.r_min + sol.a_posteriori_bound:
+        return spectral_norm(sol.correction - self_energy_of_operator(other, sol))
     raise InadmissibleCertificateError(
         cert, "second contour is neither admissible nor separated beyond the "
               "certified solution radius")

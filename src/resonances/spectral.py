@@ -259,20 +259,27 @@ def eigen_decompose(h1: Solution | np.ndarray,
 def _spectra(h: np.ndarray) -> list:
     """``(eigenvalues, scale)`` of each stacked matrix (G, n, n), as ``eigen_decompose`` gives them.
 
-    One batched ``eig`` and norm serve every row, clustered as there. A row
-    of single eigenvalues with a usable eigenbasis has projection traces
-    ``(V^-1 V)_kk``, which pass the trace check; any other row goes through
-    ``eigen_decompose`` and all its checks.
+    One batched ``eig``, norm and gap screen serve every row. A row whose
+    eigenvalues lie at least four times the cluster tolerance apart, with a
+    usable eigenbasis, is a row of single clusters with projection traces
+    ``(V^-1 V)_kk``, which pass the trace check; its eigenvalues are its
+    centroids. Any other row goes through ``eigen_decompose`` and all its
+    checks.
     """
     eigs, _, usable = _eigensystem(h)
+    norms = np.linalg.svd(h, compute_uv=False)[:, 0]
+    gaps = np.abs(eigs[:, :, None] - eigs[:, None, :])
+    off = ~np.eye(eigs.shape[-1], dtype=bool)
+    min_gap = gaps.min(axis=(1, 2), where=off, initial=math.inf)
+    separated = usable & (min_gap >= 4.0 * (1e-7 * np.maximum(norms, 1e-300)))
     out = []
-    for hg, eigs_g, usable_g, norm in zip(h, eigs, usable.tolist(),
-                                          np.linalg.svd(h, compute_uv=False)[:, 0].tolist()):
-        groups, centroids, _ = _clusters(eigs_g, 1e-7 * max(norm, 1e-300), norm)
-        if not usable_g or len(groups) < eigs_g.size:
+    for hg, eigs_g, simple, norm in zip(h, eigs, separated.tolist(), norms.tolist()):
+        if simple:
+            centroids = tuple(sorted(eigs_g.tolist(), key=lambda z: (z.real, z.imag)))
+        else:
             dec = eigen_decompose(hg)
             centroids, norm = dec.eigenvalues, dec.scale
-        out.append((tuple(centroids), max(norm, 1.0)))
+        out.append((centroids, max(norm, 1.0)))
     return out
 
 
@@ -397,7 +404,7 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution,
         core = np.einsum("iq,iqj,qj->ij", weights * inv_a, wkv, inv_l.T)
         out = duals_m.conj().T @ core @ duals
     cert = sol_l.certificate
-    bound = cert.v0 / (cert.d0 / 2.0) ** 2 if cert.d0 > 0 else math.inf
+    bound = cert.v0 / (cert.d0 / 2.0) ** 2
     norm = spectral_norm(out)
     if norm >= bound * 1.01 + 1e-300:
         raise IdentityFailureError(
@@ -645,8 +652,8 @@ def verify_projection_equations(contour: Contour, sol: Solution,
         recon += lam * p + nil
     recon_err = spectral_norm(recon - sol.effective)
     corr_norm = spectral_norm(recon - model.a1)
-    r_max = sol.certificate.r_max if sol.certificate.r_max is not None else math.inf
-    return ProjectionReport(tuple(rows), recon_err, corr_norm, corr_norm < r_max)
+    return ProjectionReport(tuple(rows), recon_err, corr_norm,
+                            corr_norm < sol.certificate.r_max)
 
 
 # ---------------------------------------------------------------------------

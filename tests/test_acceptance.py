@@ -209,7 +209,7 @@ def test_criterion_8_riesz_gram_and_defective(n3_bound_model, defective4):
     ok = ok and g.gram_defect <= 1e-6 and g.real_block_defect <= 1e-6
 
     model, contour, h, x_exact, j = defective4
-    sol_d = rs.refine_fixed_point(contour, x_exact, tol=1e-11)
+    sol_d = rs.solve_fixed_point(contour, tol=1e-11)
     dec_d = rs.eigen_decompose(sol_d.effective, cluster_tol=1e-4)
     ok = ok and sorted(zip(dec_d.algebraic, dec_d.geometric, dec_d.pole_orders)) == [
         (1, 1, 1), (1, 1, 1), (2, 1, 2)]

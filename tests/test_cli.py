@@ -73,10 +73,10 @@ def test_solve_inadmissible_exit_2(tmp_path):
 
 
 def test_verify_passes(tmp_path, std_model, monkeypatch):
-    from resonances import cli, contour, solver, spectral
+    from resonances import cli, contour, spectral
 
     decompose = spectral.eigen_decompose
-    certify = contour.solvability_certificate
+    certify = contour._certificate
     solve, build = cli.solve_fixed_point, contour.build_contour
     overlap, residue = spectral.overlap_operator, spectral.residue_at
     decomposed = []
@@ -90,9 +90,9 @@ def test_verify_passes(tmp_path, std_model, monkeypatch):
         decomposed.append(h1)
         return decompose(h1, *args, **kwargs)
 
-    def counting_certificate(c):
-        certified.append(c)
-        return certify(c)
+    def counting_certificate(d0, v0):
+        certified.append(v0)
+        return certify(d0, v0)
 
     def counting_overlap(sol_l, sol_minus_l, contour=None):
         overlaps.append((contour, bool(in_residue)))
@@ -113,9 +113,7 @@ def test_verify_passes(tmp_path, std_model, monkeypatch):
                         lambda *args: solved.append(args[0]) or solve(*args))
     monkeypatch.setattr(contour, "build_contour",
                         lambda *args: built.append(args[0]) or build(*args))
-    for module in (contour, solver, spectral):
-        if getattr(module, "solvability_certificate", None) is certify:
-            monkeypatch.setattr(module, "solvability_certificate", counting_certificate)
+    monkeypatch.setattr(contour, "_certificate", counting_certificate)
     cfg = write_config(tmp_path, "verify", "verify", std_model, SEMI)
     out = tmp_path / "verify_out.json"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0

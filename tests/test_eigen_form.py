@@ -21,7 +21,6 @@ from resonances import (
     factorize,
     mirrored,
     overlap_operator,
-    refine_fixed_point,
     self_energy_of_operator,
     solve_fixed_point,
     spectral_norm,
@@ -152,8 +151,8 @@ def test_fallback_equals_resolvent_sums(monkeypatch, resolvent_calls, poly4_mode
 def test_defective_argument_takes_fallback(resolvent_calls, defective4):
     # a Jordan block leaves no usable eigenbasis, cond(V) ~ 3e8
     model, contour, h, x_exact, j = defective4
-    sol = refine_fixed_point(contour, x_exact, tol=1e-11)
-    sol_m = refine_fixed_point(mirrored(contour), np.zeros((4, 4)), tol=1e-11)
+    sol = solve_fixed_point(contour, tol=1e-11)
+    sol_m = solve_fixed_point(mirrored(contour), tol=1e-11)
     zs = sample_points(sol, 6, seed=79)
     del resolvent_calls[:]
     got = evaluations(sol, sol_m, zs)

@@ -25,7 +25,6 @@ from resonances import (
     mirrored,
     overlap_operator,
     params_from_model,
-    refine_fixed_point,
     resonance_root,
     self_energy_many,
     self_energy_of_operator,
@@ -144,8 +143,7 @@ def test_contraction_violation_guard(friedrichs_std, monkeypatch):
     c = build_contour(friedrichs_std, Semicircle(), [1])
     fake = SolvabilityCertificate(1.0, 1e-8, 1.0, True,
                                   1e-8, 1.0 - 1e-4)
-    monkeypatch.setattr(resonances.solver, "solvability_certificate",
-                        lambda contour: fake)
+    monkeypatch.setattr(resonances.contour, "_certificate", lambda d0, v0: fake)
     with pytest.raises(ContractionViolationError):
         solve_fixed_point(c)
 
@@ -272,17 +270,29 @@ def test_contour_independence_separated_only(friedrichs_std):
     assert contour_independence(sol, c2) <= 1e-8
 
 
+def test_contour_independence_separated_only_evaluates_once(friedrichs_std, monkeypatch):
+    # an inadmissible second contour is not iterated on: one evaluation of
+    # its F at the solution, and no uncertified solve
+    import resonances.solver
+
+    c1 = build_contour(friedrichs_std, Semicircle(), [1])
+    sol = solve_fixed_point(c1)
+    c2 = build_contour(friedrichs_std, Semicircle(radius=0.6), [1])
+    evaluate, iterate = resonances.solver.self_energy_of_operator, resonances.solver._iterate
+    evaluated, iterated = [], []
+    monkeypatch.setattr(resonances.solver, "self_energy_of_operator",
+                        lambda *args: evaluated.append(args[0]) or evaluate(*args))
+    monkeypatch.setattr(resonances.solver, "_iterate",
+                        lambda *args: iterated.append(args[0]) or iterate(*args))
+    distance = contour_independence(sol, c2)
+    assert evaluated == [c2]
+    assert iterated == []
+    assert distance == spectral_norm(sol.correction - evaluate(c2, sol))
+
+
 def test_contour_independence_pairing_error(friedrichs_std):
     c1 = build_contour(friedrichs_std, Semicircle(), [1])
     sol = solve_fixed_point(c1)
     c2 = build_contour(friedrichs_std, Flat(), [-1])
     with pytest.raises(PairingError):
         contour_independence(sol, c2)
-
-
-def test_refine_fixed_point_accepts_exact_solution(poly4_model):
-    c = build_contour(poly4_model, Semicircle(), [1])
-    sol = solve_fixed_point(c)
-    refined = refine_fixed_point(c, sol.correction, tol=1e-9)
-    assert refined.iterations <= 2
-    assert spectral_norm(refined.correction - sol.correction) <= 1e-9

@@ -407,10 +407,10 @@ def test_keldysh_residue_matches_trapezoid(poly4_model):
 
 
 def test_multiple_eigenvalue_takes_trapezoid_residue(defective4, monkeypatch):
-    from resonances import refine_fixed_point, spectral
+    from resonances import spectral
 
     model, contour, h, x_exact, j = defective4
-    sol = refine_fixed_point(contour, x_exact, tol=1e-11)
+    sol = solve_fixed_point(contour, tol=1e-11)
     dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
     trapezoid, runs = spectral._trapezoid_residue, []
 
@@ -493,10 +493,8 @@ def test_projection_equations_refuse_another_sheet(poly4_model):
 
 
 def test_projection_equations_defective(defective4):
-    from resonances import refine_fixed_point
-
     model, contour, h, x_exact, j = defective4
-    sol = refine_fixed_point(contour, x_exact, tol=1e-11)
+    sol = solve_fixed_point(contour, tol=1e-11)
     assert spectral_norm(sol.effective - h) <= 1e-10
     dec = eigen_decompose(sol.effective, cluster_tol=1e-4)
     orders = sorted(zip(dec.algebraic, dec.geometric, dec.pole_orders))
@@ -508,12 +506,8 @@ def test_projection_equations_defective(defective4):
 
 
 def test_defective_resolve_recovers_structure(defective4):
-    from resonances import refine_fixed_point
-
     model, contour, h, x_exact, j = defective4
-    n = model.dim
-    resolved = refine_fixed_point(contour, np.zeros((n, n)), tol=1e-12,
-                                  max_iter=400)
+    resolved = solve_fixed_point(contour, tol=1e-12)
     assert spectral_norm(resolved.effective - h) <= 1e-8
     dec = eigen_decompose(resolved.effective, cluster_tol=1e-4)
     assert sorted(zip(dec.algebraic, dec.geometric, dec.pole_orders)) == [
@@ -666,3 +660,32 @@ def test_embedded_real_eigenvalue_criterion(embedded_real_model):
     km = model.coupling(lam.real - h)
     deriv = np.vdot(psi, ((kp - km) / (2 * h)) @ psi)
     assert abs(deriv) <= 1e-8
+
+
+def test_batched_spectra_match_eigen_decompose():
+    from resonances.spectral import _spectra
+
+    from conftest import random_unitary
+
+    u = random_unitary(3, 41)
+    s = np.eye(3) + 0.3 * u          # non-normal similarity
+
+    def similar(levels, extra=None):
+        d = np.diag(np.asarray(levels, dtype=complex))
+        if extra is not None:
+            d[0, 1] = extra
+        return s @ d @ np.linalg.inv(s)
+
+    stack = np.stack([similar([0.2 + 0.1j, 0.5, 0.9]),       # separated: batched path
+                      similar([0.5, 0.5 + 1e-9, 0.9]),       # a cluster of two
+                      similar([0.5, 0.5, 0.9], extra=1.0)])  # Jordan block: unusable basis
+    got = _spectra(stack)
+    assert got == [(dec.eigenvalues, dec.scale) for dec in map(eigen_decompose, stack)]
+    assert [len(eigs) for eigs, _ in got] == [3, 2, 2]
+    # two single eigenvalues closer than four cluster tolerances are refused
+    # by both, in a batch as alone
+    near = np.diag([0.5, 0.5 + 2e-7, 0.9]).astype(complex)
+    with pytest.raises(ClusteringError, match="inter-cluster gap"):
+        _spectra(np.stack([stack[0], near]))
+    with pytest.raises(ClusteringError, match="inter-cluster gap"):
+        eigen_decompose(near)
