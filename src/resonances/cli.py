@@ -44,7 +44,7 @@ from .errors import (
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import (SpectralModel, _integer, _matrix_pairs, _reject_unknown_keys,
+from .model import (SpectralModel, _integer, _matrix_pairs, _real, _reject_unknown_keys,
                     model_from_json_dict, spectral_norm, validate_model)
 from .solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_rows, adjoint_equation_residual,
                      fixed_point_residual, solve_fixed_point)
@@ -178,7 +178,7 @@ def load_config(path: str) -> RunConfig:
             raise StructuralModelError("config requires 'model' or 'model_path'")
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(data.get("tolerances", {}))
-        tol = {key: float(value) for key, value in tol.items()}
+        tol = {key: _real(value, f"tolerance {key}") for key, value in tol.items()}
         for key, value in tol.items():
             if not (0.0 < value < math.inf):
                 raise StructuralModelError(f"tolerance {key} must be positive and finite, "
@@ -186,7 +186,7 @@ def load_config(path: str) -> RunConfig:
         sweep = data.get("sweep")
         if sweep is not None:
             grid = sweep.get("grid")
-            if not grid or not all(math.isfinite(float(g)) for g in grid):
+            if not grid or not all(math.isfinite(_real(g, "sweep grid")) for g in grid):
                 raise StructuralModelError("sweep grid must be nonempty and finite")
         max_iter = _integer(data.get("max_iter", DEFAULT_MAX_ITER), "max_iter")
         if max_iter < 1:

@@ -24,7 +24,7 @@ from .errors import (
     StructuralModelError,
     UnsupportedModelError,
 )
-from .model import Interval, SpectralModel, _integer, _reject_unknown_keys
+from .model import Interval, SpectralModel, _integer, _real, _reject_unknown_keys
 
 DEFAULT_ORDER = (6, 16)
 DEFAULT_QUAD_TOL = 1e-10
@@ -497,7 +497,7 @@ def _spec_from_json(data: dict, where: str, extra=()) -> CurveSpec:
         raise StructuralModelError(f"unknown contour shape {shape!r}")
     _reject_unknown_keys(data, ("shape", *_SPEC_KEYS[shape], *extra), where)
     if shape == "semicircle":
-        center, radius = (None if data.get(key) is None else float(data[key])
+        center, radius = (None if data.get(key) is None else _real(data[key], f"semicircle {key}")
                           for key in ("center", "radius"))
         if not all(math.isfinite(v) for v in (center, radius) if v is not None):
             raise StructuralModelError("semicircle center and radius must be finite")
@@ -505,7 +505,7 @@ def _spec_from_json(data: dict, where: str, extra=()) -> CurveSpec:
     if shape == "rectangle":
         if "depth" not in data:
             raise StructuralModelError("rectangle spec requires a depth")
-        return Rectangle(depth=float(data["depth"]))
+        return Rectangle(depth=_real(data["depth"], "rectangle depth"))
     return Flat()
 
 

@@ -458,6 +458,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; a boolean raises ``StructuralModelError``."""
+    if isinstance(value, bool):
+        raise StructuralModelError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _matrix_from_json(data, name: str) -> np.ndarray:
     arr = np.array(data, dtype=float)
     if arr.ndim == 3 and arr.shape[-1] == 2:
@@ -486,7 +493,7 @@ def _endpoint_from_json(v) -> float:
         if s in ("inf", "-inf"):
             return math.inf if not s.startswith("-") else -math.inf
         raise StructuralModelError(f"bad interval endpoint {v!r}")
-    return float(v)
+    return _real(v, "interval endpoint")
 
 
 def model_to_json_dict(model: SpectralModel) -> dict:
@@ -528,11 +535,12 @@ def model_from_json_dict(data: dict) -> SpectralModel:
         for iv in data["intervals"]:
             _reject_unknown_keys(iv, ("lo", "hi", "strip"), "interval")
             intervals.append(Interval(_endpoint_from_json(iv["lo"]),
-                                      _endpoint_from_json(iv["hi"]), float(iv["strip"])))
+                                      _endpoint_from_json(iv["hi"]),
+                                      _real(iv["strip"], "interval strip")))
         discrete = []
         for p in data.get("discrete", []):
             _reject_unknown_keys(p, ("nu", "k"), "discrete point")
-            discrete.append(DiscretePoint(float(p["nu"]),
+            discrete.append(DiscretePoint(_real(p["nu"], "discrete nu"),
                                           _matrix_from_json(p["k"], "discrete weight")))
         cj = data["coupling"]
         kind = cj["kind"]
@@ -542,7 +550,8 @@ def model_from_json_dict(data: dict) -> SpectralModel:
         decay = None
         if cj.get("decay") is not None:
             _reject_unknown_keys(cj["decay"], ("theta", "coeff"), "decay")
-            decay = DecaySpec(float(cj["decay"]["theta"]), float(cj["decay"]["coeff"]))
+            decay = DecaySpec(_real(cj["decay"]["theta"], "decay theta"),
+                              _real(cj["decay"]["coeff"], "decay coeff"))
         if kind == "constant-vector":
             row = np.array([complex(re, im) for re, im in cj["row"]])
             coupling = CouplingFunction.constant_vector(row, decay)
@@ -552,7 +561,7 @@ def model_from_json_dict(data: dict) -> SpectralModel:
         else:
             coupling = CouplingFunction.rational(
                 [_matrix_from_json(m, "numerator coefficient") for m in cj["num"]],
-                [float(d) for d in cj["den"]], decay)
+                [_real(d, "rational den") for d in cj["den"]], decay)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralModelError(f"malformed model JSON: {exc}") from exc
     return SpectralModel(a1, intervals, discrete, coupling)

@@ -16,11 +16,9 @@ checks, and freezes when it stops. A single solve is the stack of one row.
 ``F`` is evaluated through the eigenvectors of its argument. The paper
 defines the operator self-energy ``V1(Y)`` by ``V1(Y) psi = V1(z) psi`` for
 every eigenvector ``psi`` of ``Y`` with eigenvalue ``z``; for
-``Y = V diag(lam) V^-1`` that fixes ``F(Y) = [V1(lam_j) v_j]_j V^-1``, so an
-evaluation needs the scalar self-energy at the n eigenvalues and one
-linear solve. An argument whose eigenbasis has cond(V) above the
-conditioning limit of ``transfer`` is summed against its resolvent at every
-integration point instead.
+``Y = V diag(lam) V^-1`` that fixes ``F(Y) = [V1(lam_j) v_j]_j V^-1``.
+``transfer._resolvent_sum`` takes the sum, or inverts ``Y`` at every
+integration point when its eigenbasis is ill conditioned.
 
 A ``Solution`` records the contour (which carries the model) and the
 certificate (computed once per solve) it was solved with, and owns the
@@ -46,7 +44,7 @@ from .errors import (
     PairingError,
 )
 from .model import SpectralModel, spectral_norm
-from .transfer import _dual_eigensystem, _eigen_sums, _eigensystem, _resolvents, _weighted_sum
+from .transfer import _dual_eigensystem, _resolvent_sum
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -58,30 +56,18 @@ def self_energy_of_operator(contour: Contour, y: np.ndarray | Solution,
     """Self-energy applied to an operator argument.
 
     On an eigenvector of ``y`` this action reduces to the scalar
-    self-energy at the eigenvalue, so with ``y = V diag(lam) V^-1`` it is
-    ``[SE(lam_j) v_j]_j V^-1``, the columns' matrix solved against V. An
-    ill-conditioned eigenbasis sums the coupling data against the resolvent
-    of ``y`` at every discrete point and quadrature node instead. ``y`` may
-    be a solution, whose effective matrix is the argument and whose own
-    eigensystem is used, or a stack (G, n, n); ``values`` then holds each
-    row's coupling data on the contour's points and weights, shape
-    (G, P, n, n). By default it is the contour's own.
+    self-energy at the eigenvalue; ``transfer._resolvent_sum`` takes the
+    sum. ``y`` may be a solution, whose effective matrix is the argument and
+    whose own eigensystem is used, or a stack (G, n, n); ``values`` then
+    holds each row's coupling data on the contour's points and weights,
+    shape (G, P, n, n). By default it is the contour's own.
     """
     if isinstance(y, Solution):
-        y, (lam, vecs, duals) = y.effective, y.eigensystem
-        usable = duals is not None
-    else:
-        y = np.asarray(y, dtype=complex)
-        lam, vecs, usable = _eigensystem(y)
-        usable = usable.all()
-    if not usable:
-        inv = _resolvents(y, contour.quad_points)
-        return _weighted_sum(contour.quad_weights,
-                             contour.quad_values if values is None else values, inv)
-    se = _eigen_sums(contour, lam, values)
-    vecs_t = vecs.swapaxes(-1, -2)
-    cols_t = (se @ vecs_t[..., None])[..., 0]       # row j: SE(lam_j) v_j
-    return np.linalg.solve(vecs_t, cols_t).swapaxes(-1, -2)
+        right = (y.effective, y.eigensystem)
+    else:       # the sum takes the eigensystem of a bare argument itself
+        right = (np.asarray(y, dtype=complex), None)
+    return _resolvent_sum(contour.quad_points, contour.quad_weights,
+                          contour.quad_values if values is None else values, right)
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,11 +38,11 @@ from .errors import (
 from .model import spectral_norm
 from .solver import Solution
 from .transfer import (
+    _adjoint,
     _dual_eigensystem,
     _eigensystem,
-    _inverse_distances,
+    _resolvent_sum,
     _resolvents,
-    _weighted_sum,
     self_energy_many,
     transfer_many,
 )
@@ -301,33 +301,15 @@ def factorize(sol: Solution, z: complex | np.ndarray) -> Factorization:
     operator; multiplying it by (effective - z) must reproduce the continued
     transfer function. ``z`` is one point, giving an (n, n) factor and a
     float defect, or an array of points, giving factors and defects stacked
-    in its shape. With ``effective = V diag(lam) V^-1`` the factor maps v_j
-    to ``v_j - sum_q w_q K_q v_j / ((mu_q - z)(lam_j - mu_q))``, for all
-    points from one product ``K_q V``; an unusable eigenbasis inverts the
-    resolvent stack instead, once for all points.
+    in its shape. A point within the guard band raises ``GuardBandError``.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
     contour, h = sol.contour, sol.effective
-    eye = np.eye(h.shape[0])
-    points, weights, values = contour.quad_points, contour.quad_weights, contour.quad_values
-    lam, vecs, duals = sol.eigensystem
-    if duals is None:
-        inv = _resolvents(h, points)
-        w1 = np.stack([eye - _weighted_sum(weights / (points - zk), values, inv)
-                       for zk in flat])
-    else:
-        inv_dist = _inverse_distances(lam, points)
-        n = vecs.shape[0]
-        # coeff[z, j, q] = w_q / ((mu_q - z)(lam_j - mu_q)); the products
-        # below are stacked over the points, so a point's factor does not
-        # depend on the other points of the batch
-        coeff = (weights / (points - flat[:, None]))[:, None, :] * inv_dist
-        kv = (values.reshape(-1, n) @ vecs).reshape(-1, n, n)       # [q]: K_q V
-        kv = np.ascontiguousarray(kv.transpose(2, 1, 0))            # [j, i, q]
-        cols_t = (kv @ coeff[..., None])[..., 0]           # [z, j]: column j of point z
-        w1 = eye - cols_t.swapaxes(-1, -2) @ duals
     m1 = transfer_many(contour, flat)
+    eye = np.eye(h.shape[0])
+    coeff = contour.quad_weights / (contour.quad_points - flat[:, None])
+    w1 = eye - _resolvent_sum(contour.quad_points, coeff, contour.quad_values, (h, sol.eigensystem))
     shifted = h[None, :, :] - flat[:, None, None] * eye
     residual = np.linalg.norm(m1 - w1 @ shifted, 2, axis=(1, 2))
     if zs.ndim == 0:
@@ -368,13 +350,8 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution,
     which must be the mirror of the contour of ``sol_minus_l``. A given
     ``contour`` of the model and multi-index of ``sol_l`` (``verify`` takes
     it at twice the order) replaces it: its points, weights and coupling
-    data are integrated against the eigensystems of the two solutions. With
-    ``(lam, V)`` the eigensystem of ``sol_l`` and ``(alpha, W)`` that of the
-    adjoint mirror operator, ``alpha = conj(lam_m)`` and ``W = (V_m^-1)^H``
-    from ``sol_minus_l``, it is the Daleckii-Krein form
-    ``W [sum_q (W^-1 K_q V) o G_q] V^-1``, ``G_q[i, j] = w_q /
-    ((alpha_i - mu_q)(lam_j - mu_q))``; an unusable eigenbasis on either
-    side takes the two resolvent stacks instead. The norm
+    data are integrated against the eigensystem of ``sol_l`` and that of the
+    adjoint mirror operator, read off ``sol_minus_l``'s. The norm
     must stay below the certified bound, the variation over the squared
     half separation of the certificate ``sol_l`` was solved with; a
     violation beyond one percent slack raises, since it signals a bad
@@ -386,23 +363,9 @@ def overlap_operator(sol_l: Solution, sol_minus_l: Solution,
         contour = sol_l.contour
     elif contour.model is not sol_l.model or contour.multi_index != sol_l.multi_index:
         raise PairingError("contour was built for a different model or sheet than the solution")
-    points, weights, values = contour.quad_points, contour.quad_weights, contour.quad_values
-    lam, vecs, duals = sol_l.eigensystem
-    lam_m, vecs_m, duals_m = sol_minus_l.eigensystem
-    if duals is None or duals_m is None:
-        left_inv = _resolvents(sol_minus_l.effective.conj().T, points)
-        right_inv = _resolvents(sol_l.effective, points)
-        out = _weighted_sum(weights, left_inv @ values, right_inv)
-    else:
-        inv_a = _inverse_distances(lam_m.conj(), points)
-        inv_l = _inverse_distances(lam, points)
-        n = vecs.shape[0]
-        kv = (values.reshape(-1, n) @ vecs).reshape(-1, n, n)     # [q]: K_q V
-        # [i, q, j]: W^-1 K_q V for every q, as one matrix product
-        wkv = (vecs_m.conj().T @ kv.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, n)
-        # sum over q of G_q[i, j] = w_q / ((alpha_i - mu_q)(lam_j - mu_q)) times it
-        core = np.einsum("iq,iqj,qj->ij", weights * inv_a, wkv, inv_l.T)
-        out = duals_m.conj().T @ core @ duals
+    out = _resolvent_sum(contour.quad_points, contour.quad_weights, contour.quad_values,
+                         (sol_l.effective, sol_l.eigensystem),
+                         _adjoint(sol_minus_l.effective, sol_minus_l.eigensystem))
     cert = sol_l.certificate
     bound = cert.v0 / (cert.d0 / 2.0) ** 2
     norm = spectral_norm(out)

@@ -10,17 +10,13 @@ integration set than a guard band are rejected, for every derivative order,
 rather than extrapolated because the quadrature error grows like the
 inverse distance.
 
-A sum over an operator argument ``Y`` goes through the eigenvectors of
-``Y``. The operator self-energy acts on an eigenvector of ``Y`` as the
-scalar self-energy at its eigenvalue, so with ``Y = V diag(lam) V^-1`` the
-resolvent at every integration point is ``V diag(1 / (lam - mu)) V^-1``
-and a sum over the points needs the scalar sums at the n eigenvalues only:
-``_eigen_sums`` gives the self-energy at each eigenvalue as one matrix
-product. ``_eigensystem`` alone decides whether an eigenbasis is usable,
-for these sums and for the eigensystem a ``Solution`` owns: cond(V) must
-be at most ``_EIGVEC_COND_MAX``. For a defective or nearly defective ``Y``
-the sum inverts the shifted argument at every point instead
-(``_resolvents``, ``_weighted_sum``).
+A sum over an operator argument ``Y = V diag(lam) V^-1`` needs scalar sums
+at the n eigenvalues only, since the resolvent at every integration point
+is ``V diag(1 / (lam - mu)) V^-1``. ``_resolvent_sum`` is the one such sum,
+behind the operator self-energy, the left factor and the overlap operator,
+and the one place that chooses between eigenbases and resolvent stacks. An
+eigenbasis is usable when its cond(V) is at most ``_EIGVEC_COND_MAX``
+(``_eigensystem``, for these sums and a ``Solution``'s eigensystem alike).
 """
 
 from __future__ import annotations
@@ -54,13 +50,14 @@ def _resolvents(h: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _weighted_sum(coeff: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over q of coeff[q] * a[..., q, :, :] @ b[..., q, :, :], as one matmul per stack.
+    """Sum over q of coeff[..., q] * a[..., q, :, :] @ b[..., q, :, :], as one matmul per stack.
 
-    ``a`` and ``b`` share their leading axes ``...``, which may hold no row.
+    The leading axes ``...`` of ``coeff``, ``a`` and ``b`` broadcast, and may hold no row.
     """
-    *lead, p, n, k = a.shape
-    left = (coeff[:, None, None] * a).swapaxes(-3, -2).reshape(*lead, n, p * k)
-    return left @ b.reshape(*lead, p * k, b.shape[-1])
+    scaled = coeff[..., None, None] * a
+    *lead, p, n, k = scaled.shape
+    left = scaled.swapaxes(-3, -2).reshape(*lead, n, p * k)
+    return left @ b.reshape(*b.shape[:-3], p * k, b.shape[-1])
 
 
 def _eigensystem(y: np.ndarray):
@@ -85,6 +82,13 @@ def _dual_eigensystem(h: np.ndarray):
     return lam, vecs, np.linalg.inv(vecs) if usable else None
 
 
+def _adjoint(h: np.ndarray, eigensystem) -> tuple:
+    """``h^H`` with its eigensystem ``(conj(lam), (V^-1)^H, V^H)``, read off that of ``h``."""
+    lam, vecs, duals = eigensystem
+    usable = duals is not None
+    return h.conj().T, (lam.conj(), duals.conj().T, vecs.conj().T) if usable else (None,) * 3
+
+
 def _inverse_distances(lam: np.ndarray, points: np.ndarray) -> np.ndarray:
     """``1 / (lam_j - points_q)``, shape (..., n, P); raises at a point equal to a lam_j."""
     diff = lam[..., :, None] - points
@@ -94,19 +98,55 @@ def _inverse_distances(lam: np.ndarray, points: np.ndarray) -> np.ndarray:
     return 1.0 / diff
 
 
-def _eigen_sums(contour: Contour, lam: np.ndarray, values: np.ndarray | None = None):
-    """The self-energy at each eigenvalue ``lam_j``, shape (..., n, n, n).
+def _resolvent_sum(points: np.ndarray, coeff: np.ndarray, values: np.ndarray, right: tuple,
+                   left: tuple | None = None) -> np.ndarray:
+    """Sum over q of ``coeff[..., q] L_q values_q (h - points_q)^-1``.
 
-    ``se[..., j, :, :]`` is the sum of ``w_q values_q / (lam_j - mu_q)``,
-    computed for every eigenvalue as one matrix product. ``values`` is the
-    coupling data on the contour's points, (P, n, n) or one per row
-    (..., P, n, n); by default the contour's own.
+    ``right`` is one matrix or a stack (G, n, n) with its eigensystem, ``(h,
+    (lam, V, V^-1))``, V^-1 None if V is unusable; an eigensystem None is
+    taken here, without V^-1, for one coefficient row with no left side.
+    ``values`` is (P, n, n) or (G, P, n, n). A ``left`` ``(g, (alpha, W,
+    W^-1))`` makes ``L_q = (g - points_q)^-1``, else ``L_q = I``. ``coeff``
+    is (P,), or (Z, P) for Z sums over one matrix with no left side.
+
+    An unusable basis on either side inverts every shifted matrix. Otherwise
+    the inputs pick the fastest association: one coefficient row and no left
+    side solves ``[SE(lam_j) v_j]_j`` against V; a batch forms ``K_q V``
+    once; a left side takes the Daleckii-Krein form ``W [sum_q (W^-1 K_q V)
+    o G_q] V^-1``, ``G_q[i, j] = coeff_q / ((alpha_i - mu_q)(lam_j - mu_q))``.
     """
-    inv_dist = _inverse_distances(lam, contour.quad_points)
-    values = contour.quad_values if values is None else values
+    h, eigensystem = right
+    if eigensystem is None:
+        lam, vecs, usable = _eigensystem(h)
+        usable = usable.all()
+    else:
+        lam, vecs, duals = eigensystem
+        usable = duals is not None
+    if not usable or (left is not None and left[1][2] is None):
+        if left is not None:
+            values = _resolvents(left[0], points) @ values
+        return _weighted_sum(coeff, values, _resolvents(h, points))
+    inv_dist = _inverse_distances(lam, points)
     n = lam.shape[-1]
-    se = (contour.quad_weights * inv_dist) @ values.reshape(*values.shape[:-2], n * n)
-    return se.reshape(*se.shape[:-1], n, n)
+    if left is None and coeff.ndim == 1:
+        se = (coeff * inv_dist) @ values.reshape(*values.shape[:-2], n * n)
+        se = se.reshape(*se.shape[:-1], n, n)           # [..., j]: SE(lam_j)
+        vecs_t = vecs.swapaxes(-1, -2)
+        cols_t = (se @ vecs_t[..., None])[..., 0]       # row j: SE(lam_j) v_j
+        return np.linalg.solve(vecs_t, cols_t).swapaxes(-1, -2)
+    kv = (values.reshape(-1, n) @ vecs).reshape(-1, n, n)           # [q]: K_q V
+    if left is None:
+        # the products are stacked over the rows, so a row's sum does not
+        # depend on the other rows of the batch
+        kv = np.ascontiguousarray(kv.transpose(2, 1, 0))            # [j, i, q]
+        cols_t = (kv @ (coeff[:, None, :] * inv_dist)[..., None])[..., 0]
+        return cols_t.swapaxes(-1, -2) @ duals
+    _, (alpha, w, w_inv) = left
+    # [i, q, j]: W^-1 K_q V for every q, as one matrix product
+    wkv = (w_inv @ kv.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, n)
+    core = np.einsum("iq,iqj,qj->ij", coeff * _inverse_distances(alpha, points), wkv,
+                     inv_dist.T)
+    return w @ core @ duals
 
 
 def self_energy_many(contour: Contour, zs: np.ndarray, k: int = 0) -> np.ndarray:

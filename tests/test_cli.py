@@ -614,6 +614,14 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
     # command mismatch between config and argv
     cfg = write_config(tmp_path, "mismatch", "verify", std_model, SEMI)
     assert main(["solve", "--config", cfg, "--quiet"]) == 4
+    base = rs.model_to_json_dict(std_model)
+    iv, coupling = base["intervals"][0], base["coupling"]
+
+    def model_path(name, **fields):
+        path = tmp_path / f"{name}_bad_model.json"
+        path.write_text(json.dumps(dict(base, **fields)))
+        return {"model_path": str(path)}
+
     # malformed fields: one stderr line each, never a traceback
     malformed = [
         ("solve", {"tolerances": {"quad_tol": "x"}}),
@@ -644,6 +652,22 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
         ("solve", {"max_iter": 2.5}),
         ("solve", {"max_iter": True}),
         ("oracle", {"oracle": {"nu": [1.5, -1]}}),
+        # real fields: a boolean is refused, never read as 0 or 1
+        ("solve", {"tolerances": {"solve_tol": True}}),
+        ("sweep", {"sweep": {"parameter": "beta", "grid": [True, 0.1]}}),
+        ("solve", {"contour": dict(SEMI, center=True)}),
+        ("solve", {"contour": dict(SEMI, radius=True)}),
+        ("solve", {"contour": dict(SEMI, shape="rectangle", depth=True)}),
+        ("solve", model_path("lo", intervals=[dict(iv, lo=True)])),
+        ("solve", model_path("hi", intervals=[dict(iv, hi=True)])),
+        ("solve", dict(model_path("strip", intervals=[dict(iv, strip=True)]),
+                       contour=dict(SEMI, radius=0.5))),
+        ("solve", model_path("nu", discrete=[{"nu": True, "k": [[0.01, 0.0]]}],
+                             intervals=[dict(iv, lo=2.0, hi=4.0)])),
+        ("solve", model_path("coeff", coupling=dict(coupling, decay={"theta": 2.0,
+                                                                     "coeff": True}))),
+        ("solve", model_path("den", coupling={"kind": "rational-matrix",
+                                              "num": [coupling["row"]], "den": [True]})),
     ]
     capsys.readouterr()
     for k, (command, extra) in enumerate(malformed):

@@ -25,7 +25,7 @@ from resonances import (
     solve_fixed_point,
     spectral_norm,
 )
-from resonances import solver, spectral, transfer
+from resonances import transfer
 from resonances.transfer import _resolvents, _weighted_sum
 
 from conftest import random_unitary, squared_poly_coupling
@@ -101,15 +101,14 @@ def references(sol, sol_m, zs):
 
 @pytest.fixture
 def resolvent_calls(monkeypatch):
-    """Counts the resolvent stacks taken by the solver and spectral layers."""
+    """Counts the resolvent stacks taken by the sums over an operator argument."""
     calls = []
 
     def spy(h, points):
         calls.append(h.shape)
         return _resolvents(h, points)
 
-    monkeypatch.setattr(solver, "_resolvents", spy)
-    monkeypatch.setattr(spectral, "_resolvents", spy)
+    monkeypatch.setattr(transfer, "_resolvents", spy)
     return calls
 
 
@@ -146,6 +145,23 @@ def test_fallback_equals_resolvent_sums(monkeypatch, resolvent_calls, poly4_mode
     values = np.stack([c.quad_values, 2.0 * c.quad_values])
     assert np.array_equal(self_energy_of_operator(c, ys, values),
                           ref_self_energy(c, ys, values))
+
+
+@pytest.mark.parametrize("cond_max", [transfer._EIGVEC_COND_MAX, 0.0])
+def test_stack_with_contour_data_equals_rows_alone(monkeypatch, resolvent_calls, poly4_model,
+                                                   cond_max):
+    # a stacked argument with the contour's own coupling data: each row is its
+    # evaluation alone, on the eigenbasis path and on the fallback alike
+    c = build_contour(poly4_model, Semicircle(), [1])
+    sol, sol_m = solve_fixed_point(c), solve_fixed_point(mirrored(c))
+    ys = np.stack([sol.effective, sol_m.effective, poly4_model.a1])
+    monkeypatch.setattr(transfer, "_EIGVEC_COND_MAX", cond_max)
+    del resolvent_calls[:]
+    got = self_energy_of_operator(c, ys)
+    assert len(resolvent_calls) == (1 if cond_max == 0.0 else 0)
+    assert got.shape == ys.shape
+    for row, y in zip(got, ys):
+        assert np.array_equal(row, self_energy_of_operator(c, y))
 
 
 def test_defective_argument_takes_fallback(resolvent_calls, defective4):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from resonances import (
     Circle,
     ClusteringError,
     GeometryError,
+    GuardBandError,
     InconsistencyError,
     Interval,
     PairingError,
@@ -246,6 +248,17 @@ def test_factorize_random_points(friedrichs_std, poly4_model):
         # a difference of O(1) matrices
         assert np.allclose(grid.residual.reshape(100), [f.residual for f in single],
                            rtol=0.0, atol=1e-14)
+
+
+def test_factorize_at_integration_point_raises_guard_band(poly4_model):
+    # the guard fires before any coefficient 1 / (mu_q - z) is formed, so no
+    # division by zero warns on the way
+    c = build_contour(poly4_model, Semicircle(), [1])
+    sol = solve_fixed_point(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GuardBandError):
+            factorize(sol, c.nodes[3])
 
 
 def test_factorize_adjoint_identity(poly4_model):
