@@ -414,8 +414,21 @@ def variation(contour: Contour, values: np.ndarray | None = None):
     data (G, P, n, n) on the contour's points, such as the grid points of a
     sweep; it gives the G variations as an array from one batched norm, each
     row equal to the variation of a contour carrying that row's data.
+
+    A node value of a constant-vector coupling is ``conj(r) r^T``, Hermitian
+    positive semidefinite of rank one, so its spectral norm is its trace
+    ``|r|^2`` and takes no SVD; for such a model the node data in ``values``
+    must have that form too, as a sweep's stack has. The discrete weights
+    keep their SVD norms.
     """
-    norms = np.linalg.norm(contour.quad_values if values is None else values, 2, axis=(-2, -1))
+    data = contour.quad_values if values is None else values
+    if contour.model.coupling.kind == "constant-vector":
+        discrete = len(contour.model.discrete)
+        nodes = np.trace(data[..., discrete:, :, :], axis1=-2, axis2=-1).real
+        norms = (np.concatenate([np.linalg.norm(data[..., :discrete, :, :], 2, axis=(-2, -1)),
+                                 nodes], axis=-1) if discrete else nodes)
+    else:
+        norms = np.linalg.norm(data, 2, axis=(-2, -1))
     total = np.sum(np.abs(contour.quad_weights) * norms, axis=-1) + contour.tail_variation_bound
     return float(total) if values is None else total
 

@@ -452,15 +452,15 @@ def _reject_unknown_keys(data: dict, allowed, where: str):
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; a boolean or a fractional number raises ``StructuralModelError``."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """``value`` as an int; a boolean, a string or a fraction raises ``StructuralModelError``."""
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
         raise StructuralModelError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; a boolean raises ``StructuralModelError``."""
-    if isinstance(value, bool):
+    """``value`` as a float; a boolean or a string raises ``StructuralModelError``."""
+    if isinstance(value, (bool, str)):
         raise StructuralModelError(f"{name} must be a number, got {value!r}")
     return float(value)
 

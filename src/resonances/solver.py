@@ -130,9 +130,10 @@ def _iterate(contour: Contour, values: np.ndarray, q, threshold, r_escape,
     prev = [None] * len(x)
     for it in range(1, max_iter + 1):
         x_next = self_energy_of_operator(contour, a1 + x, values)
-        # largest singular values, as spectral_norm takes them, row by row
-        step_now = np.linalg.svd(x_next - x, compute_uv=False)[:, 0].tolist()
-        norm_now = np.linalg.svd(x_next, compute_uv=False)[:, 0].tolist()
+        # largest singular values of each step and iterate, as spectral_norm
+        # takes them, from one batched SVD
+        top = np.linalg.svd(np.stack((x_next - x, x_next)), compute_uv=False)[..., 0]
+        step_now, norm_now = top.tolist()
         going = []
         for g, step, x_norm, last in zip(rows.tolist(), step_now, norm_now, prev):
             steps[g].append(step)

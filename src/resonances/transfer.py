@@ -17,6 +17,8 @@ behind the operator self-energy, the left factor and the overlap operator,
 and the one place that chooses between eigenbases and resolvent stacks. An
 eigenbasis is usable when its cond(V) is at most ``_EIGVEC_COND_MAX``
 (``_eigensystem``, for these sums and a ``Solution``'s eigensystem alike).
+A finite 1x1 argument, the rank-one single-level case, is its own
+eigenvalue with eigenvector 1 and cond(V) = 1, and takes no ``eig``.
 """
 
 from __future__ import annotations
@@ -67,8 +69,11 @@ def _eigensystem(y: np.ndarray):
     its cond(V) is at most ``_EIGVEC_COND_MAX``. Returns ``(lam, V,
     usable)``, with one flag per matrix, shape (...); when the eigensolver
     refuses ``y`` (a non-finite entry, no convergence) lam and V are None
-    and no basis is usable.
+    and no basis is usable. A finite 1x1 matrix is its own eigenvalue, with
+    eigenvector 1 and cond(V) = 1, and takes no ``eig``.
     """
+    if y.shape[-1] == 1 and np.isfinite(y).all():
+        return y[..., 0].copy(), np.ones_like(y), np.full(y.shape[:-2], 1.0 <= _EIGVEC_COND_MAX)
     try:
         lam, vecs = np.linalg.eig(y)
     except np.linalg.LinAlgError:
@@ -125,6 +130,13 @@ def _resolvent_sum(points: np.ndarray, coeff: np.ndarray, values: np.ndarray, ri
     if not usable or (left is not None and left[1][2] is None):
         if left is not None:
             values = _resolvents(left[0], points) @ values
+        elif coeff.ndim == 2:
+            # Z sums over one matrix, one at a time: no (Z, P, n, n) array
+            inv = _resolvents(h, points)
+            out = np.empty((len(coeff), *h.shape), dtype=complex)
+            for row, c in zip(out, coeff):
+                row[...] = _weighted_sum(c, values, inv)
+            return out
         return _weighted_sum(coeff, values, _resolvents(h, points))
     inv_dist = _inverse_distances(lam, points)
     n = lam.shape[-1]

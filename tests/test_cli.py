@@ -463,6 +463,44 @@ def test_sweep_n1_rows_equal_per_point_solves(tmp_path, std_model):
     assert {r["status"] for r in rows} == {"ok", "inadmissible"}
 
 
+def test_sweep_n1_takes_no_eig_and_no_variation_svd(tmp_path, std_model, monkeypatch):
+    from resonances.cli import load_config, run_sweep
+
+    # at n=1 every eigensystem is the matrix entry and every node norm of the
+    # rank-one coupling is its trace: no LAPACK eig, and no SVD in variation
+    grid = np.linspace(0.03, 0.35, 48).tolist()
+    config = load_config(write_config(tmp_path, "n1", "sweep", std_model, SEMI,
+                                      sweep={"parameter": "beta", "grid": grid}))
+    calls = {"eig": 0, "variation_svd": 0}
+    inside = []
+    eig, svd, variation = np.linalg.eig, np.linalg.svd, rs.contour.variation
+
+    def eig_spy(*args, **kwargs):
+        calls["eig"] += 1
+        return eig(*args, **kwargs)
+
+    def svd_spy(*args, **kwargs):
+        calls["variation_svd"] += bool(inside)
+        return svd(*args, **kwargs)
+
+    def variation_spy(*args, **kwargs):
+        inside.append(True)
+        try:
+            return variation(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    # np.linalg.norm(a, 2) and np.linalg.cond reach svd through numpy's private module
+    for owner in (np.linalg, getattr(np.linalg, "_linalg", None)):
+        if owner is not None:
+            monkeypatch.setattr(owner, "eig", eig_spy)
+            monkeypatch.setattr(owner, "svd", svd_spy)
+    monkeypatch.setattr(rs.contour, "variation", variation_spy)
+    rows = run_sweep(config)["rows"]
+    assert {r["status"] for r in rows} == {"ok", "inadmissible"}
+    assert calls == {"eig": 0, "variation_svd": 0}
+
+
 def test_sweep_double_level_decomposes_its_cluster(tmp_path, monkeypatch):
     from resonances.cli import load_config, run_sweep
 
@@ -668,6 +706,13 @@ def test_config_errors_exit_4(tmp_path, std_model, capsys):
                                                                      "coeff": True}))),
         ("solve", model_path("den", coupling={"kind": "rational-matrix",
                                               "num": [coupling["row"]], "den": [True]})),
+        # number fields: a string is refused, never parsed as a number
+        ("solve", {"tolerances": {"solve_tol": "0.1"}}),
+        ("sweep", {"sweep": {"parameter": "beta", "grid": ["0.1", " 0.2 "]}}),
+        ("solve", {"contour": dict(SEMI, radius="0.5")}),
+        ("solve", model_path("strip_text", intervals=[dict(iv, strip="4")])),
+        ("solve", {"contour": dict(SEMI, panels="6")}),
+        ("solve", {"max_iter": "200"}),
     ]
     capsys.readouterr()
     for k, (command, extra) in enumerate(malformed):

@@ -95,6 +95,33 @@ def test_variation_discrete_part():
     assert abs(variation(c) - 0.04) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constant_vector_variation_is_the_svd_sum(n):
+    # the node norms of a rank-one coupling are traces; the discrete weight
+    # keeps its SVD norm, and the sum equals the per-node SVD sum
+    rng = np.random.default_rng(40 + n)
+    row = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    model = SpectralModel(np.diag(np.linspace(0.6, 1.4, n)).astype(complex),
+                          [Interval(0.0, 2.0, 4.0)], [(3.0, 0.01 * (g.conj().T @ g))],
+                          CouplingFunction.constant_vector(row))
+    c = build_contour(model, Semicircle(), [1])
+    stack = np.stack([c.quad_values, c.quad_values.copy()])
+    stack[1, 1:] *= 0.3 ** 2             # the node data of the row 0.3 * row
+
+    def svd_sum(values):
+        norms = np.linalg.norm(values, 2, axis=(-2, -1))
+        return np.sum(np.abs(c.quad_weights) * norms, axis=-1) + c.tail_variation_bound
+
+    got = [variation(c), *variation(c, stack).tolist()]
+    ref = [svd_sum(c.quad_values), *svd_sum(stack).tolist()]
+    if n == 1:
+        assert got == ref
+    else:
+        assert np.allclose(got, ref, rtol=8 * np.finfo(float).eps, atol=0.0)
+    assert got[0] == got[1]
+
+
 def test_separation_exact_semicircle(friedrichs_std):
     c = build_contour(friedrichs_std, Semicircle(), [1])
     assert separation_distance(c) == 1.0

@@ -6,6 +6,7 @@ through resolvent stacks when the eigenbasis is ill conditioned. The
 references below are the resolvent-stack sums.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -212,3 +213,53 @@ def test_adjoint_equation_is_the_left_resolvent_sum(poly4_model, fault):
     got = adjoint_equation_residual(sol, faulty)
     assert abs(got - ref) <= 1e-3 * ref
     assert got <= 1e-10 if fault == 0.0 else got >= 0.5 * fault
+
+
+def test_one_by_one_eigensystem_is_its_entry(monkeypatch):
+    # a finite 1x1 matrix is its own eigenvalue: what eig and cond give, bit for bit
+    rng = np.random.default_rng(89)
+    scale = 10.0 ** rng.integers(-8, 8, (7, 1, 1))
+    y = scale * (rng.standard_normal((7, 1, 1)) + 1j * rng.standard_normal((7, 1, 1)))
+    for arg in (y, y[3]):
+        lam, vecs, usable = transfer._eigensystem(arg)
+        ref_lam, ref_vecs = np.linalg.eig(arg)
+        assert lam.dtype == ref_lam.dtype and np.array_equal(lam, ref_lam)
+        assert vecs.dtype == ref_vecs.dtype and np.array_equal(vecs, ref_vecs)
+        assert np.array_equal(usable, np.linalg.cond(ref_vecs) <= transfer._EIGVEC_COND_MAX)
+        assert np.shape(usable) == arg.shape[:-2] and np.all(usable)
+    monkeypatch.setattr(transfer, "_EIGVEC_COND_MAX", 0.0)
+    assert not np.any(transfer._eigensystem(y)[2])
+    # a non-finite row still goes to the eigensolver, which refuses the stack
+    y[2, 0, 0] = np.nan
+    lam, vecs, usable = transfer._eigensystem(y)
+    assert lam is None and vecs is None and not usable
+
+
+def test_batched_fallback_memory(monkeypatch):
+    # the left factors at many points with no usable eigenbasis hold one
+    # (P, n, n) stack at a time, and equal the eigenbasis path's
+    n = 32
+    rng = np.random.default_rng([1, n])
+    levels = np.linspace(1.2, 2.8, n) + rng.uniform(-0.2, 0.2, n) * 1.6 / (n - 1)
+    u = random_unitary(n, seed=97)
+    a1 = u @ np.diag(levels) @ u.conj().T
+    g0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g0 /= np.linalg.norm(g0, 2)
+    g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g1 *= 0.15 / np.linalg.norm(g1, 2)
+    model = SpectralModel(0.5 * (a1 + a1.conj().T), [Interval(0.0, 4.0, 2.6)], (),
+                          squared_poly_coupling(g0, g1, 0.01))
+    sol = solve_fixed_point(build_contour(model, Semicircle(), [1]))
+    zs = sample_points(sol, 20, seed=101)
+    ref = factorize(sol, zs).left_factor
+    monkeypatch.setattr(transfer, "_EIGVEC_COND_MAX", 0.0)
+    fresh = replace(sol)                 # its eigensystem is taken again, unusable
+    tracemalloc.start()
+    try:
+        got = factorize(fresh, zs).left_factor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fresh.eigensystem[2] is None
+    assert peak < 16e6
+    assert spectral_norm((got - ref).reshape(-1, n)) <= 1e-12 * spectral_norm(ref.reshape(-1, n))
